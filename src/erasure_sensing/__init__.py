@@ -4,68 +4,38 @@ The package computes Fisher-information bounds for a single Ramsey sensor,
 estimates phases from measurement counts and from two-ensemble ellipse fits,
 and runs an end-to-end Monte Carlo of a differential clock comparison with
 Allan-deviation analysis and interrogation-time optimization.
+
+The top level re-exports the names of the headline workflows; everything
+else is imported from its submodule (`states`, `fisher`, `estimation`,
+`clock`, `cli`).
 """
 
-from .states import (
-    ChannelKind,
-    MeasurementBasis,
-    NoiseChannel,
-    Outcome,
-    OutcomeDistribution,
-    SensorState,
-    accumulate_phase,
-    apply_noise,
-    measure_probs,
-    prepare_plus,
-    sample_outcome,
-)
+from .states import ChannelKind, NoiseChannel
 from .fisher import (
-    DegenerateStateError,
-    FisherEvalPoint,
-    SingularFisherError,
     bloch_density,
     channel_outcome_model,
     classical_fisher_numeric,
-    convexity_upper_bound,
     fisher_dephasing,
     fisher_depolarizing,
     fisher_erasure,
-    pure_density,
     qfi_depolarized,
     qfi_pure_generator,
-    validate_density_matrix,
 )
 from .estimation import (
     CountRecord,
-    EllipseFitError,
-    EllipseFitResult,
-    PhaseEstimate,
     ellipse_fit,
     ellipse_phase_jackknife,
-    load_pairs_csv,
     mle_phase,
     phase_series_from_cycles,
-    save_pairs_csv,
 )
 from .clock import (
-    AllanResult,
     ComparisonConfig,
-    CycleResult,
-    GainPoint,
-    LaserPhaseModel,
-    OptimizationResult,
-    ScalingPoint,
-    SimulationDegeneracyError,
     allan_deviation,
-    comparison_stats,
     crb_floor,
-    cycle_rng,
     erasure_conversion_gain,
     erasure_conversion_gain_curve,
-    fit_fixed_form_intercept,
     fit_loglog_exponent,
     instability_vs_error_rate,
-    invalid_fraction,
     optimize_interrogation,
     phase_series_to_fractional_frequency,
     run_comparison,
@@ -73,64 +43,3 @@ from .clock import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChannelKind",
-    "MeasurementBasis",
-    "NoiseChannel",
-    "Outcome",
-    "OutcomeDistribution",
-    "SensorState",
-    "accumulate_phase",
-    "apply_noise",
-    "measure_probs",
-    "prepare_plus",
-    "sample_outcome",
-    "DegenerateStateError",
-    "FisherEvalPoint",
-    "SingularFisherError",
-    "bloch_density",
-    "channel_outcome_model",
-    "classical_fisher_numeric",
-    "convexity_upper_bound",
-    "fisher_dephasing",
-    "fisher_depolarizing",
-    "fisher_erasure",
-    "pure_density",
-    "qfi_depolarized",
-    "qfi_pure_generator",
-    "validate_density_matrix",
-    "CountRecord",
-    "EllipseFitError",
-    "EllipseFitResult",
-    "PhaseEstimate",
-    "ellipse_fit",
-    "ellipse_phase_jackknife",
-    "load_pairs_csv",
-    "mle_phase",
-    "phase_series_from_cycles",
-    "save_pairs_csv",
-    "AllanResult",
-    "ComparisonConfig",
-    "CycleResult",
-    "GainPoint",
-    "LaserPhaseModel",
-    "OptimizationResult",
-    "ScalingPoint",
-    "SimulationDegeneracyError",
-    "allan_deviation",
-    "comparison_stats",
-    "crb_floor",
-    "cycle_rng",
-    "erasure_conversion_gain",
-    "erasure_conversion_gain_curve",
-    "fit_fixed_form_intercept",
-    "fit_loglog_exponent",
-    "instability_vs_error_rate",
-    "invalid_fraction",
-    "optimize_interrogation",
-    "phase_series_to_fractional_frequency",
-    "run_comparison",
-    "valid_pairs",
-    "__version__",
-]

@@ -23,8 +23,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .clock import (
     ComparisonConfig,
@@ -51,9 +49,7 @@ from .fisher import (
     SingularFisherError,
     channel_outcome_model,
     classical_fisher_numeric,
-    fisher_dephasing,
-    fisher_depolarizing,
-    fisher_erasure,
+    fisher_information,
 )
 from .states import ChannelKind
 
@@ -97,25 +93,23 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
 def _write_manifest(
     outdir: Path,
     command: str,
-    config: dict,
-    seed: int | None,
-    outputs: list[str],
     started: float,
+    config: dict,
+    seed: int | None = None,
+    outputs: tuple[str, ...] | list[str] = (),
     stats: dict | None = None,
-) -> Path:
+) -> None:
     payload = {
         "command": command,
         "version": __version__,
         "config": config,
         "seed": seed,
-        "outputs": outputs,
+        "outputs": list(outputs),
         "duration_seconds": time.monotonic() - started,
     }
     if stats is not None:
         payload["stats"] = stats
-    path = outdir / f"{command}_manifest.json"
-    _write_json_atomic(path, payload)
-    return path
+    _write_json_atomic(outdir / f"{command}_manifest.json", payload)
 
 
 def _load_config(path: str) -> ComparisonConfig:
@@ -136,7 +130,31 @@ def _parse_grid(text: str, what: str) -> list[float]:
         raise ValueError(f"{what} must be a comma-separated list of numbers") from None
     if not values:
         raise ValueError(f"{what} is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} entries must be finite numbers")
     return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of every integer flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _write_cycles_csv(path: Path, results) -> None:
@@ -151,19 +169,13 @@ def _write_cycles_csv(path: Path, results) -> None:
             )
 
 
-def cmd_fisher(args) -> int:
-    started = time.monotonic()
-    kind = ChannelKind(args.kind)
-    if not 0.0 <= args.q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    delta = args.phi - args.theta
-    if kind is ChannelKind.DEPOLARIZING:
-        analytic = fisher_depolarizing(args.q, delta)
-    elif kind is ChannelKind.DEPHASING:
-        analytic = fisher_dephasing(args.q, delta)
-    else:
-        analytic = fisher_erasure(args.q, delta)
+# Each command writes its outputs into outdir and returns the manifest
+# fields that main records once the command has succeeded.
 
+
+def cmd_fisher(args, outdir: Path) -> dict:
+    kind = ChannelKind(args.kind)
+    analytic = fisher_information(kind, args.q, args.phi - args.theta)
     if args.numeric:
         model = channel_outcome_model(kind, args.q, args.theta)
         numeric = classical_fisher_numeric(model, args.phi, step=args.step)
@@ -172,31 +184,20 @@ def cmd_fisher(args) -> int:
         print(f"difference {_fmt(numeric - analytic)}")
     else:
         print(_fmt(analytic))
-
-    outdir = _resolve_outdir(args.out)
-    _write_manifest(
-        outdir,
-        "fisher",
-        {
+    return {
+        "config": {
             "kind": kind.value,
             "q": args.q,
             "phi": args.phi,
             "theta": args.theta,
             "numeric": bool(args.numeric),
             "step": args.step,
-        },
-        None,
-        [],
-        started,
-    )
-    return EXIT_OK
+        }
+    }
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
+def cmd_simulate(args, outdir: Path) -> dict:
     config = _load_config(args.config)
-    outdir = _resolve_outdir(args.out)
-
     results = run_comparison(config, threads=args.threads)
     bad = invalid_fraction(results)
     if bad > 0.10:
@@ -209,38 +210,28 @@ def cmd_simulate(args) -> int:
     y = phase_series_to_fractional_frequency(series, config.t_c, config.f0)
     allan = allan_deviation(y, cycle_time=args.window * config.cycle_time)
 
-    cycles_path = outdir / "cycles.csv"
-    _write_cycles_csv(cycles_path, results)
-    phases_path = outdir / "phases.csv"
-    with open(phases_path, "w", newline="") as fh:
+    _write_cycles_csv(outdir / "cycles.csv", results)
+    with open(outdir / "phases.csv", "w", newline="") as fh:
         fh.write("window,phi_d\n")
         for k, value in enumerate(series):
             fh.write(f"{k},{_fmt(value)}\n")
-    allan_path = outdir / "allan.json"
-    _write_json_atomic(allan_path, allan.to_dict())
+    _write_json_atomic(outdir / "allan.json", allan.to_dict())
 
     stats = comparison_stats(results, config.n0)
     stats["window"] = args.window
     stats["sigma_one_window"] = float(allan.sigmas[0])
     stats["sigma_one_window_error"] = float(allan.errors[0])
-    _write_manifest(
-        outdir,
-        "simulate",
-        config.to_dict(),
-        config.seed,
-        [cycles_path.name, phases_path.name, allan_path.name],
-        started,
-        stats=stats,
-    )
     print(f"sigma_one_window {_fmt(allan.sigmas[0])}")
-    return EXIT_OK
+    return {
+        "config": config.to_dict(),
+        "seed": config.seed,
+        "outputs": ["cycles.csv", "phases.csv", "allan.json"],
+        "stats": stats,
+    }
 
 
-def cmd_scaling(args) -> int:
-    started = time.monotonic()
+def cmd_scaling(args, outdir: Path) -> dict:
     base = _load_config(args.config)
-    outdir = _resolve_outdir(args.out)
-
     if args.kind == "both":
         kinds = [ChannelKind.ERASURE, ChannelKind.DEPOLARIZING]
     else:
@@ -251,11 +242,7 @@ def cmd_scaling(args) -> int:
                 "channels (or 'both')"
             )
         kinds = [kind]
-
     grid = sorted(_parse_grid(args.q_grid, "--q-grid"))
-    for q in grid:
-        if not 0.0 <= q <= 0.95:
-            raise ValueError(f"--q-grid entries must lie in [0, 0.95], got {q}")
 
     curves = {}
     fits = {}
@@ -279,8 +266,7 @@ def cmd_scaling(args) -> int:
                 ),
             }
 
-    csv_path = outdir / "scaling.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(outdir / "scaling.csv", "w", newline="") as fh:
         header = ["q"]
         for kind in kinds:
             header += [f"sigma_{kind.value}", f"err_{kind.value}"]
@@ -290,22 +276,8 @@ def cmd_scaling(args) -> int:
             for kind in kinds:
                 row += [_fmt(curves[kind][i].sigma), _fmt(curves[kind][i].sigma_err)]
             fh.write(",".join(row) + "\n")
-    fit_path = outdir / "scaling_fit.json"
-    _write_json_atomic(fit_path, fits)
+    _write_json_atomic(outdir / "scaling_fit.json", fits)
 
-    _write_manifest(
-        outdir,
-        "scaling",
-        {
-            "base_config": base.to_dict(),
-            "q_grid": grid,
-            "kind": args.kind,
-            "window": args.window,
-        },
-        base.seed,
-        [csv_path.name, fit_path.name],
-        started,
-    )
     for kind in kinds:
         for p in curves[kind]:
             print(f"{kind.value} q {_fmt(p.q)} sigma {_fmt(p.sigma)}")
@@ -314,11 +286,19 @@ def cmd_scaling(args) -> int:
             f"{name} exponent {_fmt(fit['exponent'])} "
             f"+/- {_fmt(fit['exponent_stderr'])}"
         )
-    return EXIT_OK
+    return {
+        "config": {
+            "base_config": base.to_dict(),
+            "q_grid": grid,
+            "kind": args.kind,
+            "window": args.window,
+        },
+        "seed": base.seed,
+        "outputs": ["scaling.csv", "scaling_fit.json"],
+    }
 
 
-def cmd_optimize(args) -> int:
-    started = time.monotonic()
+def cmd_optimize(args, outdir: Path) -> dict:
     if args.gamma <= 0.0:
         raise ValueError("--gamma must be positive")
     grid = _parse_grid(args.dead_time_grid, "--dead-time-grid")
@@ -328,51 +308,33 @@ def cmd_optimize(args) -> int:
     grid = sorted(grid)
     curve = erasure_conversion_gain_curve(args.gamma, grid)
 
-    outdir = _resolve_outdir(args.out)
-    csv_path = outdir / "optimize.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(outdir / "optimize.csv", "w", newline="") as fh:
         fh.write("T_d,T_c_star_depolarizing,T_c_star_erasure,gain\n")
         for point in curve:
             fh.write(
                 f"{_fmt(point.t_d)},{_fmt(point.t_c_star_depolarizing)},"
                 f"{_fmt(point.t_c_star_erasure)},{_fmt(point.gain)}\n"
             )
-    _write_manifest(
-        outdir,
-        "optimize",
-        {"gamma": args.gamma, "dead_time_grid": grid},
-        None,
-        [csv_path.name],
-        started,
-    )
     for point in curve:
         print(f"{_fmt(point.t_d)} {_fmt(point.gain)}")
-    return EXIT_OK
+    return {
+        "config": {"gamma": args.gamma, "dead_time_grid": grid},
+        "outputs": ["optimize.csv"],
+    }
 
 
-def cmd_ellipse(args) -> int:
-    started = time.monotonic()
+def cmd_ellipse(args, outdir: Path) -> dict:
     pairs = load_pairs_csv(args.points)
-    result = ellipse_fit(pairs, min_points=args.min_points)
-    payload = result.to_dict()
+    payload = ellipse_fit(pairs, min_points=args.min_points).to_dict()
     print(json.dumps(payload, indent=2))
-
-    outdir = _resolve_outdir(args.out)
-    json_path = outdir / "ellipse.json"
-    _write_json_atomic(json_path, payload)
-    _write_manifest(
-        outdir,
-        "ellipse",
-        {"points": str(args.points), "min_points": args.min_points},
-        None,
-        [json_path.name],
-        started,
-    )
-    return EXIT_OK
+    _write_json_atomic(outdir / "ellipse.json", payload)
+    return {
+        "config": {"points": str(args.points), "min_points": args.min_points},
+        "outputs": ["ellipse.json"],
+    }
 
 
-def cmd_allan(args) -> int:
-    started = time.monotonic()
+def cmd_allan(args, outdir: Path) -> dict:
     if args.cycle_time <= 0.0:
         raise ValueError("--cycle-time must be positive")
     try:
@@ -386,22 +348,13 @@ def cmd_allan(args) -> int:
         raise ValueError(
             f"series file {args.series} must hold one number per line"
         ) from None
-    result = allan_deviation(values, cycle_time=args.cycle_time)
-    payload = result.to_dict()
+    payload = allan_deviation(values, cycle_time=args.cycle_time).to_dict()
     print(json.dumps(payload, indent=2))
-
-    outdir = _resolve_outdir(args.out)
-    json_path = outdir / "allan.json"
-    _write_json_atomic(json_path, payload)
-    _write_manifest(
-        outdir,
-        "allan",
-        {"series": str(args.series), "cycle_time": args.cycle_time},
-        None,
-        [json_path.name],
-        started,
-    )
-    return EXIT_OK
+    _write_json_atomic(outdir / "allan.json", payload)
+    return {
+        "config": {"series": str(args.series), "cycle_time": args.cycle_time},
+        "outputs": ["allan.json"],
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,22 +383,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fisher", help="Fisher information of one channel")
     p.add_argument("kind", choices=[k.value for k in ChannelKind])
-    p.add_argument("-q", "--q", type=float, required=True, help="error probability")
-    p.add_argument("--phi", type=float, default=0.0, help="true phase (radians)")
-    p.add_argument("--theta", type=float, default=0.0, help="readout basis (radians)")
+    p.add_argument(
+        "-q", "--q", type=_finite_float, required=True, help="error probability"
+    )
+    p.add_argument(
+        "--phi", type=_finite_float, default=0.0, help="true phase (radians)"
+    )
+    p.add_argument(
+        "--theta", type=_finite_float, default=0.0, help="readout basis (radians)"
+    )
     p.add_argument(
         "--numeric",
         action="store_true",
         help="also evaluate the central-difference oracle and print the difference",
     )
-    p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
+    p.add_argument(
+        "--step", type=_finite_float, default=1e-5, help="finite-difference step"
+    )
     add_out(p)
     p.set_defaults(func=cmd_fisher)
 
     p = sub.add_parser("simulate", help="run one comparison from a JSON config")
     p.add_argument("config", help="ComparisonConfig JSON file (all fields explicit)")
-    p.add_argument("--window", type=int, default=100, help="cycles per ellipse fit")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument(
+        "--window", type=_positive_int, default=100, help="cycles per ellipse fit"
+    )
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
     add_out(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -462,13 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8",
         help="comma-separated error rates in [0, 0.95]",
     )
-    p.add_argument("--window", type=int, default=100, help="cycles per ellipse fit")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument(
+        "--window", type=_positive_int, default=100, help="cycles per ellipse fit"
+    )
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
     add_out(p)
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("optimize", help="interrogation-time optimization and gain")
-    p.add_argument("--gamma", type=float, required=True, help="decay rate (1/s)")
+    p.add_argument(
+        "--gamma", type=_finite_float, required=True, help="decay rate (1/s)"
+    )
     p.add_argument(
         "--dead-time-grid",
         default="0",
@@ -479,14 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ellipse", help="fit an ellipse to an x_a,x_b CSV")
     p.add_argument("points", help="CSV file with header x_a,x_b")
-    p.add_argument("--min-points", type=int, default=6)
+    p.add_argument("--min-points", type=_positive_int, default=6)
     add_out(p)
     p.set_defaults(func=cmd_ellipse)
 
     p = sub.add_parser("allan", help="Allan deviation of a raw series file")
     p.add_argument("series", help="text file, one fractional-frequency value per line")
     p.add_argument(
-        "--cycle-time", type=float, required=True, help="sample spacing in seconds"
+        "--cycle-time",
+        type=_finite_float,
+        required=True,
+        help="sample spacing in seconds",
     )
     add_out(p)
     p.set_defaults(func=cmd_allan)
@@ -497,8 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        outdir = _resolve_outdir(args.out)
+        record = args.func(args, outdir)
+        _write_manifest(outdir, args.subcommand, started, **record)
+        return EXIT_OK
     except (SingularFisherError, DegenerateStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

@@ -55,6 +55,22 @@ _KIND_NAMES = {k.value: k for k in ChannelKind}
 _PHASE_MODEL_NAMES = {m.value: m for m in LaserPhaseModel}
 
 
+def _choice(value, field: str, names: dict):
+    """The enum member a config string names; the error names the field."""
+    if not isinstance(value, str) or value not in names:
+        raise ValueError(
+            f"field '{field}' must be one of {sorted(names)}, got {value!r}"
+        )
+    return names[value]
+
+
+def _number(value, field: str) -> float:
+    """A JSON number (not a boolean) as a float; the error names the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field '{field}' must be a number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ComparisonConfig:
     """Full parameter set of one differential comparison run.
@@ -132,49 +148,40 @@ class ComparisonConfig:
             raise ValueError("field 'noise' must be an object")
         if "kind" not in noise_obj:
             raise ValueError("field 'noise.kind' is missing")
-        kind_name = noise_obj["kind"]
-        if kind_name not in _KIND_NAMES:
-            raise ValueError(
-                f"field 'noise.kind' must be one of {sorted(_KIND_NAMES)}, "
-                f"got {kind_name!r}"
-            )
+        kind = _choice(noise_obj["kind"], "noise.kind", _KIND_NAMES)
         strength_keys = sorted(set(noise_obj) - {"kind"})
-        if strength_keys == ["q"]:
-            noise = NoiseChannel(_KIND_NAMES[kind_name], q=float(noise_obj["q"]))
-        elif strength_keys == ["gamma"]:
-            noise = NoiseChannel(_KIND_NAMES[kind_name], gamma=float(noise_obj["gamma"]))
-        else:
+        if strength_keys not in (["q"], ["gamma"]):
             raise ValueError(
                 "field 'noise' must hold 'kind' plus exactly one of 'q' or "
                 f"'gamma', got keys {sorted(noise_obj)}"
             )
+        key = strength_keys[0]
+        noise = NoiseChannel(kind, **{key: _number(noise_obj[key], f"noise.{key}")})
 
-        model_name = data["laser_phase_model"]
-        if model_name not in _PHASE_MODEL_NAMES:
-            raise ValueError(
-                "field 'laser_phase_model' must be one of "
-                f"{sorted(_PHASE_MODEL_NAMES)}, got {model_name!r}"
-            )
+        model = _choice(
+            data["laser_phase_model"], "laser_phase_model", _PHASE_MODEL_NAMES
+        )
         if not isinstance(data["shot_noise"], bool):
             raise ValueError("field 'shot_noise' must be a boolean")
         for name in ("N0", "cycles", "seed"):
             if isinstance(data[name], bool) or not isinstance(data[name], int):
                 raise ValueError(f"field '{name}' must be an integer")
-        for name in ("phi_d", "T_c", "T_d", "f0", "c_a", "c_b"):
-            if isinstance(data[name], bool) or not isinstance(data[name], (int, float)):
-                raise ValueError(f"field '{name}' must be a number")
+        num = {
+            name: _number(data[name], name)
+            for name in ("phi_d", "T_c", "T_d", "f0", "c_a", "c_b")
+        }
 
         return cls(
-            phi_d=float(data["phi_d"]),
+            phi_d=num["phi_d"],
             n0=data["N0"],
-            t_c=float(data["T_c"]),
-            t_d=float(data["T_d"]),
-            f0=float(data["f0"]),
+            t_c=num["T_c"],
+            t_d=num["T_d"],
+            f0=num["f0"],
             cycles=data["cycles"],
             noise=noise,
-            c_a=float(data["c_a"]),
-            c_b=float(data["c_b"]),
-            laser_phase_model=_PHASE_MODEL_NAMES[model_name],
+            c_a=num["c_a"],
+            c_b=num["c_b"],
+            laser_phase_model=model,
             seed=data["seed"],
             shot_noise=data["shot_noise"],
         )
@@ -225,7 +232,9 @@ def cycle_rng(seed: int, cycle_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _simulate_cycle(cfg: ComparisonConfig, q: float, i: int) -> CycleResult:
+def _simulate_cycle(
+    cfg: ComparisonConfig, amplitude: float, survival: float, i: int
+) -> CycleResult:
     # Stream consumption order is fixed: theta, then ensemble a (survivors,
     # excitations), then ensemble b. Changing it would change every output.
     rng = cycle_rng(cfg.seed, i)
@@ -234,27 +243,18 @@ def _simulate_cycle(cfg: ComparisonConfig, q: float, i: int) -> CycleResult:
     else:
         theta = TWO_PI * i / cfg.cycles
 
-    kind = cfg.noise.kind
     xs = [0.0, 0.0]
     ns = [cfg.n0, cfg.n0]
     valid = True
     for side, (phi_off, contrast) in enumerate(
         ((0.0, cfg.c_a), (cfg.phi_d, cfg.c_b))
     ):
-        # At q = 0 every channel is the identity; taking one common path
-        # keeps the random streams (and so the output) of all three kinds
-        # exactly equal for noiseless runs.
-        if q == 0.0:
-            n = cfg.n0
-        elif kind is ChannelKind.ERASURE:
-            n = int(rng.binomial(cfg.n0, 1.0 - q))
-        else:
-            n = cfg.n0
-            if kind is ChannelKind.DEPOLARIZING:
-                contrast = contrast * (1.0 - q)
-            else:
-                contrast = contrast * (1.0 - 2.0 * q)
-        p = 0.5 * (1.0 + contrast * math.cos(theta + phi_off))
+        # Survivors are drawn only when atoms can be lost. At q = 0 every
+        # channel has amplitude and survival 1, so all three kinds take this
+        # same path and their random streams (and so the output) of
+        # noiseless runs are exactly equal.
+        n = int(rng.binomial(cfg.n0, survival)) if survival < 1.0 else cfg.n0
+        p = 0.5 * (1.0 + contrast * amplitude * math.cos(theta + phi_off))
         p = min(1.0, max(0.0, p))
         ns[side] = n
         if not cfg.shot_noise:
@@ -280,18 +280,21 @@ def run_comparison(config: ComparisonConfig, threads: int = 1) -> list[CycleResu
     for a given config across thread counts.
     """
     q = config.noise.strength(config.t_c)
-    indices = range(config.cycles)
+    kind = config.noise.kind
+    amplitude, survival = kind.amplitude(q), kind.survival(q)
+
+    def simulate(indices):
+        return [_simulate_cycle(config, amplitude, survival, i) for i in indices]
+
     if threads <= 1:
-        return [_simulate_cycle(config, q, i) for i in indices]
+        return simulate(range(config.cycles))
     chunk = max(1, math.ceil(config.cycles / (threads * 8)))
     blocks = [
         range(start, min(start + chunk, config.cycles))
         for start in range(0, config.cycles, chunk)
     ]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(
-            ex.map(lambda blk: [_simulate_cycle(config, q, i) for i in blk], blocks)
-        )
+        parts = list(ex.map(simulate, blocks))
     return [res for part in parts for res in part]
 
 
@@ -425,13 +428,16 @@ def instability_vs_error_rate(
     is reported. The differential sqrt(2) penalty is implicit: both
     ensembles carry independent projection noise.
 
-    Raises SimulationDegeneracyError if more than 10% of cycles are invalid.
+    Raises ValueError, before any simulation, if a grid entry lies outside
+    [0, 0.95], and SimulationDegeneracyError if more than 10% of cycles are
+    invalid.
     """
-    points = []
-    for q in q_grid:
-        q = float(q)
+    qs = [float(q) for q in q_grid]
+    for q in qs:
         if not 0.0 <= q <= 0.95:
             raise ValueError(f"q_grid entries must lie in [0, 0.95], got {q}")
+    points = []
+    for q in qs:
         cfg = replace(base, noise=NoiseChannel(kind, q=q))
         results = run_comparison(cfg, threads=threads)
         bad = invalid_fraction(results)

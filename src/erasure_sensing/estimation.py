@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fisher import fisher_dephasing, fisher_depolarizing
+from .fisher import fisher_information
 from .states import ChannelKind
 
 
@@ -71,15 +71,14 @@ class PhaseEstimate:
 def mle_phase(counts: CountRecord) -> PhaseEstimate:
     """Maximum-likelihood phase from one ensemble's terminal counts.
 
-    Erasure channel: erased atoms carry no signal and are dropped, so
-    cos(phi - theta) = (n+ - n-) / (n+ + n-); the standard error uses the
-    erasure information 1 - q_hat with q_hat the observed erased fraction.
-    Depolarizing inverts cos(phi - theta) = (2 p+ - 1) / (1 - q) and
-    dephasing the same with (1 - 2q). Arguments outside [-1, 1] are clamped
-    and flagged. The returned phase is the branch theta <= phi_hat <=
-    theta + pi (so it lies in [0, pi] for theta = 0); the standard error is
-    1 / sqrt(shots * F) with F the matching analytic Fisher information at
-    the estimate.
+    Inverts cos(phi - theta) = (2 p+ - 1) / A with p+ = n+ / (n+ + n-) and
+    A the channel's fringe amplitude at strength q. For erasure q is the
+    observed erased fraction and A = 1: erased atoms carry no signal and
+    are dropped. For depolarizing and dephasing q is the known strength
+    counts.q. Arguments outside [-1, 1] are clamped and flagged. The
+    returned phase is the branch theta <= phi_hat <= theta + pi (so it lies
+    in [0, pi] for theta = 0); the standard error is 1 / sqrt(shots * F)
+    with F the channel's analytic Fisher information at the estimate.
 
     Raises ValueError when the parameter is unidentifiable (depolarizing
     q = 1, dephasing q = 1/2) or when every atom was erased.
@@ -88,32 +87,22 @@ def mle_phase(counts: CountRecord) -> PhaseEstimate:
     if n_pm < 1:
         raise ValueError("all counts erased: no +/- outcomes to invert")
     shots = counts.shots
+    kind = counts.kind
+    q = counts.n_erasure / shots if kind is ChannelKind.ERASURE else counts.q
 
-    if counts.kind is ChannelKind.ERASURE:
-        raw = (counts.n_plus - counts.n_minus) / n_pm
-        q_hat = counts.n_erasure / shots
-        info = 1.0 - q_hat
-    else:
-        if counts.kind is ChannelKind.DEPOLARIZING:
-            scale = 1.0 - counts.q
-        else:
-            scale = 1.0 - 2.0 * counts.q
-        if abs(scale) < 1e-15:
-            raise ValueError(
-                "parameter unidentifiable: the fringe contrast vanishes at "
-                f"q = {counts.q} for the {counts.kind.value} channel"
-            )
-        p_plus = counts.n_plus / n_pm
-        raw = (2.0 * p_plus - 1.0) / scale
-
+    amplitude = kind.amplitude(q)
+    if abs(amplitude) < 1e-15:
+        raise ValueError(
+            "parameter unidentifiable: the fringe contrast vanishes at "
+            f"q = {q} for the {kind.value} channel"
+        )
+    p_plus = counts.n_plus / n_pm
+    raw = (2.0 * p_plus - 1.0) / amplitude
     clamped = abs(raw) > 1.0
     delta_hat = math.acos(min(1.0, max(-1.0, raw)))
     phi_hat = counts.theta + delta_hat
 
-    if counts.kind is ChannelKind.DEPOLARIZING:
-        info = fisher_depolarizing(counts.q, delta_hat)
-    elif counts.kind is ChannelKind.DEPHASING:
-        info = fisher_dephasing(counts.q, delta_hat)
+    info = fisher_information(kind, q, delta_hat)
     stderr = 1.0 / math.sqrt(shots * info) if info > 0.0 else math.inf
     return PhaseEstimate(phi_hat=phi_hat, stderr=stderr, clamped=clamped)
 

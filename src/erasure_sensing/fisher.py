@@ -1,10 +1,11 @@
 """Fisher information for the three noisy Ramsey channels.
 
-Closed-form classical Fisher information for depolarizing, dephasing, and
-erasure readout; a central-difference numeric evaluator that serves as the
-oracle for the closed forms; the single-qubit quantum Fisher information
-F = 4 (2 tr(rho^2) - 1) |<eta_0| H |eta_1>|^2 built on a closed-form 2x2
-eigendecomposition; and the convexity upper bound (1 - q) F.
+Closed-form classical Fisher information of any channel, read off the
+channel contract on `ChannelKind` as survival times the fringe information
+at the channel's amplitude; a central-difference numeric evaluator that
+serves as the oracle for the closed forms; the single-qubit quantum Fisher
+information F = 4 (2 tr(rho^2) - 1) |<eta_0| H |eta_1>|^2 built on a
+closed-form 2x2 eigendecomposition; and the convexity upper bound (1 - q) F.
 
 Everything here is pure and re-entrant.
 """
@@ -12,7 +13,6 @@ Everything here is pure and re-entrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,6 @@ from .states import (
     ChannelKind,
     MeasurementBasis,
     OutcomeDistribution,
-    TWO_PI,
     accumulate_phase,
     apply_noise,
     measure_probs,
@@ -48,27 +47,6 @@ class SingularFisherError(ArithmeticError):
 class DegenerateStateError(ArithmeticError):
     """The quantum Fisher formula needs a non-degenerate eigendecomposition
     of the input state and rho has (numerically) equal eigenvalues."""
-
-
-@dataclass(frozen=True)
-class FisherEvalPoint:
-    """One (phi, theta, q, kind) evaluation point; angles stored mod 2 pi."""
-
-    phi: float
-    theta: float
-    q: float
-    kind: ChannelKind
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-
-    @property
-    def delta(self) -> float:
-        """Fringe offset phi - theta."""
-        return self.phi - self.theta
 
 
 def channel_outcome_model(
@@ -127,9 +105,12 @@ def classical_fisher_numeric(
 
 def _checked_q(q):
     q = np.asarray(q, dtype=float)
-    if np.any((q < 0.0) | (q > 1.0)):
+    if not ((q >= 0.0) & (q <= 1.0)).all():
         raise ValueError("q must lie in [0, 1]")
-    return q
+    # a scalar q comes back as a numpy scalar, not a 0-d array: the
+    # estimators evaluate one point per call, and scalar arithmetic costs a
+    # fraction of 0-d array arithmetic
+    return q[()]
 
 
 def _fringe_fisher(amplitude, delta):
@@ -138,8 +119,6 @@ def _fringe_fisher(amplitude, delta):
     F = A^2 sin^2 d / (1 - A^2 cos^2 d), with the removable 0/0 at |A| = 1,
     cos d = +/-1 evaluated as its limit value 1.
     """
-    amplitude = np.asarray(amplitude, dtype=float)
-    delta = np.asarray(delta, dtype=float)
     s2 = np.sin(delta) ** 2
     c2 = np.cos(delta) ** 2
     num = amplitude**2 * s2
@@ -147,9 +126,25 @@ def _fringe_fisher(amplitude, delta):
     # non-negative, so the node region |A| -> 1, sin d -> 0 keeps full
     # precision instead of cancelling two near-unit quantities
     den = s2 + (1.0 - amplitude) * (1.0 + amplitude) * c2
-    safe = np.where(den > 0.0, den, 1.0)
-    out = np.where(den > 0.0, num / safe, 1.0)
-    if out.ndim == 0:
+    # den vanishes only at that 0/0, where num vanishes too; adding 1 to
+    # both there gives the limit value and leaves every other point exact
+    node = den == 0.0
+    return (num + node) / (den + node)
+
+
+def fisher_information(kind: ChannelKind, q, delta):
+    """Classical Fisher information of a strength-q channel at fringe
+    offset delta = phi - theta, with erasure detection on.
+
+    The surviving fraction kind.survival(q) of the atoms reads a fringe of
+    amplitude kind.amplitude(q). For erasure that fringe has amplitude 1,
+    whose information is 1 at every delta, so the result is the constant
+    1 - q; depolarizing gives (1-q)^2 at quadrature. Accepts scalars or
+    arrays.
+    """
+    q = _checked_q(q)
+    out = kind.survival(q) * _fringe_fisher(kind.amplitude(q), delta)
+    if np.ndim(out) == 0:
         return float(out)
     return out
 
@@ -159,8 +154,7 @@ def fisher_depolarizing(q, delta):
 
     Peaks at delta = pi/2 with value (1-q)^2. Accepts scalars or arrays.
     """
-    q = _checked_q(q)
-    return _fringe_fisher(1.0 - q, delta)
+    return fisher_information(ChannelKind.DEPOLARIZING, q, delta)
 
 
 def fisher_dephasing(q, delta):
@@ -169,24 +163,17 @@ def fisher_dephasing(q, delta):
     The value depends on (1-2q)^2 and is therefore symmetric about q = 1/2,
     where it vanishes for every delta.
     """
-    q = _checked_q(q)
-    return _fringe_fisher(1.0 - 2.0 * q, delta)
+    return fisher_information(ChannelKind.DEPHASING, q, delta)
 
 
-def fisher_erasure(q, delta=None):
+def fisher_erasure(q, delta=0.0):
     """Erasure readout information, the constant 1 - q for every delta.
 
     The three-outcome sum evaluates to 1 - q independent of the fringe
     offset; at sin(delta) = 0 the summation formula has a removable 0/0
     whose limit is the same constant, so no special-casing is needed.
     """
-    q = _checked_q(q)
-    out = 1.0 - q
-    if delta is not None:
-        out = np.broadcast_arrays(out, np.asarray(delta, dtype=float))[0].copy()
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return fisher_information(ChannelKind.ERASURE, q, delta)
 
 
 def convexity_upper_bound(q: float, noiseless_qfi: float) -> float:

@@ -10,8 +10,11 @@ so the trace is 1 by construction. All reachable states in this package are
 block-diagonal mixtures of that form, which is why a Bloch vector and a
 scalar weight suffice instead of a full 3x3 density matrix.
 
-All operations are pure functions of their inputs; only `sample_outcome`
-consumes randomness, through an explicit generator.
+`ChannelKind` carries the channel contract: the fringe amplitude and the
+atom survival probability that a strength-q channel leaves. Every consumer
+outside this module reads the physics from there; `apply_noise` keeps its
+own state-level formulas as the independent model the contract is checked
+against. All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -36,11 +39,22 @@ class ChannelKind(enum.Enum):
     DEPHASING = "dephasing"
     ERASURE = "erasure"
 
+    def amplitude(self, q):
+        """Fringe amplitude left by the channel at strength q: 1 - q
+        (depolarizing), 1 - 2q (dephasing) or 1 (erasure, whose surviving
+        atoms keep the full fringe). Accepts scalars or arrays."""
+        if self is ChannelKind.DEPOLARIZING:
+            return 1.0 - q
+        if self is ChannelKind.DEPHASING:
+            return 1.0 - 2.0 * q
+        return 1.0
 
-class Outcome(enum.Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-    ERASURE = "erasure"
+    def survival(self, q):
+        """Probability that an atom stays in the qubit subspace: 1 - q for
+        erasure, 1 for the channels that lose no atoms."""
+        if self is ChannelKind.ERASURE:
+            return 1.0 - q
+        return 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +97,8 @@ class NoiseChannel:
             raise ValueError("specify exactly one of q or gamma")
         if self.q is not None and not 0.0 <= self.q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
-        if self.gamma is not None and self.gamma < 0.0:
-            raise ValueError("gamma must be non-negative")
+        if self.gamma is not None and not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and non-negative")
 
     def strength(self, t_c: float | None = None) -> float:
         """Error probability for one interrogation of duration t_c."""
@@ -209,13 +223,3 @@ def measure_probs(
     p_plus = (1.0 - w) * (1.0 + proj) / 2.0
     p_minus = (1.0 - w) * (1.0 - proj) / 2.0
     return OutcomeDistribution(p_plus=p_plus, p_minus=p_minus, p_erasure=w)
-
-
-def sample_outcome(dist: OutcomeDistribution, rng: np.random.Generator) -> Outcome:
-    """Draw one outcome; deterministic given the generator state."""
-    u = rng.random()
-    if u < dist.p_plus:
-        return Outcome.PLUS
-    if u < dist.p_plus + dist.p_minus:
-        return Outcome.MINUS
-    return Outcome.ERASURE

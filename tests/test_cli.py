@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from erasure_sensing import __version__, crb_floor
+from erasure_sensing import __version__
+from erasure_sensing.clock import crb_floor
 from erasure_sensing.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -158,6 +159,12 @@ class TestSimulateCommand:
         assert main(["simulate", str(path), "--out", str(tmp_path)]) == 2
         assert "cycles" in capsys.readouterr().err  # missing fields are named
 
+    def test_mistyped_noise_field_is_a_usage_error(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, noise={"kind": "erasure", "q": None})
+        assert main(["simulate", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "noise.q" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "simulate_manifest.json").exists()
+
 
 class TestScalingCommand:
     def test_zero_error_rates_make_channels_identical(self, tmp_path, capsys):
@@ -238,6 +245,29 @@ class TestAllanCommand:
         path = tmp_path / "bad.txt"
         path.write_text("not-a-number\n")
         assert main(["allan", str(path), "--cycle-time", "1", "--out", str(tmp_path)]) == 2
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNonFiniteAndNonPositiveNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--gamma", "nan"],
+        ["optimize", "--gamma", "1.0", "--dead-time-grid", "0,nan"],
+        ["optimize", "--gamma", "1.0", "--dead-time-grid", "0,inf"],
+        ["fisher", "depolarizing", "-q", "0.1", "--phi", "nan"],
+        ["simulate", EXAMPLE_CONFIG, "--threads", "0"],
+        ["simulate", EXAMPLE_CONFIG, "--threads", "-3"],
+    ], ids=["gamma-nan", "dead-time-nan", "dead-time-inf", "phi-nan",
+            "threads-zero", "threads-negative"])
+    def test_rejected_as_usage_error(self, argv, tmp_path, capsys):
+        assert exit_code(argv + ["--out", str(tmp_path)]) == 2
+        assert list(tmp_path.glob("*_manifest.json")) == []
 
 
 class TestCommonBehavior:

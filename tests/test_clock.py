@@ -7,13 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from erasure_sensing import (
-    ChannelKind,
+from erasure_sensing import clock
+from erasure_sensing.clock import (
     ComparisonConfig,
     LaserPhaseModel,
-    NoiseChannel,
     allan_deviation,
-    ellipse_fit,
     comparison_stats,
     crb_floor,
     cycle_rng,
@@ -24,11 +22,12 @@ from erasure_sensing import (
     instability_vs_error_rate,
     invalid_fraction,
     optimize_interrogation,
-    phase_series_from_cycles,
     phase_series_to_fractional_frequency,
     run_comparison,
     valid_pairs,
 )
+from erasure_sensing.estimation import ellipse_fit, phase_series_from_cycles
+from erasure_sensing.states import ChannelKind, NoiseChannel
 
 BASE = dict(
     phi_d=math.pi / 2,
@@ -75,12 +74,29 @@ class TestConfigParsing:
             ComparisonConfig.from_dict(dict(BASE, N0=True))
         with pytest.raises(ValueError, match="phi_d"):
             ComparisonConfig.from_dict(dict(BASE, phi_d="wide"))
+        with pytest.raises(ValueError, match="laser_phase_model"):
+            ComparisonConfig.from_dict(dict(BASE, laser_phase_model=["FixedSweep"]))
 
     def test_noise_subobject_validated(self):
         with pytest.raises(ValueError):
             ComparisonConfig.from_dict(dict(BASE, noise={"kind": "thermal", "q": 0.1}))
         with pytest.raises(ValueError):
             ComparisonConfig.from_dict(dict(BASE, noise={"kind": "erasure"}))
+        # wrong JSON types are usage errors that name the field, not crashes
+        for noise, field in (
+            ({"kind": "erasure", "q": None}, "noise.q"),
+            ({"kind": "erasure", "q": [0.1]}, "noise.q"),
+            ({"kind": "erasure", "q": True}, "noise.q"),
+            ({"kind": "erasure", "q": "0.1"}, "noise.q"),
+            ({"kind": "dephasing", "gamma": "0.5"}, "noise.gamma"),
+            ({"kind": "dephasing", "gamma": None}, "noise.gamma"),
+            ({"kind": ["erasure"], "q": 0.1}, "noise.kind"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                ComparisonConfig.from_dict(dict(BASE, noise=noise))
+        with pytest.raises(ValueError, match="gamma"):
+            ComparisonConfig.from_dict(
+                dict(BASE, noise={"kind": "dephasing", "gamma": float("nan")}))
 
     def test_rate_specified_noise_accepted(self):
         cfg = config(noise={"kind": "dephasing", "gamma": 0.25}, T_c=2.0)
@@ -289,6 +305,13 @@ class TestFloorsAndFits:
         assert all(p.sigma > 0.0 and p.sigma_err > 0.0 for p in points)
         # losing 3/4 of the atoms must cost stability (expected ratio 2x)
         assert points[1].sigma > points[0].sigma
+
+    def test_whole_q_grid_checked_before_simulating(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(clock, "run_comparison", lambda *a, **k: runs.append(a))
+        with pytest.raises(ValueError, match="0.99"):
+            instability_vs_error_rate(config(), [0.0, 0.3, 0.99], ChannelKind.ERASURE)
+        assert runs == []
 
 
 class TestOptimizer:

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from erasure_sensing import (
-    ChannelKind,
+from erasure_sensing.estimation import (
     CountRecord,
     EllipseFitError,
     ellipse_fit,
@@ -17,6 +16,7 @@ from erasure_sensing import (
     phase_series_from_cycles,
     save_pairs_csv,
 )
+from erasure_sensing.states import ChannelKind
 
 
 def ellipse_points(phi_d, n=100, c_a=1.0, c_b=1.0, t0=0.0):

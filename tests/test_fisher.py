@@ -6,10 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from erasure_sensing import (
-    ChannelKind,
+from erasure_sensing.fisher import (
     DegenerateStateError,
-    FisherEvalPoint,
     SingularFisherError,
     bloch_density,
     channel_outcome_model,
@@ -18,10 +16,12 @@ from erasure_sensing import (
     fisher_dephasing,
     fisher_depolarizing,
     fisher_erasure,
+    fisher_information,
     pure_density,
     qfi_depolarized,
     qfi_pure_generator,
 )
+from erasure_sensing.states import ChannelKind
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 HALF_SIGMA_Z = 0.5 * SIGMA_Z
@@ -99,15 +99,6 @@ class TestClosedForms:
             with pytest.raises(ValueError):
                 fn(1.05, 0.5)
 
-    def test_eval_point_normalizes_angles(self):
-        pt = FisherEvalPoint(phi=2.0 * math.pi + 0.3, theta=-0.1,
-                             q=0.2, kind=ChannelKind.ERASURE)
-        assert pt.phi == pytest.approx(0.3)
-        assert pt.theta == pytest.approx(2.0 * math.pi - 0.1)
-        assert pt.delta == pytest.approx(pt.phi - pt.theta)
-        with pytest.raises(ValueError):
-            FisherEvalPoint(0.0, 0.0, 1.2, ChannelKind.ERASURE)
-
 
 class TestNumericOracleAgreement:
     def test_analytic_matches_finite_difference_on_random_triples(self):
@@ -124,6 +115,7 @@ class TestNumericOracleAgreement:
             model = channel_outcome_model(kind, q, theta)
             numeric = classical_fisher_numeric(model, theta + delta)
             assert numeric == pytest.approx(analytic(kind, q, delta), abs=1e-6)
+            assert numeric == pytest.approx(fisher_information(kind, q, delta), abs=1e-6)
             checked += 1
         assert checked >= 100
 
