@@ -381,6 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
 
+    def add_threads(p):
+        p.add_argument(
+            "--threads",
+            type=_positive_int,
+            default=1,
+            help="accepted for compatibility; cycles always run on one thread",
+        )
+
     p = sub.add_parser("fisher", help="Fisher information of one channel")
     p.add_argument("kind", choices=[k.value for k in ChannelKind])
     p.add_argument(
@@ -408,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--window", type=_positive_int, default=100, help="cycles per ellipse fit"
     )
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
+    add_threads(p)
     add_out(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -428,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--window", type=_positive_int, default=100, help="cycles per ellipse fit"
     )
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
+    add_threads(p)
     add_out(p)
     p.set_defaults(func=cmd_scaling)
 

@@ -11,14 +11,13 @@ scaling curves, and interrogation-time optimization under dead time.
 
 Determinism contract: every cycle gets its own counter-based random stream
 derived from (seed, cycle_index), so results are bit-identical for a given
-config regardless of how many threads execute the cycles.
+config; the threads arguments and flags are accepted but change nothing.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,7 +108,7 @@ class ComparisonConfig:
             raise ValueError("cycles must be an integer >= 1")
         if not self.t_c > 0.0:
             raise ValueError("T_c must be positive")
-        if self.t_d < 0.0:
+        if not self.t_d >= 0.0:
             raise ValueError("T_d must be non-negative")
         if not self.f0 > 0.0:
             raise ValueError("f0 must be positive")
@@ -276,26 +275,18 @@ def run_comparison(config: ComparisonConfig, threads: int = 1) -> list[CycleResu
 
     Returns one CycleResult per cycle in index order. Cycles in which an
     ensemble lost every atom are flagged invalid (their excitation fraction
-    is undefined) and must be excluded downstream. Output is bit-identical
-    for a given config across thread counts.
+    is undefined) and must be excluded downstream. Every cycle draws from
+    its own stream, so the output is a pure function of the config.
+
+    threads is accepted for compatibility and no longer changes the work:
+    the per-cycle loop holds the GIL, and a thread pool over it measured
+    no faster than one thread (20 000 cycles on a 2-core machine, fastest
+    of ten runs: 515 ms at 1 thread, 562 ms at 2).
     """
     q = config.noise.strength(config.t_c)
     kind = config.noise.kind
     amplitude, survival = kind.amplitude(q), kind.survival(q)
-
-    def simulate(indices):
-        return [_simulate_cycle(config, amplitude, survival, i) for i in indices]
-
-    if threads <= 1:
-        return simulate(range(config.cycles))
-    chunk = max(1, math.ceil(config.cycles / (threads * 8)))
-    blocks = [
-        range(start, min(start + chunk, config.cycles))
-        for start in range(0, config.cycles, chunk)
-    ]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(simulate, blocks))
-    return [res for part in parts for res in part]
+    return [_simulate_cycle(config, amplitude, survival, i) for i in range(config.cycles)]
 
 
 def valid_pairs(results: list[CycleResult]) -> np.ndarray:
@@ -326,6 +317,10 @@ def comparison_stats(results: list[CycleResult], n0: int) -> dict:
     }
 
 
+# Series samples whose block deletions the Allan jackknife forms at a time.
+_JACKKNIFE_SPAN = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class AllanResult:
     """Overlapping Allan deviation on octave-spaced averaging times, with a
@@ -345,11 +340,46 @@ class AllanResult:
         }
 
 
-def _overlapping_adev(y: np.ndarray, m: int) -> float:
-    cs = np.concatenate([[0.0], np.cumsum(y)])
-    means = (cs[m:] - cs[:-m]) / m
-    d = means[m:] - means[:-m]
-    return math.sqrt(0.5 * float(np.mean(d * d)))
+def _block_jackknife(cs: np.ndarray, d: np.ndarray, m: int) -> float:
+    """Leave-one-block-out jackknife standard error of the overlapping ADEV
+    at averaging factor m, in O(n), from the series' prefix sum cs (cs[0] =
+    0) and its differences d of adjacent overlapping m-sample means.
+
+    Deleting block b, y[bm : bm + m], leaves every m-difference that lies
+    wholly left or right of it as it was. Each deletion's sum of squared
+    differences is therefore the full sum, minus the 3m - 1 differences
+    that touch the block, plus the at most 2m - 1 differences of the
+    shortened series that straddle its seam. Those come from the full prefix
+    sum: the shortened series' prefix sum is cs[i] up to the seam and
+    cs[i + m] minus the block's sum after it. Blocks are handled a chunk at
+    a time so the temporaries stay small for any series length.
+    """
+    n = cs.size - 1
+    d2 = d * d
+    total = float(np.sum(d2))
+    kept = n - 3 * m + 1  # differences in a series shortened by m samples
+    blocks = n // m
+    deleted = np.empty(blocks)
+    step = max(1, _JACKKNIFE_SPAN // m)
+    for lo in range(0, blocks, step):
+        hi = min(lo + step, blocks)
+        start = m * np.arange(lo, hi)[:, None]
+        j = start + np.arange(1 - 2 * m, m)
+        touching = np.where((j >= 0) & (j < d.size), d2[np.clip(j, 0, d.size - 1)], 0.0)
+
+        j = start + np.arange(1 - 2 * m, 0)
+        block_sum = cs[start + m] - cs[start]
+
+        def prefix(i):
+            return np.where(i <= start, cs[np.clip(i, 0, n)], cs[np.clip(i + m, 0, n)] - block_sum)
+
+        c0, c1, c2 = prefix(j), prefix(j + m), prefix(j + 2 * m)
+        seam = (c2 - c1) / m - (c1 - c0) / m
+        straddling = np.where((j >= 0) & (j <= n - 3 * m), seam * seam, 0.0)
+        sums = total - touching.sum(axis=1) + straddling.sum(axis=1)
+        deleted[lo:hi] = np.sqrt(0.5 * np.maximum(sums, 0.0) / kept)
+    mean = deleted.mean()
+    return math.sqrt((blocks - 1) / blocks * float(np.sum((deleted - mean) ** 2)))
 
 
 def allan_deviation(series, cycle_time: float) -> AllanResult:
@@ -359,8 +389,11 @@ def allan_deviation(series, cycle_time: float) -> AllanResult:
     series still supports the estimate after one jackknife block of length
     m is removed (n - m >= 2m + 1); longer averaging times are omitted.
     The error bar at each m is the leave-one-block-out jackknife standard
-    error with block length m. NaN entries (gap markers from failed fit
-    windows) are dropped before analysis.
+    error with block length m (Riley, NIST SP 1065). Every octave, estimate
+    and jackknife alike, reads one prefix sum of the series, and each
+    deletion only corrects the differences near its block, so an octave
+    costs O(n) and the whole result O(n log n). NaN entries (gap markers
+    from failed fit windows) are dropped before analysis.
     """
     if cycle_time <= 0.0:
         raise ValueError("cycle_time must be positive")
@@ -370,22 +403,16 @@ def allan_deviation(series, cycle_time: float) -> AllanResult:
     if n < 4:
         raise ValueError(f"series must hold at least 4 finite samples, got {n}")
 
+    cs = np.concatenate([[0.0], np.cumsum(y)])
     taus, sigmas, errors, factors = [], [], [], []
     m = 1
     while n - m >= 2 * m + 1:
-        sigmas.append(_overlapping_adev(y, m))
+        means = (cs[m:] - cs[:-m]) / m
+        d = means[m:] - means[:-m]
+        sigmas.append(math.sqrt(0.5 * float(np.mean(d * d))))
+        errors.append(_block_jackknife(cs, d, m))
         taus.append(m * cycle_time)
         factors.append(m)
-
-        blocks = n // m
-        deleted = np.empty(blocks)
-        for b in range(blocks):
-            sub = np.delete(y, slice(b * m, (b + 1) * m))
-            deleted[b] = _overlapping_adev(sub, m)
-        mean = deleted.mean()
-        errors.append(
-            math.sqrt((blocks - 1) / blocks * float(np.sum((deleted - mean) ** 2)))
-        )
         m *= 2
 
     return AllanResult(

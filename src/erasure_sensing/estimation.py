@@ -139,55 +139,157 @@ class EllipseFitResult:
         }
 
 
-def _solve_conic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Ellipse-constrained least-squares conic on centered coordinates.
+# Fits are solved this many at a time: the stacked design rows and scatter
+# matrices of one chunk stay a few MB however many windows or deletions a
+# call has.
+_CHUNK = 256
 
-    Implements the stabilized partitioned solve of the 4AC - B^2 = 1
-    generalized eigenproblem. Returns the unit-norm coefficient 6-vector
-    with A > 0, or raises EllipseFitError.
+# Points whose x-y correlation r has 1 - r^2 at or below this lie on a line
+# to working precision. Every conic through them fits, so the solve would
+# return whichever one rounding picks; such a fit is rejected instead.
+_COLLINEAR = 1e-12
 
-    Two robustness details matter here. The eigenvector returned for the
-    elliptical eigenpair has arbitrary overall sign, while the phase readout
-    -B / (2 sqrt(AC)) is sign-sensitive, so the vector is canonicalized to
-    A > 0. And when rounding lets more than one eigenpair satisfy the
-    ellipse inequality, the candidate with the smallest algebraic residual
-    is kept.
+# Why a fit is rejected, by the status code _fit_conics gives it.
+_REJECTED = {
+    1: "no ellipse: degenerate point configuration (collinear or repeated)",
+    2: "no ellipse: fit produced no elliptical solution",
+    3: "no ellipse: fitted conic is degenerate or not elliptical",
+    4: "no ellipse: fitted conic has no real points",
+}
+
+
+def _design(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Conic design rows (x^2, xy, y^2, x, y, 1), shape (..., n, 6)."""
+    return np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=-1)
+
+
+def _centred_rows(pts: np.ndarray):
+    """Design rows of points (..., n, 2) in coordinates centred on their
+    mean, and that mean (..., 2)."""
+    centre = pts.mean(axis=-2)
+    centred = pts - centre[..., None, :]
+    return _design(centred[..., 0], centred[..., 1]), centre
+
+
+def _scatter(rows: np.ndarray) -> np.ndarray:
+    """Scatter matrices D^T D of stacked design rows, shape (..., 6, 6)."""
+    return np.einsum("...ni,...nj->...ij", rows, rows)
+
+
+def _centre_and_scale(coeffs: np.ndarray):
+    """Centre (cx, cy) of each conic and its scale lam.
+
+    For x = cx + alpha cos t, y = cy + beta cos(t + phi_d) the conic scale
+    lam satisfies A = lam / alpha^2, C = lam / beta^2, and the centred
+    constant equals -lam sin^2(phi_d); lam <= 0 means no real points.
     """
-    d1 = np.column_stack([x * x, x * y, y * y])
-    d2 = np.column_stack([x, y, np.ones_like(x)])
-    s1 = d1.T @ d1
-    s2 = d1.T @ d2
-    s3 = d2.T @ d2
-    try:
-        t = -np.linalg.solve(s3, s2.T)
-    except np.linalg.LinAlgError:
-        raise EllipseFitError(
-            "no ellipse: degenerate point configuration (collinear or repeated)"
-        ) from None
-    m = s1 + s2 @ t
-    reduced = np.vstack([m[2] / 2.0, -m[1], m[0] / 2.0])
-    eigvals, eigvecs = np.linalg.eig(reduced)
+    a, b, c, d, e, f = np.moveaxis(coeffs, -1, 0)
+    det = 4.0 * a * c - b * b
+    cx = (b * e - 2.0 * c * d) / det
+    cy = (b * d - 2.0 * a * e) / det
+    value_at_center = a * cx * cx + b * cx * cy + c * cy * cy + d * cx + e * cy + f
+    return cx, cy, -value_at_center * 4.0 * a * c / det
 
-    design = np.hstack([d1, d2])
-    best = None
-    best_cost = math.inf
-    for j in range(3):
-        if abs(eigvals[j].imag) > 1e-8 * max(1.0, abs(eigvals[j].real)):
-            continue
-        a1 = eigvecs[:, j].real
-        if 4.0 * a1[0] * a1[2] - a1[1] ** 2 <= 0.0:
-            continue
-        a6 = np.concatenate([a1, t @ a1])
-        a6 /= np.linalg.norm(a6)
-        if a6[0] < 0.0:
-            a6 = -a6
-        cost = float(np.sum((design @ a6) ** 2))
-        if cost < best_cost:
-            best_cost = cost
-            best = a6
-    if best is None or not np.all(np.isfinite(best)):
-        raise EllipseFitError("no ellipse: fit produced no elliptical solution")
-    return best
+
+def _phase(coeffs: np.ndarray) -> np.ndarray:
+    """Differential phase in [0, pi] from cos(phi_d) = -B / (2 sqrt(AC))."""
+    a, b, c = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
+    return np.arccos(np.clip(-b / (2.0 * np.sqrt(a * c)), -1.0, 1.0))
+
+
+def _fit_conics(scatter: np.ndarray, centre: np.ndarray):
+    """Ellipse-constrained least-squares conics from stacked scatter matrices.
+
+    scatter is (k, 6, 6): each fit's D^T D, with D the design rows of its
+    points in coordinates centred on centre ((k, 2), or (2,) shared by all).
+    Returns the conic of each fit in the original frame, shape (k, 6), unit
+    norm with A > 0, and a status per fit: 0 where the fit is accepted, else
+    its key in _REJECTED, with that row of coefficients NaN. One rejected fit
+    never fails the others.
+
+    Fits whose points are collinear or repeated are rejected first. Every
+    other fit is the stabilized partitioned solve of the 4AC - B^2 = 1
+    generalized eigenproblem (Halir & Flusser): the linear part is
+    eliminated through the 3x3 block solve, leaving a 3x3 reduced
+    eigenproblem. The eigenvector of an elliptical eigenpair has arbitrary
+    sign while the phase readout is sign-sensitive, so it is canonicalized
+    to A > 0; when rounding lets more than one eigenpair satisfy the ellipse
+    inequality, the candidate with the smallest algebraic residual a^T S a
+    is kept. After translating back, a conic whose unit-norm discriminant is
+    within 1e-10 of zero (a degenerate conic from nearly collinear points
+    that rounding tipped into ellipse form) or that has no real points is
+    rejected.
+    """
+    k = scatter.shape[0]
+    rows = np.arange(k)
+    status = np.zeros(k, dtype=int)
+    s1, s2, s3 = scatter[:, :3, :3], scatter[:, :3, 3:], scatter[:, 3:, 3:]
+    s2t = np.swapaxes(s2, 1, 2)
+    with np.errstate(all="ignore"):
+        # second moments about the points' own mean, whatever the centring
+        cov = s3[:, :2, :2] - s3[:, :2, 2:] * s3[:, 2:, :2] / s3[:, 2:, 2:]
+        xx, yy, xy = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
+        status[xx * yy - xy * xy <= _COLLINEAR * xx * yy] = 1
+        # their linear block is singular, and one singular matrix would fail
+        # the whole stacked solve: solve a placeholder in their place
+        s3 = np.where(status[:, None, None] == 1, np.eye(3), s3)
+        t = -np.linalg.solve(s3, s2t)
+        m = s1 + s2 @ t
+        status[~np.isfinite(m).all(axis=(1, 2))] = 1
+        m[status == 1] = np.eye(3)
+        reduced = np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1)
+        eigvals, eigvecs = np.linalg.eig(reduced)
+
+        # candidate j of fit i is a6[i, j]: the eigenvector and its linear part
+        a1 = np.swapaxes(np.real(eigvecs), 1, 2)
+        a6 = np.concatenate([a1, a1 @ np.swapaxes(t, 1, 2)], axis=-1)
+        a6 /= np.linalg.norm(a6, axis=-1, keepdims=True)
+        a6 = np.where(a6[..., :1] < 0.0, -a6, a6)
+        cost = np.einsum("kji,kil,kjl->kj", a6, scatter, a6)
+        real = np.abs(np.imag(eigvals)) <= 1e-8 * np.maximum(1.0, np.abs(np.real(eigvals)))
+        elliptic = 4.0 * a1[..., 0] * a1[..., 2] - a1[..., 1] ** 2 > 0.0
+        cost = np.where(real & elliptic & (cost < np.inf), cost, np.inf)
+        best = np.argmin(cost, axis=1)
+        coeffs = a6[rows, best]
+        none = ~(cost[rows, best] < np.inf) | ~np.isfinite(coeffs).all(axis=1)
+        status[(status == 0) & none] = 2
+
+        # translate the conic back to the original frame
+        xm, ym = centre[..., 0], centre[..., 1]
+        a, b, c, d, e, f = coeffs.T
+        coeffs = np.stack(
+            [
+                a,
+                b,
+                c,
+                d - 2.0 * a * xm - b * ym,
+                e - b * xm - 2.0 * c * ym,
+                f + a * xm**2 + b * xm * ym + c * ym**2 - d * xm - e * ym,
+            ],
+            axis=1,
+        )
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        coeffs = np.where(coeffs[:, :1] < 0.0, -coeffs, coeffs)
+        a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
+        # the coefficients are unit-norm here, so the discriminant check is
+        # scale-free
+        not_ellipse = (b * b - 4.0 * a * c >= -1e-10) | (a <= 0.0) | (c <= 0.0)
+        status[(status == 0) & not_ellipse] = 3
+        status[(status == 0) & (_centre_and_scale(coeffs)[2] <= 0.0)] = 4
+    coeffs[status != 0] = np.nan
+    return coeffs, status
+
+
+def _fit_phases(count: int, scatter_of) -> np.ndarray:
+    """Phases of `count` fits, NaN where a fit is rejected, solved _CHUNK at
+    a time; scatter_of(lo, hi) returns the scatter matrices and centres of
+    fits lo to hi - 1."""
+    phases = np.empty(count)
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        coeffs, _ = _fit_conics(*scatter_of(lo, hi))
+        phases[lo:hi] = _phase(coeffs)
+    return phases
 
 
 def ellipse_fit(points, min_points: int = 6) -> EllipseFitResult:
@@ -198,6 +300,9 @@ def ellipse_fit(points, min_points: int = 6) -> EllipseFitResult:
     for conditioning and the coefficients are translated back afterwards.
     The phase comes from cos(phi_d) = -B / (2 sqrt(AC)) and is a magnitude
     in [0, pi]: a single ellipse cannot distinguish +phi_d from -phi_d.
+    This is the one-fit case of the stacked solver behind
+    phase_series_from_cycles and ellipse_phase_jackknife, so all three
+    reject exactly the same configurations.
 
     Raises ValueError for too few points and EllipseFitError when the
     configuration does not determine a proper ellipse.
@@ -213,70 +318,19 @@ def ellipse_fit(points, min_points: int = 6) -> EllipseFitResult:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
 
-    x_mean = float(pts[:, 0].mean())
-    y_mean = float(pts[:, 1].mean())
-    xc = pts[:, 0] - x_mean
-    yc = pts[:, 1] - y_mean
-    a, b, c, d, e, f = _solve_conic(xc, yc)
-
-    # Translate the conic back to the original frame.
-    d0 = d - 2.0 * a * x_mean - b * y_mean
-    e0 = e - b * x_mean - 2.0 * c * y_mean
-    f0 = (
-        f
-        + a * x_mean**2
-        + b * x_mean * y_mean
-        + c * y_mean**2
-        - d * x_mean
-        - e * y_mean
-    )
-    coeffs = np.array([a, b, c, d0, e0, f0])
-    coeffs /= np.linalg.norm(coeffs)
-    if coeffs[0] < 0.0:
-        coeffs = -coeffs
-    a, b, c, d0, e0, f0 = coeffs
-
-    disc = b * b - 4.0 * a * c
-    # the coefficient vector is unit-norm here, so the discriminant check is
-    # scale-free; near-zero values mean a degenerate conic from (nearly)
-    # collinear points that only floating-point noise tipped into ellipse form
-    if disc >= -1e-10 or a <= 0.0 or c <= 0.0:
-        raise EllipseFitError("no ellipse: fitted conic is degenerate or not elliptical")
-
-    phi_d = math.acos(min(1.0, max(-1.0, -b / (2.0 * math.sqrt(a * c)))))
-
-    cx, cy = np.linalg.solve(
-        np.array([[2.0 * a, b], [b, 2.0 * c]]), np.array([-d0, -e0])
-    )
-    value_at_center = (
-        a * cx * cx + b * cx * cy + c * cy * cy + d0 * cx + e0 * cy + f0
-    )
-    # For x = cx + alpha cos t, y = cy + beta cos(t + phi_d) the conic scale
-    # lam satisfies A = lam / alpha^2, C = lam / beta^2, and the centered
-    # constant equals -lam sin^2(phi_d).
-    lam = -value_at_center * 4.0 * a * c / (4.0 * a * c - b * b)
-    if lam <= 0.0:
-        raise EllipseFitError("no ellipse: fitted conic has no real points")
-    contrast_a = 2.0 * math.sqrt(lam / a)
-    contrast_b = 2.0 * math.sqrt(lam / c)
-
-    design = np.column_stack(
-        [
-            pts[:, 0] ** 2,
-            pts[:, 0] * pts[:, 1],
-            pts[:, 1] ** 2,
-            pts[:, 0],
-            pts[:, 1],
-            np.ones(n),
-        ]
-    )
-    rms = float(np.sqrt(np.mean((design @ coeffs) ** 2)))
-
+    rows, centre = _centred_rows(pts)
+    fits, status = _fit_conics(_scatter(rows)[None], centre)
+    if status[0]:
+        raise EllipseFitError(_REJECTED[int(status[0])])
+    coeffs = fits[0]
+    a, c = coeffs[0], coeffs[2]
+    cx, cy, lam = _centre_and_scale(coeffs)
+    rms = float(np.sqrt(np.mean((_design(pts[:, 0], pts[:, 1]) @ coeffs) ** 2)))
     return EllipseFitResult(
         coefficients=coeffs,
-        phi_d=phi_d,
-        contrast_a=contrast_a,
-        contrast_b=contrast_b,
+        phi_d=float(_phase(coeffs)),
+        contrast_a=2.0 * math.sqrt(lam / a),
+        contrast_b=2.0 * math.sqrt(lam / c),
         center=(float(cx), float(cy)),
         rms_residual=rms,
         n_points=n,
@@ -286,22 +340,25 @@ def ellipse_fit(points, min_points: int = 6) -> EllipseFitResult:
 def ellipse_phase_jackknife(points, min_points: int = 6) -> tuple[float, float]:
     """Full-sample phase and its delete-one jackknife standard error.
 
-    Refits the ellipse with each point left out in turn;
-    stderr = sqrt((n-1)/n * sum (phi_i - mean)^2). Deletions whose refit
-    fails are dropped from the resampling sum.
+    stderr = sqrt((n-1)/n * sum (phi_i - mean)^2) over the phases phi_i of
+    the fits with point i left out. The points are centred once on the
+    full-sample mean, and each deletion's scatter matrix is the full one
+    downdated by that point's design row, S - d_i d_i^T, so no refit
+    rebuilds a scatter matrix. Because the phase does not depend on
+    translation, this agrees with refitting each subset centred on its own
+    mean to rounding, not bit for bit. Deletions whose fit is rejected are
+    dropped from the resampling sum.
     """
     pts = np.asarray(points, dtype=float)
     full = ellipse_fit(pts, min_points=min_points).phi_d
     n = pts.shape[0]
     if n < min_points + 1:
         raise ValueError("jackknife needs at least min_points + 1 points")
-    loo = np.full(n, np.nan)
-    for i in range(n):
-        sub = np.delete(pts, i, axis=0)
-        try:
-            loo[i] = ellipse_fit(sub, min_points=min_points).phi_d
-        except (EllipseFitError, np.linalg.LinAlgError):
-            pass
+    rows, centre = _centred_rows(pts)
+    total = _scatter(rows)
+    loo = _fit_phases(
+        n, lambda lo, hi: (total - rows[lo:hi, :, None] * rows[lo:hi, None, :], centre)
+    )
     good = loo[np.isfinite(loo)]
     m = good.size
     if m < 2:
@@ -313,9 +370,13 @@ def ellipse_phase_jackknife(points, min_points: int = 6) -> tuple[float, float]:
 def phase_series_from_cycles(cycles, window: int, min_points: int = 6) -> np.ndarray:
     """Differential-phase time series from consecutive non-overlapping windows.
 
-    Each window of `window` pairs produces one ellipse_fit phase; windows
-    whose fit fails are recorded as NaN gaps. Requires window >= min_points
-    and at least two full windows of data.
+    Each window of `window` pairs produces one ellipse phase, fitted on
+    coordinates centred on that window's own mean, exactly as ellipse_fit
+    would fit it; windows whose fit is rejected are recorded as NaN gaps.
+    Every window's scatter matrix comes from one einsum and the fits are
+    solved as one stack, a chunk of windows at a time. Trailing cycles that
+    do not fill a window are ignored. Requires window >= min_points and at
+    least two full windows of data.
     """
     pts = np.asarray(cycles, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -327,14 +388,15 @@ def phase_series_from_cycles(cycles, window: int, min_points: int = 6) -> np.nda
             f"need at least 2 windows = {2 * window} cycles, got {pts.shape[0]}"
         )
     n_windows = pts.shape[0] // window
-    series = np.full(n_windows, np.nan)
-    for k in range(n_windows):
-        chunk = pts[k * window : (k + 1) * window]
-        try:
-            series[k] = ellipse_fit(chunk, min_points=min_points).phi_d
-        except (EllipseFitError, np.linalg.LinAlgError):
-            pass
-    return series
+    windows = pts[: n_windows * window].reshape(n_windows, window, 2)
+    if not np.all(np.isfinite(windows)):
+        raise ValueError("cycles contain non-finite values")
+
+    def scatter_of(lo, hi):
+        rows, centre = _centred_rows(windows[lo:hi])
+        return _scatter(rows), centre
+
+    return _fit_phases(n_windows, scatter_of)
 
 
 def save_pairs_csv(path, pairs) -> None:

@@ -1,0 +1,149 @@
+"""Slow reference implementations that the fast paths are checked against.
+
+These are the straightforward loops the library used before its stacked
+solvers: one full ellipse refit per fit window and per jackknife deletion,
+and one full overlapping-ADEV evaluation per deleted Allan block. They are
+kept here, independent of the library code, only as test oracles.
+"""
+
+import math
+
+import numpy as np
+
+from erasure_sensing.estimation import EllipseFitError
+
+
+def solve_conic(x, y):
+    """Ellipse-constrained least-squares conic on centred coordinates: the
+    unit-norm coefficient 6-vector with A > 0, or EllipseFitError."""
+    d1 = np.column_stack([x * x, x * y, y * y])
+    d2 = np.column_stack([x, y, np.ones_like(x)])
+    s1 = d1.T @ d1
+    s2 = d1.T @ d2
+    s3 = d2.T @ d2
+    try:
+        t = -np.linalg.solve(s3, s2.T)
+    except np.linalg.LinAlgError:
+        raise EllipseFitError("no ellipse: degenerate point configuration") from None
+    m = s1 + s2 @ t
+    reduced = np.vstack([m[2] / 2.0, -m[1], m[0] / 2.0])
+    eigvals, eigvecs = np.linalg.eig(reduced)
+
+    design = np.hstack([d1, d2])
+    best = None
+    best_cost = math.inf
+    for j in range(3):
+        if abs(eigvals[j].imag) > 1e-8 * max(1.0, abs(eigvals[j].real)):
+            continue
+        a1 = eigvecs[:, j].real
+        if 4.0 * a1[0] * a1[2] - a1[1] ** 2 <= 0.0:
+            continue
+        a6 = np.concatenate([a1, t @ a1])
+        a6 /= np.linalg.norm(a6)
+        if a6[0] < 0.0:
+            a6 = -a6
+        cost = float(np.sum((design @ a6) ** 2))
+        if cost < best_cost:
+            best_cost = cost
+            best = a6
+    if best is None or not np.all(np.isfinite(best)):
+        raise EllipseFitError("no ellipse: fit produced no elliptical solution")
+    return best
+
+
+def ellipse_phase(points):
+    """Phase of one ellipse fit centred on the points' own mean; raises
+    EllipseFitError or LinAlgError where the fit is rejected."""
+    pts = np.asarray(points, dtype=float)
+    x_mean = float(pts[:, 0].mean())
+    y_mean = float(pts[:, 1].mean())
+    a, b, c, d, e, f = solve_conic(pts[:, 0] - x_mean, pts[:, 1] - y_mean)
+
+    d0 = d - 2.0 * a * x_mean - b * y_mean
+    e0 = e - b * x_mean - 2.0 * c * y_mean
+    f0 = (
+        f
+        + a * x_mean**2
+        + b * x_mean * y_mean
+        + c * y_mean**2
+        - d * x_mean
+        - e * y_mean
+    )
+    coeffs = np.array([a, b, c, d0, e0, f0])
+    coeffs /= np.linalg.norm(coeffs)
+    if coeffs[0] < 0.0:
+        coeffs = -coeffs
+    a, b, c, d0, e0, f0 = coeffs
+
+    if b * b - 4.0 * a * c >= -1e-10 or a <= 0.0 or c <= 0.0:
+        raise EllipseFitError("no ellipse: fitted conic is degenerate or not elliptical")
+    phi_d = math.acos(min(1.0, max(-1.0, -b / (2.0 * math.sqrt(a * c)))))
+
+    cx, cy = np.linalg.solve(
+        np.array([[2.0 * a, b], [b, 2.0 * c]]), np.array([-d0, -e0])
+    )
+    value_at_center = a * cx * cx + b * cx * cy + c * cy * cy + d0 * cx + e0 * cy + f0
+    lam = -value_at_center * 4.0 * a * c / (4.0 * a * c - b * b)
+    if lam <= 0.0:
+        raise EllipseFitError("no ellipse: fitted conic has no real points")
+    return phi_d
+
+
+def ellipse_phase_or_nan(points):
+    try:
+        return ellipse_phase(points)
+    except (EllipseFitError, np.linalg.LinAlgError):
+        return math.nan
+
+
+def phase_series(cycles, window):
+    """One refit per consecutive window; a rejected window is NaN."""
+    pts = np.asarray(cycles, dtype=float)
+    n_windows = pts.shape[0] // window
+    return np.array(
+        [ellipse_phase_or_nan(pts[k * window : (k + 1) * window]) for k in range(n_windows)]
+    )
+
+
+def jackknife(points):
+    """Full-sample phase and delete-one jackknife standard error, one refit
+    per deletion; rejected refits are dropped from the sum."""
+    pts = np.asarray(points, dtype=float)
+    full = ellipse_phase(pts)
+    loo = np.array(
+        [ellipse_phase_or_nan(np.delete(pts, i, axis=0)) for i in range(pts.shape[0])]
+    )
+    good = loo[np.isfinite(loo)]
+    m = good.size
+    if m < 2:
+        raise EllipseFitError("jackknife failed: too few successful refits")
+    return full, math.sqrt((m - 1) / m * float(np.sum((good - good.mean()) ** 2)))
+
+
+def overlapping_adev(y, m):
+    cs = np.concatenate([[0.0], np.cumsum(y)])
+    means = (cs[m:] - cs[:-m]) / m
+    d = means[m:] - means[:-m]
+    return math.sqrt(0.5 * float(np.mean(d * d)))
+
+
+def allan(series):
+    """(averaging factors, sigmas, block-jackknife errors), recomputing the
+    whole overlapping ADEV for every deleted block."""
+    y = np.asarray(series, dtype=float).ravel()
+    y = y[np.isfinite(y)]
+    n = y.size
+    factors, sigmas, errors = [], [], []
+    m = 1
+    while n - m >= 2 * m + 1:
+        factors.append(m)
+        sigmas.append(overlapping_adev(y, m))
+        blocks = n // m
+        deleted = np.array(
+            [overlapping_adev(np.delete(y, slice(b * m, (b + 1) * m)), m) for b in range(blocks)]
+        )
+        errors.append(
+            math.sqrt((blocks - 1) / blocks * float(np.sum((deleted - deleted.mean()) ** 2)))
+        )
+        m *= 2
+    return np.array(factors), np.array(sigmas), np.array(errors)

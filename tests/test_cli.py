@@ -269,6 +269,14 @@ class TestNonFiniteAndNonPositiveNumbers:
         assert exit_code(argv + ["--out", str(tmp_path)]) == 2
         assert list(tmp_path.glob("*_manifest.json")) == []
 
+    def test_nan_dead_time_in_config(self, tmp_path, capsys):
+        # JSON's NaN literal parses; the run must stop before simulating
+        out = tmp_path / "run"
+        cfg = small_config(tmp_path, T_d=float("nan"))
+        assert exit_code(["simulate", cfg, "--out", str(out)]) == 2
+        assert "T_d" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestCommonBehavior:
     def test_version_flag(self, capsys):

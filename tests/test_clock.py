@@ -98,6 +98,10 @@ class TestConfigParsing:
             ComparisonConfig.from_dict(
                 dict(BASE, noise={"kind": "dephasing", "gamma": float("nan")}))
 
+    def test_nan_dead_time_rejected(self):
+        with pytest.raises(ValueError, match="T_d"):
+            config(T_d=float("nan"))
+
     def test_rate_specified_noise_accepted(self):
         cfg = config(noise={"kind": "dephasing", "gamma": 0.25}, T_c=2.0)
         assert cfg.noise.strength(cfg.t_c) == pytest.approx(1.0 - math.exp(-0.5))

@@ -1,0 +1,193 @@
+"""The stacked ellipse solver and the linear-time Allan jackknife against
+the slow loops they replaced (tests/oracles.py), on random inputs and on
+the degenerate windows a batch must survive."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from erasure_sensing.clock import allan_deviation
+from erasure_sensing.estimation import (
+    EllipseFitError,
+    ellipse_fit,
+    ellipse_phase_jackknife,
+    phase_series_from_cycles,
+)
+
+RTOL = 1e-10
+
+# Derandomized so a run of the suite is reproducible; no example database,
+# so a run writes nothing.
+PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def noisy_ellipse(rng, n, noise):
+    """n pairs on a random ellipse at random laser phases, with Gaussian
+    noise of the given scale on each axis."""
+    phi_d = rng.uniform(0.2, math.pi - 0.2)
+    c_a, c_b = rng.uniform(0.3, 1.0, size=2)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    pts = np.column_stack(
+        [0.5 * (1.0 + c_a * np.cos(theta)), 0.5 * (1.0 + c_b * np.cos(theta + phi_d))]
+    )
+    return pts + rng.normal(scale=noise, size=(n, 2))
+
+
+def collinear(rng, n):
+    """n points on a line: the fit must be rejected."""
+    t = rng.uniform(0.0, 1.0, size=n)
+    return np.column_stack([t, 2.0 * t])
+
+
+def assert_close(fast, slow):
+    fast, slow = np.asarray(fast, dtype=float), np.asarray(slow, dtype=float)
+    assert fast.shape == slow.shape
+    assert np.array_equal(np.isnan(fast), np.isnan(slow))
+    ok = ~np.isnan(slow)
+    assert np.all(np.abs(fast[ok] - slow[ok]) <= RTOL * np.abs(slow[ok]))
+
+
+class TestAgainstOracles:
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(7, 3000), noise=st.floats(1e-3, 3e-2))
+    def test_jackknife(self, seed, n, noise):
+        pts = noisy_ellipse(np.random.default_rng(seed), n, noise)
+        phi, err = ellipse_phase_jackknife(pts)
+        phi_slow, err_slow = oracles.jackknife(pts)
+        assert_close([phi, err], [phi_slow, err_slow])
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        window=st.integers(6, 120),
+        n_windows=st.integers(2, 40),
+        tail=st.integers(0, 5),
+        noise=st.floats(1e-3, 3e-2),
+        bad=st.floats(0.0, 0.5),
+    )
+    def test_window_series(self, seed, window, n_windows, tail, noise, bad):
+        # A share of the windows are collinear: the fast path must leave
+        # NaN gaps there, and only there, among the good ones. The loop is
+        # no reference for those windows, because it accepts about a third
+        # of exactly collinear windows with whatever phase rounding gives.
+        rng = np.random.default_rng(seed)
+        collinear_windows = rng.random(n_windows) < bad
+        windows = [
+            collinear(rng, window) if flat else noisy_ellipse(rng, window, noise)
+            for flat in collinear_windows
+        ]
+        cycles = np.vstack(windows + [noisy_ellipse(rng, tail, noise)])
+        fast = phase_series_from_cycles(cycles, window)
+        slow = oracles.phase_series(cycles, window)
+        assert np.isnan(fast[collinear_windows]).all()
+        assert_close(fast[~collinear_windows], slow[~collinear_windows])
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        n=st.integers(4, 3000),
+        offset=st.floats(-5.0, 5.0),
+        gaps=st.floats(0.0, 0.2),
+    )
+    def test_allan(self, seed, n, offset, gaps):
+        # The offset stays within a few standard deviations: a large
+        # constant offset costs both paths digits in the prefix sum, so
+        # neither would be a reference to 1e-10 for the other.
+        rng = np.random.default_rng(seed)
+        y = offset + rng.normal(size=n)
+        y[rng.random(n) < gaps] = np.nan
+        if np.count_nonzero(np.isfinite(y)) < 4:
+            y[:4] = offset
+        res = allan_deviation(y, cycle_time=1.0)
+        factors, sigmas, errors = oracles.allan(y)
+        assert np.array_equal(res.averaging_factors, factors)
+        assert np.array_equal(res.sigmas, sigmas)
+        assert_close(res.errors, errors)
+
+
+class TestDegenerateWindows:
+    """A degenerate window is a NaN gap and never fails the rest of its
+    batch; wherever the loop rejected a window, so does the stacked solver."""
+
+    def series_of(self, bad_window, window=20):
+        rng = np.random.default_rng(4)
+        good = [noisy_ellipse(rng, window, 0.01) for _ in range(3)]
+        cycles = np.vstack([good[0], bad_window, good[1], good[2]])
+        fast = phase_series_from_cycles(cycles, window)
+        slow = oracles.phase_series(cycles, window)
+        assert_close(fast[[0, 2, 3]], slow[[0, 2, 3]])
+        assert np.isfinite(fast[[0, 2, 3]]).all()
+        assert np.isnan(fast[1]) or not np.isnan(slow[1])
+        return fast[1], slow[1]
+
+    def test_collinear_window(self):
+        t = np.linspace(0.0, 1.0, 20)
+        fast, _ = self.series_of(np.column_stack([t, 2.0 * t]))
+        assert np.isnan(fast)
+
+    def test_collinear_window_the_loop_accepted(self):
+        # the loop fits this exactly collinear window as an "ellipse"
+        t = np.random.default_rng(0).uniform(size=20)
+        fast, slow = self.series_of(np.column_stack([t, 3.0 * t - 0.2]))
+        assert np.isnan(fast) and np.isfinite(slow)
+
+    def test_near_collinear_window(self):
+        t = np.linspace(0.0, 1.0, 20)
+        wobble = 1e-9 * np.random.default_rng(5).normal(size=20)
+        fast, _ = self.series_of(np.column_stack([t, 2.0 * t + 0.1 + wobble]))
+        assert np.isnan(fast)
+
+    def test_repeated_point_window(self):
+        # one point twenty times: the linear block of the scatter matrix is
+        # exactly singular, which would fail a stacked solve as a whole
+        fast, slow = self.series_of(np.tile([[0.3, 0.7]], (20, 1)))
+        assert np.isnan(fast) and np.isnan(slow)
+
+    def test_repeated_points_that_still_fix_an_ellipse(self):
+        rng = np.random.default_rng(6)
+        pts = noisy_ellipse(rng, 10, 0.01)
+        fast, slow = self.series_of(np.vstack([pts, pts]))
+        assert_close(fast, slow)
+        assert np.isfinite(fast)
+
+    def test_windows_of_exactly_min_points(self):
+        rng = np.random.default_rng(7)
+        cycles = noisy_ellipse(rng, 6 * 50, 0.01)
+        fast = phase_series_from_cycles(cycles, window=6, min_points=6)
+        assert_close(fast, oracles.phase_series(cycles, 6))
+        assert np.isfinite(fast).all()
+
+    def test_single_fit_rejects_collinear_points(self):
+        t = np.random.default_rng(0).uniform(size=20)
+        for pts in (
+            np.column_stack([t, 3.0 * t - 0.2]),
+            np.column_stack([t, 2.0 * t + 0.1]),
+            np.tile([[0.3, 0.7]], (20, 1)),
+        ):
+            with pytest.raises(EllipseFitError, match="collinear or repeated"):
+                ellipse_fit(pts)
+
+    def test_non_finite_cycles_rejected(self):
+        cycles = noisy_ellipse(np.random.default_rng(8), 40, 0.01)
+        cycles[25, 1] = np.nan
+        with pytest.raises(ValueError):
+            phase_series_from_cycles(cycles, window=20)
+        # a NaN in the unused tail, as before, is never read
+        cycles = noisy_ellipse(np.random.default_rng(8), 45, 0.01)
+        cycles[42, 0] = np.nan
+        assert np.isfinite(phase_series_from_cycles(cycles, window=20)).all()
+
+
+def test_allan_on_a_long_series():
+    # no wall-clock assert: a return to quadratic time shows in --durations
+    y = np.random.default_rng(9).normal(size=100_000)
+    res = allan_deviation(y, cycle_time=1.0)
+    assert res.averaging_factors[-1] == 32768
+    assert np.all(np.isfinite(res.errors)) and np.all(res.errors > 0.0)
+    assert res.sigmas[0] == pytest.approx(1.0, rel=0.01)
