@@ -28,22 +28,13 @@ from .clock import (
     ComparisonConfig,
     SimulationDegeneracyError,
     allan_deviation,
-    comparison_stats,
+    analyze_comparison,
     erasure_conversion_gain_curve,
     fit_fixed_form_intercept,
     fit_loglog_exponent,
     instability_vs_error_rate,
-    invalid_fraction,
-    phase_series_to_fractional_frequency,
-    run_comparison,
-    valid_pairs,
 )
-from .estimation import (
-    EllipseFitError,
-    ellipse_fit,
-    load_pairs_csv,
-    phase_series_from_cycles,
-)
+from .estimation import EllipseFitError, ellipse_fit, load_pairs_csv
 from .fisher import (
     DegenerateStateError,
     SingularFisherError,
@@ -157,16 +148,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _write_cycles_csv(path: Path, results) -> None:
+def _write_cycles_csv(path: Path, cycles) -> None:
+    keep = cycles.valid.nonzero()[0]
+    columns = [keep, cycles.theta[keep], *cycles.x[keep].T, *cycles.n[keep].T]
     with open(path, "w", newline="") as fh:
         fh.write("cycle,theta,x_a,x_b,n_a,n_b\n")
-        for r in results:
-            if not r.valid:
-                continue
-            fh.write(
-                f"{r.index},{_fmt(r.theta)},{_fmt(r.x_a)},{_fmt(r.x_b)},"
-                f"{r.n_a},{r.n_b}\n"
-            )
+        for i, theta, x_a, x_b, n_a, n_b in zip(*(c.tolist() for c in columns)):
+            fh.write(f"{i},{_fmt(theta)},{_fmt(x_a)},{_fmt(x_b)},{n_a},{n_b}\n")
 
 
 # Each command writes its outputs into outdir and returns the manifest
@@ -198,35 +186,26 @@ def cmd_fisher(args, outdir: Path) -> dict:
 
 def cmd_simulate(args, outdir: Path) -> dict:
     config = _load_config(args.config)
-    results = run_comparison(config, threads=args.threads)
-    bad = invalid_fraction(results)
-    if bad > 0.10:
-        raise SimulationDegeneracyError(
-            f"{bad:.1%} of cycles lost every atom; the configuration is degenerate"
-        )
+    run = analyze_comparison(config, args.window)
 
-    pairs = valid_pairs(results)
-    series = phase_series_from_cycles(pairs, args.window)
-    y = phase_series_to_fractional_frequency(series, config.t_c, config.f0)
-    allan = allan_deviation(y, cycle_time=args.window * config.cycle_time)
-
-    _write_cycles_csv(outdir / "cycles.csv", results)
+    _write_cycles_csv(outdir / "cycles.csv", run.cycles)
     with open(outdir / "phases.csv", "w", newline="") as fh:
         fh.write("window,phi_d\n")
-        for k, value in enumerate(series):
+        for k, value in enumerate(run.series):
             fh.write(f"{k},{_fmt(value)}\n")
-    _write_json_atomic(outdir / "allan.json", allan.to_dict())
+    _write_json_atomic(outdir / "allan.json", run.allan.to_dict())
 
-    stats = comparison_stats(results, config.n0)
-    stats["window"] = args.window
-    stats["sigma_one_window"] = float(allan.sigmas[0])
-    stats["sigma_one_window_error"] = float(allan.errors[0])
-    print(f"sigma_one_window {_fmt(allan.sigmas[0])}")
+    print(f"sigma_one_window {_fmt(run.allan.sigmas[0])}")
     return {
         "config": config.to_dict(),
         "seed": config.seed,
         "outputs": ["cycles.csv", "phases.csv", "allan.json"],
-        "stats": stats,
+        "stats": dict(
+            run.stats,
+            window=args.window,
+            sigma_one_window=float(run.allan.sigmas[0]),
+            sigma_one_window_error=float(run.allan.errors[0]),
+        ),
     }
 
 
@@ -247,9 +226,7 @@ def cmd_scaling(args, outdir: Path) -> dict:
     curves = {}
     fits = {}
     for kind in kinds:
-        points = instability_vs_error_rate(
-            base, grid, kind, window=args.window, threads=args.threads
-        )
+        points = instability_vs_error_rate(base, grid, kind, window=args.window)
         curves[kind] = points
         if len(points) >= 3:
             exponent, stderr, sigma0 = fit_loglog_exponent(

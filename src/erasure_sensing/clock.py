@@ -9,9 +9,13 @@ jackknife error bars measures the fractional instability. On top of the
 simulator sit the quantum-projection-noise floor, instability-versus-q
 scaling curves, and interrogation-time optimization under dead time.
 
+A run is held as columns (CycleRecord), and analyze_comparison is the one
+path from a config to its Allan deviation, for `simulate` and for scaling.
+
 Determinism contract: every cycle gets its own counter-based random stream
-derived from (seed, cycle_index), so results are bit-identical for a given
-config; the threads arguments and flags are accepted but change nothing.
+derived from (seed, cycle_index) and draws from it in a documented order
+(run_comparison), so results are bit-identical for a given config; the
+threads arguments and flags are accepted but change nothing.
 """
 
 from __future__ import annotations
@@ -102,16 +106,17 @@ class ComparisonConfig:
             raise ValueError("laser_phase_model must be a LaserPhaseModel")
         if not 0.0 <= self.phi_d <= math.pi:
             raise ValueError("phi_d must lie in [0, pi]")
-        if int(self.n0) != self.n0 or self.n0 < 1:
-            raise ValueError("N0 must be an integer >= 1")
+        # N0 is bounded like seed: the survivor draw takes a signed 64-bit n
+        if int(self.n0) != self.n0 or not 1 <= self.n0 < 2**63:
+            raise ValueError("N0 must be an integer in [1, 2^63)")
         if int(self.cycles) != self.cycles or self.cycles < 1:
             raise ValueError("cycles must be an integer >= 1")
-        if not self.t_c > 0.0:
-            raise ValueError("T_c must be positive")
-        if not self.t_d >= 0.0:
-            raise ValueError("T_d must be non-negative")
-        if not self.f0 > 0.0:
-            raise ValueError("f0 must be positive")
+        if not 0.0 < self.t_c < math.inf:
+            raise ValueError("T_c must be positive and finite")
+        if not 0.0 <= self.t_d < math.inf:
+            raise ValueError("T_d must be non-negative and finite")
+        if not 0.0 < self.f0 < math.inf:
+            raise ValueError("f0 must be positive and finite")
         for name in ("c_a", "c_b"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -207,17 +212,20 @@ class ComparisonConfig:
         }
 
 
-@dataclass(frozen=True)
-class CycleResult:
-    """One comparison cycle: laser phase, excitation fractions, survivors."""
+@dataclass(frozen=True, eq=False)
+class CycleRecord:
+    """Every cycle of a comparison run as columns, in cycle-index order.
 
-    index: int
-    theta: float
-    x_a: float
-    x_b: float
-    n_a: int
-    n_b: int
-    valid: bool
+    theta (n,) is the common laser phase; x (n, 2) holds the excitation
+    fractions of ensembles a and b, NaN where that ensemble lost every atom;
+    n (n, 2) holds the survivors; valid (n,) is False for a cycle with a
+    NaN fraction, which has no excitation pair and is excluded downstream.
+    """
+
+    theta: np.ndarray
+    x: np.ndarray
+    n: np.ndarray
+    valid: np.ndarray
 
 
 def cycle_rng(seed: int, cycle_index: int) -> np.random.Generator:
@@ -231,85 +239,60 @@ def cycle_rng(seed: int, cycle_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _simulate_cycle(
-    cfg: ComparisonConfig, amplitude: float, survival: float, i: int
-) -> CycleResult:
-    # Stream consumption order is fixed: theta, then ensemble a (survivors,
-    # excitations), then ensemble b. Changing it would change every output.
-    rng = cycle_rng(cfg.seed, i)
-    if cfg.laser_phase_model is LaserPhaseModel.UNIFORM_RANDOM_PER_CYCLE:
-        theta = rng.uniform(0.0, TWO_PI)
-    else:
-        theta = TWO_PI * i / cfg.cycles
+def run_comparison(config: ComparisonConfig, threads: int = 1) -> CycleRecord:
+    """Simulate every cycle of the comparison into a CycleRecord.
 
-    xs = [0.0, 0.0]
-    ns = [cfg.n0, cfg.n0]
-    valid = True
-    for side, (phi_off, contrast) in enumerate(
-        ((0.0, cfg.c_a), (cfg.phi_d, cfg.c_b))
-    ):
-        # Survivors are drawn only when atoms can be lost. At q = 0 every
-        # channel has amplitude and survival 1, so all three kinds take this
-        # same path and their random streams (and so the output) of
-        # noiseless runs are exactly equal.
-        n = int(rng.binomial(cfg.n0, survival)) if survival < 1.0 else cfg.n0
-        p = 0.5 * (1.0 + contrast * amplitude * math.cos(theta + phi_off))
-        p = min(1.0, max(0.0, p))
-        ns[side] = n
-        if not cfg.shot_noise:
-            xs[side] = p
-            continue
-        if n == 0:
-            valid = False
-            xs[side] = math.nan
-            continue
-        xs[side] = int(rng.binomial(n, p)) / n
+    Cycle i draws from cycle_rng(seed, i) in this fixed order, on which
+    every output depends: theta ~ U[0, 2 pi) (UniformRandomPerCycle only;
+    FixedSweep sets theta = 2 pi i / cycles); then for ensemble a and then
+    b, survivors ~ Binomial(N0, survival) if the channel loses atoms, and
+    excitations ~ Binomial(survivors, p) with shot noise and survivors > 0.
+    Without shot noise a fraction is the Born probability p itself. At
+    q = 0 every channel has amplitude and survival 1, so all three kinds
+    draw alike and their noiseless runs are equal.
 
-    return CycleResult(
-        index=i, theta=theta, x_a=xs[0], x_b=xs[1], n_a=ns[0], n_b=ns[1], valid=valid
-    )
-
-
-def run_comparison(config: ComparisonConfig, threads: int = 1) -> list[CycleResult]:
-    """Simulate every cycle of the comparison.
-
-    Returns one CycleResult per cycle in index order. Cycles in which an
-    ensemble lost every atom are flagged invalid (their excitation fraction
-    is undefined) and must be excluded downstream. Every cycle draws from
-    its own stream, so the output is a pure function of the config.
-
-    threads is accepted for compatibility and no longer changes the work:
-    the per-cycle loop holds the GIL, and a thread pool over it measured
-    no faster than one thread (20 000 cycles on a 2-core machine, fastest
-    of ten runs: 515 ms at 1 thread, 562 ms at 2).
+    threads is accepted for compatibility and changes nothing: the loop
+    holds the GIL, and a thread pool over it measured no faster.
     """
     q = config.noise.strength(config.t_c)
     kind = config.noise.kind
     amplitude, survival = kind.amplitude(q), kind.survival(q)
-    return [_simulate_cycle(config, amplitude, survival, i) for i in range(config.cycles)]
+    random_phase = config.laser_phase_model is LaserPhaseModel.UNIFORM_RANDOM_PER_CYCLE
+    sides = ((0, 0.0, config.c_a), (1, config.phi_d, config.c_b))
+    count = int(config.cycles)
+    theta = np.empty(count)
+    x = np.empty((count, 2))
+    n = np.empty((count, 2), dtype=np.int64)
+    for i in range(count):
+        rng = cycle_rng(config.seed, i)
+        th = rng.uniform(0.0, TWO_PI) if random_phase else TWO_PI * i / count
+        theta[i] = th
+        for side, phi_off, contrast in sides:
+            atoms = int(rng.binomial(config.n0, survival)) if survival < 1.0 else config.n0
+            p = 0.5 * (1.0 + contrast * amplitude * math.cos(th + phi_off))
+            p = min(1.0, max(0.0, p))
+            n[i, side] = atoms
+            if not config.shot_noise:
+                x[i, side] = p
+            elif atoms == 0:
+                x[i, side] = math.nan
+            else:
+                x[i, side] = int(rng.binomial(atoms, p)) / atoms
+    return CycleRecord(theta=theta, x=x, n=n, valid=~np.isnan(x).any(axis=1))
 
 
-def valid_pairs(results: list[CycleResult]) -> np.ndarray:
+def valid_pairs(cycles: CycleRecord) -> np.ndarray:
     """(n, 2) array of excitation pairs from the valid cycles."""
-    return np.array([(r.x_a, r.x_b) for r in results if r.valid], dtype=float).reshape(
-        -1, 2
-    )
+    return cycles.x[cycles.valid]
 
 
-def invalid_fraction(results: list[CycleResult]) -> float:
-    if not results:
-        return 0.0
-    return sum(1 for r in results if not r.valid) / len(results)
-
-
-def comparison_stats(results: list[CycleResult], n0: int) -> dict:
+def comparison_stats(cycles: CycleRecord, n0: int) -> dict:
     """Summary statistics of a run: survivors, measured loss, validity."""
-    n_a = np.array([r.n_a for r in results], dtype=float)
-    n_b = np.array([r.n_b for r in results], dtype=float)
+    n_a, n_b = (np.array(cycles.n[:, side], dtype=float) for side in (0, 1))
     mean_n = float((n_a.mean() + n_b.mean()) / 2.0)
     return {
-        "cycles": len(results),
-        "invalid_fraction": invalid_fraction(results),
+        "cycles": cycles.valid.size,
+        "invalid_fraction": np.count_nonzero(~cycles.valid) / cycles.valid.size,
         "mean_n_a": float(n_a.mean()),
         "mean_n_b": float(n_b.mean()),
         "mean_survival_fraction": mean_n / n0,
@@ -430,6 +413,39 @@ def phase_series_to_fractional_frequency(series, t_c: float, f0: float) -> np.nd
     return np.asarray(series, dtype=float) / (TWO_PI * t_c * f0)
 
 
+@dataclass(frozen=True, eq=False)
+class ComparisonAnalysis:
+    """One simulated run: its cycle columns and their summary statistics,
+    the per-window phi_d series and its fractional-frequency Allan deviation."""
+
+    cycles: CycleRecord
+    stats: dict
+    series: np.ndarray
+    allan: AllanResult
+
+
+def analyze_comparison(config: ComparisonConfig, window: int) -> ComparisonAnalysis:
+    """Simulate a comparison and analyze it end to end.
+
+    The valid pairs are fitted window by window of `window` cycles, the
+    phi_d series is converted to fractional frequency, and its Allan
+    deviation is taken with one window as the sample spacing. Raises
+    SimulationDegeneracyError if more than 10% of cycles are invalid.
+    """
+    cycles = run_comparison(config)
+    stats = comparison_stats(cycles, config.n0)
+    if stats["invalid_fraction"] > 0.10:
+        raise SimulationDegeneracyError(
+            f"{stats['invalid_fraction']:.1%} of cycles lost every atom at "
+            f"q = {config.noise.strength(config.t_c)} "
+            f"({config.noise.kind.value}); the configuration is degenerate"
+        )
+    series = phase_series_from_cycles(valid_pairs(cycles), window)
+    y = phase_series_to_fractional_frequency(series, config.t_c, config.f0)
+    allan = allan_deviation(y, cycle_time=window * config.cycle_time)
+    return ComparisonAnalysis(cycles=cycles, stats=stats, series=series, allan=allan)
+
+
 @dataclass(frozen=True)
 class ScalingPoint:
     """One point of an instability-versus-error-rate curve."""
@@ -448,12 +464,12 @@ def instability_vs_error_rate(
 ) -> list[ScalingPoint]:
     """Fractional instability at the one-window averaging time versus q.
 
-    For each q the base config is rerun (same seed, so curves for different
-    q and different channels share their random numbers), the differential
-    phase is extracted per window of cycles, converted to fractional
-    frequency, and the tau-one-window Allan point with its jackknife error
-    is reported. The differential sqrt(2) penalty is implicit: both
-    ensembles carry independent projection noise.
+    For each q the base config is rerun through analyze_comparison (same
+    seed, so curves for different q and different channels share their
+    random numbers) and the tau-one-window Allan point with its jackknife
+    error is reported. The differential sqrt(2) penalty is implicit: both
+    ensembles carry independent projection noise. threads is accepted for
+    compatibility and changes nothing (see run_comparison).
 
     Raises ValueError, before any simulation, if a grid entry lies outside
     [0, 0.95], and SimulationDegeneracyError if more than 10% of cycles are
@@ -466,17 +482,8 @@ def instability_vs_error_rate(
     points = []
     for q in qs:
         cfg = replace(base, noise=NoiseChannel(kind, q=q))
-        results = run_comparison(cfg, threads=threads)
-        bad = invalid_fraction(results)
-        if bad > 0.10:
-            raise SimulationDegeneracyError(
-                f"{bad:.1%} of cycles invalid at q = {q} ({kind.value})"
-            )
-        pairs = valid_pairs(results)
-        series = phase_series_from_cycles(pairs, window)
-        y = phase_series_to_fractional_frequency(series, cfg.t_c, cfg.f0)
-        res = allan_deviation(y, cycle_time=window * cfg.cycle_time)
-        points.append(ScalingPoint(q=q, sigma=res.sigmas[0], sigma_err=res.errors[0]))
+        allan = analyze_comparison(cfg, window).allan
+        points.append(ScalingPoint(q=q, sigma=allan.sigmas[0], sigma_err=allan.errors[0]))
     return points
 
 

@@ -1,15 +1,18 @@
 """Slow reference implementations that the fast paths are checked against.
 
 These are the straightforward loops the library used before its stacked
-solvers: one full ellipse refit per fit window and per jackknife deletion,
-and one full overlapping-ADEV evaluation per deleted Allan block. They are
-kept here, independent of the library code, only as test oracles.
+solvers and its cycle columns: one full ellipse refit per fit window and
+per jackknife deletion, one full overlapping-ADEV evaluation per deleted
+Allan block, and one record object per simulated cycle. They are kept
+here, independent of the library code, only as test oracles.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from erasure_sensing.clock import LaserPhaseModel
 from erasure_sensing.estimation import EllipseFitError
 
 
@@ -147,3 +150,56 @@ def allan(series):
         )
         m *= 2
     return np.array(factors), np.array(sigmas), np.array(errors)
+
+
+@dataclass(frozen=True)
+class CycleResult:
+    """One comparison cycle: laser phase, excitation fractions, survivors."""
+
+    index: int
+    theta: float
+    x_a: float
+    x_b: float
+    n_a: int
+    n_b: int
+    valid: bool
+
+
+def simulate_cycle(cfg, amplitude, survival, i):
+    """One cycle from its own Philox stream keyed by (seed, i), drawing
+    theta, then ensemble a (survivors, excitations), then ensemble b."""
+    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
+    rng = np.random.Generator(np.random.Philox(ss))
+    if cfg.laser_phase_model is LaserPhaseModel.UNIFORM_RANDOM_PER_CYCLE:
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+    else:
+        theta = 2.0 * math.pi * i / cfg.cycles
+
+    xs = [0.0, 0.0]
+    ns = [cfg.n0, cfg.n0]
+    valid = True
+    for side, (phi_off, contrast) in enumerate(((0.0, cfg.c_a), (cfg.phi_d, cfg.c_b))):
+        n = int(rng.binomial(cfg.n0, survival)) if survival < 1.0 else cfg.n0
+        p = 0.5 * (1.0 + contrast * amplitude * math.cos(theta + phi_off))
+        p = min(1.0, max(0.0, p))
+        ns[side] = n
+        if not cfg.shot_noise:
+            xs[side] = p
+            continue
+        if n == 0:
+            valid = False
+            xs[side] = math.nan
+            continue
+        xs[side] = int(rng.binomial(n, p)) / n
+
+    return CycleResult(
+        index=i, theta=theta, x_a=xs[0], x_b=xs[1], n_a=ns[0], n_b=ns[1], valid=valid
+    )
+
+
+def run_comparison(cfg):
+    """One CycleResult per cycle, in index order."""
+    q = cfg.noise.strength(cfg.t_c)
+    kind = cfg.noise.kind
+    amplitude, survival = kind.amplitude(q), kind.survival(q)
+    return [simulate_cycle(cfg, amplitude, survival, i) for i in range(cfg.cycles)]

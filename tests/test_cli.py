@@ -270,12 +270,16 @@ class TestNonFiniteAndNonPositiveNumbers:
         assert list(tmp_path.glob("*_manifest.json")) == []
 
     def test_nan_dead_time_in_config(self, tmp_path, capsys):
-        # JSON's NaN literal parses; the run must stop before simulating
-        out = tmp_path / "run"
-        cfg = small_config(tmp_path, T_d=float("nan"))
-        assert exit_code(["simulate", cfg, "--out", str(out)]) == 2
-        assert "T_d" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        # JSON's NaN and Infinity literals parse; the run must stop before
+        # simulating, as it must for an N0 past the survivor draw's int64
+        cases = (("T_d", float("nan")), ("T_c", math.inf), ("T_d", math.inf),
+                 ("f0", math.inf), ("N0", 2**63))
+        for k, (field, value) in enumerate(cases):
+            out = tmp_path / f"run{k}"
+            cfg = small_config(tmp_path, **{field: value})
+            assert exit_code(["simulate", cfg, "--out", str(out)]) == 2
+            assert field in capsys.readouterr().err
+            assert list(out.iterdir()) == []
 
 
 class TestCommonBehavior:

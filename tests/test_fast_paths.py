@@ -1,6 +1,6 @@
-"""The stacked ellipse solver and the linear-time Allan jackknife against
-the slow loops they replaced (tests/oracles.py), on random inputs and on
-the degenerate windows a batch must survive."""
+"""The stacked ellipse solver, the linear-time Allan jackknife and the
+cycle columns against the slow loops they replaced (tests/oracles.py), on
+random inputs and on the degenerate windows a batch must survive."""
 
 import math
 
@@ -10,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from erasure_sensing.clock import allan_deviation
+from erasure_sensing.clock import (
+    ComparisonConfig,
+    LaserPhaseModel,
+    allan_deviation,
+    run_comparison,
+)
 from erasure_sensing.estimation import (
     EllipseFitError,
     ellipse_fit,
     ellipse_phase_jackknife,
     phase_series_from_cycles,
 )
+from erasure_sensing.states import ChannelKind, NoiseChannel
 
 RTOL = 1e-10
 
@@ -109,6 +115,45 @@ class TestAgainstOracles:
         assert np.array_equal(res.averaging_factors, factors)
         assert np.array_equal(res.sigmas, sigmas)
         assert_close(res.errors, errors)
+
+    # More examples than the others, with N0 often small, so that runs
+    # with empty ensembles (NaN fractions) are common.
+    @settings(PROPERTY, max_examples=60)
+    @given(
+        seed=seeds,
+        kind=st.sampled_from(list(ChannelKind)),
+        by_rate=st.booleans(),
+        n0=st.integers(1, 4) | st.integers(1, 50),
+        shot_noise=st.booleans(),
+        model=st.sampled_from(list(LaserPhaseModel)),
+    )
+    def test_cycle_columns(self, seed, kind, by_rate, n0, shot_noise, model):
+        # Every column equals the per-cycle loop bit for bit, NaN included:
+        # the columns are filled from the same streams in the same order.
+        rng = np.random.default_rng(seed)
+        t_c = rng.uniform(0.1, 3.0)
+        if by_rate:
+            noise = NoiseChannel(kind, gamma=rng.uniform(0.0, 1.0))
+        else:
+            noise = NoiseChannel(kind, q=rng.choice([0.0, rng.uniform(0.0, 0.95)]))
+        cfg = ComparisonConfig(
+            phi_d=rng.uniform(0.0, math.pi), n0=n0, t_c=t_c, t_d=0.0, f0=1.0,
+            cycles=int(rng.integers(1, 200)), noise=noise, c_a=rng.uniform(),
+            c_b=rng.uniform(), laser_phase_model=model, seed=seed, shot_noise=shot_noise,
+        )
+        fast = run_comparison(cfg)
+        slow = oracles.run_comparison(cfg)
+        columns = {
+            "theta": [r.theta for r in slow],
+            "x": [(r.x_a, r.x_b) for r in slow],
+            "n": [(r.n_a, r.n_b) for r in slow],
+            "valid": [r.valid for r in slow],
+        }
+        for name, expected in columns.items():
+            expected = np.array(expected)
+            column = getattr(fast, name)
+            assert column.shape == expected.shape and column.dtype.kind == expected.dtype.kind
+            assert np.array_equal(column, expected, equal_nan=True), name
 
 
 class TestDegenerateWindows:
