@@ -214,13 +214,7 @@ def cmd_scaling(args, outdir: Path) -> dict:
     if args.kind == "both":
         kinds = [ChannelKind.ERASURE, ChannelKind.DEPOLARIZING]
     else:
-        kind = ChannelKind(args.kind)
-        if kind not in _FIXED_EXPONENTS:
-            raise ValueError(
-                "scaling curves are defined for the erasure and depolarizing "
-                "channels (or 'both')"
-            )
-        kinds = [kind]
+        kinds = [ChannelKind(args.kind)]
     grid = sorted(_parse_grid(args.q_grid, "--q-grid"))
 
     curves = {}
@@ -402,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         default="both",
-        choices=["erasure", "depolarizing", "both"],
+        choices=[k.value for k in _FIXED_EXPONENTS] + ["both"],
         help="which channel(s) to sweep",
     )
     p.add_argument(

@@ -537,59 +537,11 @@ def crb_floor(
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Optimal interrogation time and the instability there (units common to
-    both channels, so ratios are meaningful); gain is filled when two
-    channels are being compared."""
+    """Optimal interrogation time and the instability there, in units common
+    to every channel, so ratios between channels are meaningful."""
 
     t_c_star: float
     sigma_star: float
-    gain: float | None = None
-
-
-def _golden_section_min(fn, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal function, plus one parabolic
-    polish step.
-
-    The bracket is narrowed to `tol`, but near a smooth minimum the
-    function is flat to within rounding over a width of order sqrt(eps),
-    so the bracket alone cannot locate the argmin better than ~1e-8. A
-    single parabola fitted through three points spaced well outside that
-    plateau recovers the argmin to ~1e-11.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x0 = 0.5 * (a + b)
-
-    h = 1e-5 * max(1.0, abs(x0))
-    f0, fp, fm = fn(x0), fn(x0 + h), fn(x0 - h)
-    denom = fp - 2.0 * f0 + fm
-    if denom > 0.0:
-        shift = 0.5 * h * (fm - fp) / denom
-        if abs(shift) <= 2.0 * h:
-            x0 = min(max(x0 + shift, lo), hi)
-    return x0
-
-
-def _instability_model(t_c: float, t_d: float, gamma_d: float, kind: ChannelKind) -> float:
-    # sigma(T_c) ~ sqrt(T_c + T_d) / (T_c sqrt(F)) with F = (1-q)^2 for the
-    # contrast-decay channels and F = 1-q for erasure, q = 1 - exp(-gamma T).
-    if kind is ChannelKind.ERASURE:
-        penalty = math.exp(0.5 * gamma_d * t_c)
-    else:
-        penalty = math.exp(gamma_d * t_c)
-    return penalty * math.sqrt(t_c + t_d) / t_c
 
 
 def optimize_interrogation(
@@ -597,26 +549,40 @@ def optimize_interrogation(
 ) -> OptimizationResult:
     """Interrogation time minimizing the modeled instability.
 
-    The model is sigma(T_c) proportional to sqrt(T_c + T_d) / (T_c sqrt(F))
-    with q(T_c) = 1 - exp(-gamma_d T_c) and F = (1-q)^2 for the
-    contrast-decay channels (depolarizing/dephasing) or F = 1-q for
-    erasure. Minimized by golden-section search on log T_c over
-    [1e-3 / gamma_d, 1e3 / gamma_d] to relative tolerance 1e-10. With no
-    dead time the optima are 1/(2 gamma_d) and 1/gamma_d.
+    The model is sigma(T_c) proportional to sqrt(T_c + T_d) / (T_c sqrt(F)),
+    with F = survival * amplitude^2 at q = kind.strength(gamma_d T_c), which
+    is e^{-2 k gamma_d T_c} for every kind (k = 1 for depolarizing and
+    dephasing, 1/2 for erasure). In x = gamma_d T_c and d = gamma_d T_d the
+    minimum of e^{k x} sqrt(x + d) / x is the positive root of
+    2k x^2 + (2kd - 1) x - 2d = 0, taken in the form that does not cancel:
+    the standard formula while 2kd <= 1, else the one divided through by d,
+    which stays finite as d grows without bound. With no dead time the
+    optima are 1/(2 gamma_d) and 1/gamma_d.
+
+    Raises ValueError for a non-positive gamma_d, a negative t_d, or an
+    optimum whose T_c or sigma lies outside floating-point range.
     """
     if gamma_d <= 0.0:
         raise ValueError("gamma_d must be positive")
     if t_d < 0.0:
         raise ValueError("t_d must be non-negative")
-    lo = math.log(1e-3 / gamma_d)
-    hi = math.log(1e3 / gamma_d)
-    u_star = _golden_section_min(
-        lambda u: _instability_model(math.exp(u), t_d, gamma_d, kind), lo, hi, 1e-10
-    )
-    t_star = math.exp(u_star)
-    return OptimizationResult(
-        t_c_star=t_star, sigma_star=_instability_model(t_star, t_d, gamma_d, kind)
-    )
+    q = kind.strength(1.0)  # k read off the contract at gamma T = 1
+    k = -0.5 * math.log(kind.survival(q) * kind.amplitude(q) ** 2)
+    d = gamma_d * t_d
+    if 2.0 * k * d <= 1.0:
+        b = 1.0 - 2.0 * k * d
+        x = (b + math.sqrt(b * b + 16.0 * k * d)) / (4.0 * k)
+    else:
+        b = 2.0 * k - 1.0 / d
+        x = 4.0 / (math.sqrt(b * b + 16.0 * k / d) + b)
+    t_star = x / gamma_d
+    sigma_star = math.exp(k * x) * math.sqrt(t_star + t_d) / t_star
+    if not (math.isfinite(t_star) and math.isfinite(sigma_star)):
+        raise ValueError(
+            f"optimum at gamma_d = {gamma_d}, t_d = {t_d} is outside "
+            f"floating-point range (T_c* = {t_star}, sigma* = {sigma_star})"
+        )
+    return OptimizationResult(t_c_star=t_star, sigma_star=sigma_star)
 
 
 @dataclass(frozen=True)

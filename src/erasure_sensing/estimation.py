@@ -399,20 +399,11 @@ def phase_series_from_cycles(cycles, window: int, min_points: int = 6) -> np.nda
     return _fit_phases(n_windows, scatter_of)
 
 
-def save_pairs_csv(path, pairs) -> None:
-    """Write (x_a, x_b) pairs with the canonical header, full precision."""
-    pts = np.asarray(pairs, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_a", "x_b"])
-        for xa, xb in pts:
-            writer.writerow([repr(float(xa)), repr(float(xb))])
-
-
 def load_pairs_csv(path) -> np.ndarray:
-    """Read an (x_a, x_b) CSV written by save_pairs_csv or by hand.
+    """Read a CSV of (x_a, x_b) excitation pairs.
 
-    The header must be exactly `x_a,x_b`; every row must hold two floats.
+    The header must be exactly `x_a,x_b`; every row must hold two floats,
+    which are read back exactly when written with full round-trip precision.
     Raises ValueError on any malformation, naming the offending row.
     """
     path = Path(path)

@@ -196,16 +196,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def pure_density(psi) -> np.ndarray:
-    """Density matrix |psi><psi| of a (not necessarily normalized) 2-spinor."""
-    psi = np.asarray(psi, dtype=complex).reshape(2)
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise ValueError("zero state vector")
-    psi = psi / norm
-    return np.outer(psi, psi.conj())
-
-
 def bloch_density(r) -> np.ndarray:
     """Density matrix (I + r . sigma) / 2 of a Bloch vector r, |r| <= 1."""
     r = np.asarray(r, dtype=float).reshape(3)

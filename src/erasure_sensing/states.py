@@ -11,9 +11,10 @@ block-diagonal mixtures of that form, which is why a Bloch vector and a
 scalar weight suffice instead of a full 3x3 density matrix.
 
 `ChannelKind` carries the channel contract: the fringe amplitude and the
-atom survival probability that a strength-q channel leaves. Every consumer
-outside this module reads the physics from there; `apply_noise` keeps its
-own state-level formulas as the independent model the contract is checked
+atom survival probability that a strength-q channel leaves, and the rate
+law that turns a decay gamma * T into q. Every consumer outside this
+module reads the physics from there; `apply_noise` keeps its own
+state-level formulas as the independent model the contract is checked
 against. All operations are pure functions of their inputs.
 """
 
@@ -56,6 +57,16 @@ class ChannelKind(enum.Enum):
             return 1.0 - q
         return 1.0
 
+    def strength(self, decay: float) -> float:
+        """Error probability after a decay gamma * T: (1 - e^{-decay}) / 2
+        for dephasing, the Z-flip probability of a T2 decay, and
+        1 - e^{-decay} for the others. Every kind then leaves Fisher
+        information survival * amplitude^2 = e^{-2 k decay}, with k = 1 for
+        depolarizing and dephasing (amplitude e^{-decay}) and k = 1/2 for
+        erasure (survival e^{-decay})."""
+        q = 1.0 - math.exp(-decay)
+        return q / 2.0 if self is ChannelKind.DEPHASING else q
+
 
 @dataclass(frozen=True, eq=False)
 class SensorState:
@@ -81,11 +92,12 @@ class SensorState:
 class NoiseChannel:
     """One of the three noise channels, with strength given either as a
     fixed error probability q or as a rate gamma from which
-    q(T_c) = 1 - exp(-gamma * T_c) is derived.
+    q(T_c) = kind.strength(gamma * T_c) is derived.
 
-    Exactly one of `q` and `gamma` must be set. Note the dephasing channel
-    scales coherences by (1 - 2q), so its observable contrast magnitude is
-    symmetric under q -> 1 - q and vanishes at q = 1/2.
+    Exactly one of `q` and `gamma` must be set. The dephasing channel
+    scales coherences by (1 - 2q), so a q-specified dephasing contrast is
+    symmetric under q -> 1 - q and vanishes at q = 1/2; a rate never takes
+    q past 1/2, so rate-gamma dephasing decays as e^{-gamma T_c}.
     """
 
     kind: ChannelKind
@@ -108,7 +120,7 @@ class NoiseChannel:
             raise ValueError("rate-specified channel needs an interrogation time")
         if t_c < 0.0:
             raise ValueError("interrogation time must be non-negative")
-        return 1.0 - math.exp(-self.gamma * t_c)
+        return self.kind.strength(self.gamma * t_c)
 
 
 @dataclass(frozen=True)

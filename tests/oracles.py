@@ -1,10 +1,12 @@
 """Slow reference implementations that the fast paths are checked against.
 
 These are the straightforward loops the library used before its stacked
-solvers and its cycle columns: one full ellipse refit per fit window and
-per jackknife deletion, one full overlapping-ADEV evaluation per deleted
-Allan block, and one record object per simulated cycle. They are kept
-here, independent of the library code, only as test oracles.
+solvers, its cycle columns and its closed-form interrogation optimum: one
+full ellipse refit per fit window and per jackknife deletion, one full
+overlapping-ADEV evaluation per deleted Allan block, one record object per
+simulated cycle, and a golden-section search for the optimal interrogation
+time. They are kept here, independent of the library code, only as test
+oracles.
 """
 
 import math
@@ -203,3 +205,61 @@ def run_comparison(cfg):
     kind = cfg.noise.kind
     amplitude, survival = kind.amplitude(q), kind.survival(q)
     return [simulate_cycle(cfg, amplitude, survival, i) for i in range(cfg.cycles)]
+
+
+def golden_section_min(fn, lo, hi, tol):
+    """Golden-section minimum of a unimodal function, plus one parabolic
+    polish step.
+
+    The bracket is narrowed to `tol`, but near a smooth minimum the
+    function is flat to within rounding over a width of order sqrt(eps),
+    so the bracket alone cannot locate the argmin better than ~1e-8. A
+    single parabola fitted through three points spaced well outside that
+    plateau recovers the argmin to ~1e-9.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x0 = 0.5 * (a + b)
+
+    h = 1e-5 * max(1.0, abs(x0))
+    f0, fp, fm = fn(x0), fn(x0 + h), fn(x0 - h)
+    denom = fp - 2.0 * f0 + fm
+    if denom > 0.0:
+        shift = 0.5 * h * (fm - fp) / denom
+        if abs(shift) <= 2.0 * h:
+            x0 = min(max(x0 + shift, lo), hi)
+    return x0
+
+
+def optimize_interrogation(gamma_d, t_d, kind):
+    """(T_c*, sigma*) by golden-section search on log T_c over
+    [1e-3 / gamma_d, 1e3 / gamma_d], minimizing sqrt(T_c + T_d) / T_c times
+    the contract's penalty 1 / (amplitude sqrt(survival)) at
+    q = kind.strength(gamma_d T_c). Where the contract's q rounds to 1
+    (a decay past ~37) the fringe is 0 and the instability infinite."""
+
+    def sigma(t_c):
+        q = kind.strength(gamma_d * t_c)
+        fringe = kind.amplitude(q) * math.sqrt(kind.survival(q))
+        return math.sqrt(t_c + t_d) / (t_c * fringe) if fringe > 0.0 else math.inf
+
+    u_star = golden_section_min(
+        lambda u: sigma(math.exp(u)),
+        math.log(1e-3 / gamma_d),
+        math.log(1e3 / gamma_d),
+        1e-10,
+    )
+    t_star = math.exp(u_star)
+    return t_star, sigma(t_star)

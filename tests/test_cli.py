@@ -263,8 +263,12 @@ class TestNonFiniteAndNonPositiveNumbers:
         ["fisher", "depolarizing", "-q", "0.1", "--phi", "nan"],
         ["simulate", EXAMPLE_CONFIG, "--threads", "0"],
         ["simulate", EXAMPLE_CONFIG, "--threads", "-3"],
+        ["optimize", "--gamma", "1e-310"],
+        ["optimize", "--gamma", "1e308", "--dead-time-grid", "0,10"],
+        ["scaling", EXAMPLE_CONFIG, "--kind", "dephasing"],
     ], ids=["gamma-nan", "dead-time-nan", "dead-time-inf", "phi-nan",
-            "threads-zero", "threads-negative"])
+            "threads-zero", "threads-negative", "gamma-subnormal",
+            "sigma-overflow", "scaling-dephasing"])
     def test_rejected_as_usage_error(self, argv, tmp_path, capsys):
         assert exit_code(argv + ["--out", str(tmp_path)]) == 2
         assert list(tmp_path.glob("*_manifest.json")) == []

@@ -116,7 +116,9 @@ class TestConfigParsing:
 
     def test_rate_specified_noise_accepted(self):
         cfg = config(noise={"kind": "dephasing", "gamma": 0.25}, T_c=2.0)
-        assert cfg.noise.strength(cfg.t_c) == pytest.approx(1.0 - math.exp(-0.5))
+        # rate-gamma dephasing is a T2 decay: Z-flip probability
+        # (1 - e^{-gamma T_c}) / 2, amplitude e^{-gamma T_c}
+        assert cfg.noise.strength(cfg.t_c) == pytest.approx((1.0 - math.exp(-0.5)) / 2.0)
 
 
 class TestPerCycleStreams:
@@ -188,12 +190,13 @@ class TestCycleModel:
         assert abs(stats["mean_n_a"] - 700.0) < band
         assert abs(stats["mean_n_b"] - 700.0) < band
 
-    def test_rate_specified_depolarizing_decays_the_contrast(self):
-        # gamma chosen so q(T_c = 8) = 0.39: the fitted fringe amplitude
-        # should land on 1 - q = 0.61
+    @pytest.mark.parametrize("kind", ["depolarizing", "dephasing"])
+    def test_rate_specified_channel_decays_the_contrast(self, kind):
+        # gamma chosen so e^{-gamma T_c} = 0.61 at T_c = 8: the fitted fringe
+        # amplitude of either contrast-decay channel should land on 0.61
         gamma = -math.log(0.61) / 8.0
         cfg = config(N0=2000, cycles=600, T_c=8.0, seed=1,
-                     noise={"kind": "depolarizing", "gamma": gamma})
+                     noise={"kind": kind, "gamma": gamma})
         res = ellipse_fit(valid_pairs(run_comparison(cfg, threads=4)))
         assert res.contrast_a == pytest.approx(0.61, abs=0.006)
         assert res.contrast_b == pytest.approx(0.61, abs=0.006)
@@ -338,6 +341,12 @@ class TestOptimizer:
             era = optimize_interrogation(gamma, 0.0, ChannelKind.ERASURE)
             assert dep.t_c_star == pytest.approx(1.0 / (2.0 * gamma), abs=1e-8, rel=0)
             assert era.t_c_star == pytest.approx(1.0 / gamma, abs=1e-8, rel=0)
+        # the closed-form root holds across the floating-point range
+        for gamma in (1e-300, 1e-6, 1e6, 1e300):
+            dep = optimize_interrogation(gamma, 0.0, ChannelKind.DEPOLARIZING)
+            era = optimize_interrogation(gamma, 0.0, ChannelKind.ERASURE)
+            assert dep.t_c_star == pytest.approx(1.0 / (2.0 * gamma), rel=1e-12)
+            assert era.t_c_star == pytest.approx(1.0 / gamma, rel=1e-12)
 
     def test_dephasing_shares_the_depolarizing_optimum(self):
         dep = optimize_interrogation(2.0, 0.0, ChannelKind.DEPHASING)

@@ -1,6 +1,7 @@
-"""The stacked ellipse solver, the linear-time Allan jackknife and the
-cycle columns against the slow loops they replaced (tests/oracles.py), on
-random inputs and on the degenerate windows a batch must survive."""
+"""The stacked ellipse solver, the linear-time Allan jackknife, the cycle
+columns and the closed-form interrogation optimum against the slow paths
+they replaced (tests/oracles.py), on random inputs and on the degenerate
+windows a batch must survive."""
 
 import math
 
@@ -14,6 +15,7 @@ from erasure_sensing.clock import (
     ComparisonConfig,
     LaserPhaseModel,
     allan_deviation,
+    optimize_interrogation,
     run_comparison,
 )
 from erasure_sensing.estimation import (
@@ -154,6 +156,20 @@ class TestAgainstOracles:
             column = getattr(fast, name)
             assert column.shape == expected.shape and column.dtype.kind == expected.dtype.kind
             assert np.array_equal(column, expected, equal_nan=True), name
+
+    @PROPERTY
+    @given(
+        kind=st.sampled_from(list(ChannelKind)),
+        gamma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        t_d=st.just(0.0) | st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    )
+    def test_interrogation_optimum(self, kind, gamma, t_d):
+        # The closed-form root is the search's argmin to the search's own
+        # precision, and no search finds a lower instability.
+        fast = optimize_interrogation(gamma, t_d, kind)
+        t_star, sigma_star = oracles.optimize_interrogation(gamma, t_d, kind)
+        assert fast.t_c_star == pytest.approx(t_star, rel=1e-8)
+        assert fast.sigma_star <= sigma_star * (1.0 + 1e-12)
 
 
 class TestDegenerateWindows:

@@ -17,7 +17,6 @@ from erasure_sensing.fisher import (
     fisher_depolarizing,
     fisher_erasure,
     fisher_information,
-    pure_density,
     qfi_depolarized,
     qfi_pure_generator,
 )
@@ -159,10 +158,6 @@ class TestQuantumFisher:
     def test_generator_eigenstate_carries_no_information(self):
         rho = bloch_density([0.0, 0.0, 1.0])
         assert qfi_pure_generator(rho, HALF_SIGMA_Z) == pytest.approx(0.0, abs=1e-12)
-
-    def test_pure_density_helper_agrees_with_bloch_form(self):
-        psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        assert np.allclose(pure_density(psi), bloch_density([1.0, 0.0, 0.0]), atol=1e-15)
 
     def test_depolarized_factorization_scaled_vs_direct(self):
         rng = np.random.default_rng(31)

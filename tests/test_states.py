@@ -125,6 +125,17 @@ class TestChannels:
                                rtol=0.0, atol=1e-15)
             assert kind.survival(q) == pytest.approx(1.0 - out.erasure_weight, abs=1e-15)
 
+    @pytest.mark.parametrize("kind, k", [(ChannelKind.DEPOLARIZING, 1.0),
+                                         (ChannelKind.DEPHASING, 1.0),
+                                         (ChannelKind.ERASURE, 0.5)])
+    def test_rate_law_decays_the_information(self, kind, k):
+        # survival * amplitude^2 at q = strength(decay) is e^{-2 k decay}:
+        # erasure halves the exponent of the contrast-decay channels
+        for decay in (0.0, 0.1, 1.0, 3.0):
+            q = kind.strength(decay)
+            information = kind.survival(q) * kind.amplitude(q) ** 2
+            assert information == pytest.approx(math.exp(-2.0 * k * decay), rel=1e-13)
+
 
 class TestMeasurement:
     def test_aligned_and_anti_aligned_states_are_deterministic(self):
