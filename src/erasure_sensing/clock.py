@@ -12,10 +12,13 @@ scaling curves, and interrogation-time optimization under dead time.
 A run is held as columns (CycleRecord), and analyze_comparison is the one
 path from a config to its Allan deviation, for `simulate` and for scaling.
 
-Determinism contract: every cycle gets its own counter-based random stream
-derived from (seed, cycle_index) and draws from it in a documented order
-(run_comparison), so results are bit-identical for a given config; the
-threads arguments and flags are accepted but change nothing.
+Determinism contract: cycle i draws, in a documented order
+(run_comparison), from its own counter-based stream
+Philox(SeedSequence(entropy=seed, spawn_key=(i,))), so results are
+bit-identical for a given config; the threads arguments and flags are
+accepted but change nothing. The simulator does not build those sequences:
+it derives their Philox keys in vectorized chunks (_cycle_keys) and re-keys
+one generator per cycle (_cycle_streams), which yields the same bits.
 """
 
 from __future__ import annotations
@@ -228,28 +231,116 @@ class CycleRecord:
     valid: np.ndarray
 
 
-def cycle_rng(seed: int, cycle_index: int) -> np.random.Generator:
-    """Counter-based random stream for one cycle.
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, pool of 4
+# uint32 words), and the cycles whose Philox keys are derived at a time.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_KEY_CHUNK = 4096
 
-    Philox keyed through SeedSequence(entropy=seed, spawn_key=(index,))
-    makes the stream a pure function of (seed, cycle_index), independent of
-    execution order and thread count.
+
+def _hashmix(value, const: int, mult: int):
+    """One SeedSequence hash of a word (a Python int or a uint32 array),
+    returned with the advanced hash constant."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words. Each product is reduced before the
+    subtraction so that a Python int operand stays in uint32 range where
+    the other operand is a uint32 array."""
+    r =((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _cycle_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, 2) uint64 Philox keys of cycles start .. stop - 1.
+
+    Row k equals SeedSequence(entropy=seed, spawn_key=(start + k,))
+    .generate_state(2, np.uint64), the key Philox takes from that sequence.
+    The sequence's entropy is the seed's two 32-bit words zero-padded to
+    the pool size, then the index's words (one below 2^32, two above).
+    Hashing and cross-mixing the seed's words does not depend on the index,
+    so it runs once on Python ints; absorbing the index words and hashing
+    the pool out run on uint32 arrays. All of it is integer arithmetic
+    modulo 2^32, so the keys are exact.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(cycle_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    seed = int(seed)  # a numpy integer seed would warn as its products wrap
+    const = _INIT_A
+    pool = []
+    for word in (seed & _MASK32, seed >> 32, 0, 0):
+        h, const = _hashmix(word, const, _MULT_A)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+
+    def absorb(pool, word, const):
+        mixed = []
+        for p in pool:
+            h, const = _hashmix(word, const, _MULT_A)
+            mixed.append(_mix(p, h))
+        return mixed, const
+
+    index = np.arange(start, stop, dtype=np.uint64)
+    pool, const = absorb(pool, (index & _MASK32).astype(np.uint32), const)
+    if stop > 1 << 32:
+        high = (index >> 32).astype(np.uint32)
+        again, _ = absorb(pool, high, const)
+        pool = [np.where(high > 0, b, a) for a, b in zip(pool, again)]
+
+    const, words = _INIT_B, []
+    for p in pool:
+        h, const = _hashmix(p, const, _MULT_B)
+        words.append(h)
+    # two little-endian word pairs per key, as generate_state assembles them
+    return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _cycle_streams(seed: int, count: int):
+    """Yield (i, rng) for cycles 0 .. count - 1, where rng draws exactly the
+    stream of Generator(Philox(SeedSequence(entropy=seed, spawn_key=(i,)))).
+
+    One Philox generator serves every cycle: before each it is reset to the
+    state a fresh Philox on that cycle's sequence starts in (counter 0,
+    empty buffer, that cycle's key). The keys come from _cycle_keys a chunk
+    at a time, so memory stays bounded for any count.
+    """
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    # Plain lists, not the arrays bitgen.state returns: the setter reads
+    # them element by element, and Python ints are the cheapest to read.
+    philox = {"counter": [0, 0, 0, 0], "key": None}
+    fresh = {"bit_generator": "Philox", "state": philox, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for lo in range(0, count, _KEY_CHUNK):
+        keys = _cycle_keys(seed, lo, min(lo + _KEY_CHUNK, count)).tolist()
+        for i, key in enumerate(keys, lo):
+            philox["key"] = key
+            bitgen.state = fresh
+            yield i, rng
 
 
 def run_comparison(config: ComparisonConfig, threads: int = 1) -> CycleRecord:
     """Simulate every cycle of the comparison into a CycleRecord.
 
-    Cycle i draws from cycle_rng(seed, i) in this fixed order, on which
-    every output depends: theta ~ U[0, 2 pi) (UniformRandomPerCycle only;
-    FixedSweep sets theta = 2 pi i / cycles); then for ensemble a and then
-    b, survivors ~ Binomial(N0, survival) if the channel loses atoms, and
-    excitations ~ Binomial(survivors, p) with shot noise and survivors > 0.
-    Without shot noise a fraction is the Born probability p itself. At
-    q = 0 every channel has amplitude and survival 1, so all three kinds
-    draw alike and their noiseless runs are equal.
+    Cycle i draws from Philox(SeedSequence(entropy=seed, spawn_key=(i,))),
+    a stream that is a pure function of (seed, i), in this fixed order, on
+    which every output depends: theta ~ U[0, 2 pi) (UniformRandomPerCycle
+    only; FixedSweep sets theta = 2 pi i / cycles); then for ensemble a and
+    then b, survivors ~ Binomial(N0, survival) if the channel loses atoms,
+    and excitations ~ Binomial(survivors, p) with shot noise and
+    survivors > 0. Without shot noise a fraction is the Born probability p
+    itself. At q = 0 every channel has amplitude and survival 1, so all
+    three kinds draw alike and their noiseless runs are equal.
+
+    The streams come from _cycle_streams, one re-keyed generator that is
+    bit-identical to building each cycle's generator from its sequence.
 
     threads is accepted for compatibility and changes nothing: the loop
     holds the GIL, and a thread pool over it measured no faster.
@@ -263,9 +354,9 @@ def run_comparison(config: ComparisonConfig, threads: int = 1) -> CycleRecord:
     theta = np.empty(count)
     x = np.empty((count, 2))
     n = np.empty((count, 2), dtype=np.int64)
-    for i in range(count):
-        rng = cycle_rng(config.seed, i)
-        th = rng.uniform(0.0, TWO_PI) if random_phase else TWO_PI * i / count
+    for i, rng in _cycle_streams(config.seed, count):
+        # bit-identical to rng.uniform(0.0, TWO_PI), which is 0.0 + TWO_PI * u
+        th = TWO_PI * rng.random() if random_phase else TWO_PI * i / count
         theta[i] = th
         for side, phi_off, contrast in sides:
             atoms = int(rng.binomial(config.n0, survival)) if survival < 1.0 else config.n0

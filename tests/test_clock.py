@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from erasure_sensing import clock
+from erasure_sensing.cli import DEFAULT_SEED
 from erasure_sensing.clock import (
     ComparisonConfig,
     LaserPhaseModel,
     allan_deviation,
     comparison_stats,
     crb_floor,
-    cycle_rng,
     erasure_conversion_gain,
     erasure_conversion_gain_curve,
     fit_fixed_form_intercept,
@@ -121,13 +121,44 @@ class TestConfigParsing:
         assert cfg.noise.strength(cfg.t_c) == pytest.approx((1.0 - math.exp(-0.5)) / 2.0)
 
 
+def seed_sequence_key(seed, i):
+    """The Philox key numpy derives from the SeedSequence of cycle i."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+
+
 class TestPerCycleStreams:
     def test_streams_are_reproducible_and_distinct(self):
-        a = cycle_rng(7, 3).random(4)
-        b = cycle_rng(7, 3).random(4)
-        c = cycle_rng(7, 4).random(4)
+        a = clock._cycle_keys(7, 3, 4)
+        b = clock._cycle_keys(7, 3, 4)
+        c = clock._cycle_keys(7, 4, 5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, DEFAULT_SEED])
+    def test_keys_equal_seed_sequence_keys(self, seed):
+        # Indices from 2^32 on have two spawn words; the last range
+        # straddles the boundary between two chunks of keys.
+        for i in (0, 1, 2, 2**32 - 1, 2**32, 2**32 + 7):
+            keys = clock._cycle_keys(seed, i, i + 1)
+            assert keys.dtype == np.uint64
+            assert np.array_equal(keys, [seed_sequence_key(seed, i)])
+        lo, hi = clock._KEY_CHUNK - 3, clock._KEY_CHUNK + 3
+        expected = [seed_sequence_key(seed, i) for i in range(lo, hi)]
+        assert np.array_equal(clock._cycle_keys(seed, lo, hi), expected)
+
+    def test_shared_generator_draws_each_cycles_fresh_stream(self):
+        # Mixed draws leave the buffer and the cached 32-bit half in use,
+        # and the cycles cross a chunk of keys: every cycle must still
+        # start exactly where a fresh generator on its sequence starts.
+        def draws(gen):
+            words = gen.integers(2**32, size=3, dtype=np.uint32).tolist()
+            return gen.random(), words, gen.binomial(3000, 0.7)
+
+        count = clock._KEY_CHUNK + 2
+        for i, rng in clock._cycle_streams(DEFAULT_SEED, count):
+            if i >= count - 6:
+                ss = np.random.SeedSequence(entropy=DEFAULT_SEED, spawn_key=(i,))
+                assert draws(rng) == draws(np.random.Generator(np.random.Philox(ss)))
 
     def test_cycle_results_independent_of_execution_order(self):
         cfg = config(cycles=200)

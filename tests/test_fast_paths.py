@@ -119,13 +119,16 @@ class TestAgainstOracles:
         assert_close(res.errors, errors)
 
     # More examples than the others, with N0 often small, so that runs
-    # with empty ensembles (NaN fractions) are common.
+    # with empty ensembles (NaN fractions) are common, and sometimes in the
+    # thousands, where numpy's binomial switches to BTPE and caches its
+    # setup in the one Generator that run_comparison re-keys per cycle.
+    # The seed spans the config's full unsigned 64-bit range.
     @settings(PROPERTY, max_examples=60)
     @given(
-        seed=seeds,
+        seed=st.integers(0, 2**64 - 1),
         kind=st.sampled_from(list(ChannelKind)),
         by_rate=st.booleans(),
-        n0=st.integers(1, 4) | st.integers(1, 50),
+        n0=st.integers(1, 4) | st.integers(1, 50) | st.integers(1000, 5000),
         shot_noise=st.booleans(),
         model=st.sampled_from(list(LaserPhaseModel)),
     )
