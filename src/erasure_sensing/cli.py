@@ -36,7 +36,6 @@ from .clock import (
 )
 from .estimation import EllipseFitError, ellipse_fit, load_pairs_csv
 from .fisher import (
-    DegenerateStateError,
     SingularFisherError,
     channel_outcome_model,
     classical_fisher_numeric,
@@ -452,7 +451,7 @@ def main(argv=None) -> int:
         record = args.func(args, outdir)
         _write_manifest(outdir, args.subcommand, started, **record)
         return EXIT_OK
-    except (SingularFisherError, DegenerateStateError) as exc:
+    except SingularFisherError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except SimulationDegeneracyError as exc:

@@ -168,8 +168,6 @@ class ComparisonConfig:
         model = _choice(
             data["laser_phase_model"], "laser_phase_model", _PHASE_MODEL_NAMES
         )
-        if not isinstance(data["shot_noise"], bool):
-            raise ValueError("field 'shot_noise' must be a boolean")
         for name in ("N0", "cycles", "seed"):
             if isinstance(data[name], bool) or not isinstance(data[name], int):
                 raise ValueError(f"field '{name}' must be an integer")

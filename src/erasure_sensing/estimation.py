@@ -139,6 +139,9 @@ class EllipseFitResult:
         }
 
 
+# A conic has six coefficients, so a fit needs at least this many points.
+_CONIC_DOF = 6
+
 # Fits are solved this many at a time: the stacked design rows and scatter
 # matrices of one chunk stay a few MB however many windows or deletions a
 # call has.
@@ -292,7 +295,7 @@ def _fit_phases(count: int, scatter_of) -> np.ndarray:
     return phases
 
 
-def ellipse_fit(points, min_points: int = 6) -> EllipseFitResult:
+def ellipse_fit(points, min_points: int = _CONIC_DOF) -> EllipseFitResult:
     """Fit an ellipse to (x_a, x_b) pairs and extract the differential phase.
 
     Needs at least min_points (default 6, the degrees of freedom of a conic)
@@ -310,8 +313,10 @@ def ellipse_fit(points, min_points: int = 6) -> EllipseFitResult:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array of pairs")
-    if min_points < 6:
-        raise ValueError("min_points must be at least 6 (conic degrees of freedom)")
+    if min_points < _CONIC_DOF:
+        raise ValueError(
+            f"min_points must be at least {_CONIC_DOF} (conic degrees of freedom)"
+        )
     n = pts.shape[0]
     if n < min_points:
         raise ValueError(f"need at least {min_points} points, got {n}")
@@ -337,7 +342,7 @@ def ellipse_fit(points, min_points: int = 6) -> EllipseFitResult:
     )
 
 
-def ellipse_phase_jackknife(points, min_points: int = 6) -> tuple[float, float]:
+def ellipse_phase_jackknife(points) -> tuple[float, float]:
     """Full-sample phase and its delete-one jackknife standard error.
 
     stderr = sqrt((n-1)/n * sum (phi_i - mean)^2) over the phases phi_i of
@@ -350,10 +355,10 @@ def ellipse_phase_jackknife(points, min_points: int = 6) -> tuple[float, float]:
     dropped from the resampling sum.
     """
     pts = np.asarray(points, dtype=float)
-    full = ellipse_fit(pts, min_points=min_points).phi_d
+    full = ellipse_fit(pts).phi_d
     n = pts.shape[0]
-    if n < min_points + 1:
-        raise ValueError("jackknife needs at least min_points + 1 points")
+    if n < _CONIC_DOF + 1:
+        raise ValueError(f"jackknife needs at least {_CONIC_DOF + 1} points, got {n}")
     rows, centre = _centred_rows(pts)
     total = _scatter(rows)
     loo = _fit_phases(
@@ -367,7 +372,7 @@ def ellipse_phase_jackknife(points, min_points: int = 6) -> tuple[float, float]:
     return full, stderr
 
 
-def phase_series_from_cycles(cycles, window: int, min_points: int = 6) -> np.ndarray:
+def phase_series_from_cycles(cycles, window: int) -> np.ndarray:
     """Differential-phase time series from consecutive non-overlapping windows.
 
     Each window of `window` pairs produces one ellipse phase, fitted on
@@ -375,14 +380,17 @@ def phase_series_from_cycles(cycles, window: int, min_points: int = 6) -> np.nda
     would fit it; windows whose fit is rejected are recorded as NaN gaps.
     Every window's scatter matrix comes from one einsum and the fits are
     solved as one stack, a chunk of windows at a time. Trailing cycles that
-    do not fill a window are ignored. Requires window >= min_points and at
-    least two full windows of data.
+    do not fill a window are ignored. Requires window >= 6, the degrees of
+    freedom of a conic, and at least two full windows of data.
     """
     pts = np.asarray(cycles, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("cycles must be an (n, 2) array of pairs")
-    if window < min_points:
-        raise ValueError(f"window must be at least min_points = {min_points}")
+    if window < _CONIC_DOF:
+        raise ValueError(
+            f"window must be at least {_CONIC_DOF} (conic degrees of freedom), "
+            f"got {window}"
+        )
     if pts.shape[0] < 2 * window:
         raise ValueError(
             f"need at least 2 windows = {2 * window} cycles, got {pts.shape[0]}"

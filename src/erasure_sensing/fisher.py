@@ -3,9 +3,9 @@
 Closed-form classical Fisher information of any channel, read off the
 channel contract on `ChannelKind` as survival times the fringe information
 at the channel's amplitude; a central-difference numeric evaluator that
-serves as the oracle for the closed forms; the single-qubit quantum Fisher
-information F = 4 (2 tr(rho^2) - 1) |<eta_0| H |eta_1>|^2 built on a
-closed-form 2x2 eigendecomposition; and the convexity upper bound (1 - q) F.
+serves as the oracle for the closed forms; and the single-qubit quantum
+Fisher information F = 4 (2 tr(rho^2) - 1) |<eta_0| H |eta_1>|^2, evaluated
+in Bloch form as 4 |h x r|^2, with its depolarized form (1 - q)^2 F.
 
 Everything here is pure and re-entrant.
 """
@@ -19,7 +19,6 @@ import numpy as np
 
 from .states import (
     ChannelKind,
-    MeasurementBasis,
     OutcomeDistribution,
     accumulate_phase,
     apply_noise,
@@ -33,7 +32,7 @@ _PROB_FLOOR = 1e-14
 # At such a zero the derivative must also vanish (quadratic zero) for the
 # Fisher sum to stay finite; this is the tolerance on "vanish".
 _DERIV_FLOOR = 1e-10
-# Eigenvalue gap below which a 2x2 density matrix counts as degenerate.
+# Eigenvalue gap |r| below which a 2x2 density matrix counts as degenerate.
 _DEGENERACY_GAP = 1e-10
 
 _HERMITIAN_TOL = 1e-12
@@ -45,8 +44,9 @@ class SingularFisherError(ArithmeticError):
 
 
 class DegenerateStateError(ArithmeticError):
-    """The quantum Fisher formula needs a non-degenerate eigendecomposition
-    of the input state and rho has (numerically) equal eigenvalues."""
+    """The quantum Fisher formula needs a state with distinct eigenvalues,
+    and rho's eigenvalue gap, the length of its Bloch vector, is
+    (numerically) zero."""
 
 
 def channel_outcome_model(
@@ -55,14 +55,13 @@ def channel_outcome_model(
     """Return phi -> OutcomeDistribution for one channel and readout basis.
 
     The model prepares |+>, accumulates phi, applies the channel at strength
-    q, and measures in the |+/- theta> basis with erasure detection on.
+    q, and measures in the |+/- theta> basis with the leak level resolved.
     """
-    basis = MeasurementBasis(theta)
 
     def model(phi: float) -> OutcomeDistribution:
         state = accumulate_phase(prepare_plus(), phi)
         state = apply_noise(state, kind, q)
-        return measure_probs(state, basis, erasure_detection=True)
+        return measure_probs(state, theta)
 
     return model
 
@@ -176,19 +175,6 @@ def fisher_erasure(q, delta=0.0):
     return fisher_information(ChannelKind.ERASURE, q, delta)
 
 
-def convexity_upper_bound(q: float, noiseless_qfi: float) -> float:
-    """Upper bound (1 - q) * F on the information after any strength-q fault.
-
-    Mixing the clean phase-encoded state with any faulty branch at weight q
-    can keep at most the surviving fraction of the original information.
-    The erasure channel attains this bound; depolarizing falls short of it
-    by an extra factor (1 - q).
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    return (1.0 - q) * noiseless_qfi
-
-
 # Quantum Fisher information
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -205,71 +191,50 @@ def bloch_density(r) -> np.ndarray:
     return (eye + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2.0
 
 
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check shape, hermiticity, unit trace, and eigenvalue range of a 2x2
-    density matrix; returns the matrix as a complex array."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("density matrix must be 2x2")
-    if np.max(np.abs(rho - rho.conj().T)) > _HERMITIAN_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > _HERMITIAN_TOL:
-        raise ValueError(f"density matrix trace is {tr}, not 1")
-    lo, hi = _eig2_hermitian(rho)[0]
-    if lo < -_HERMITIAN_TOL or hi > 1.0 + _HERMITIAN_TOL:
-        raise ValueError(f"eigenvalues ({lo}, {hi}) outside [0, 1]")
-    return rho
-
-
-def _eig2_hermitian(m: np.ndarray):
-    """Closed-form eigendecomposition of a 2x2 Hermitian matrix.
-
-    Returns ((lam0, lam1), V) with lam0 <= lam1 and unit eigenvector columns
-    V[:, 0], V[:, 1].
-    """
-    a = m[0, 0].real
-    d = m[1, 1].real
+def _bloch(m: np.ndarray) -> np.ndarray:
+    """Bloch components (2 Re m01, -2 Im m01, m00 - m11) of a 2x2 Hermitian
+    m = (tr m I + r . sigma) / 2."""
     b = m[0, 1]
-    s = math.hypot(a - d, 2.0 * abs(b))
-    lam0 = (a + d - s) / 2.0
-    lam1 = (a + d + s) / 2.0
-    if abs(b) < 1e-300:
-        if a <= d:
-            vecs = np.eye(2, dtype=complex)
-        else:
-            vecs = np.eye(2, dtype=complex)[:, ::-1]
-        return (lam0, lam1), vecs
-    # (m - lam I) v = 0 is solved by v = (b, lam - a), nonzero since b != 0.
-    v0 = np.array([b, lam0 - a], dtype=complex)
-    v1 = np.array([b, lam1 - a], dtype=complex)
-    v0 /= np.linalg.norm(v0)
-    v1 /= np.linalg.norm(v1)
-    return (lam0, lam1), np.column_stack([v0, v1])
+    return np.array([2.0 * b.real, -2.0 * b.imag, m[0, 0].real - m[1, 1].real])
 
 
 def qfi_pure_generator(rho0: np.ndarray, generator: np.ndarray) -> float:
     """Quantum Fisher information 4 (2 tr(rho^2) - 1) |<eta_0|H|eta_1>|^2.
 
-    rho0 must be a valid 2x2 density matrix with an eigenvalue gap above
-    1e-10; eta_0, eta_1 are its eigenvectors and H the phase generator.
-    A degenerate input (for example the maximally mixed state) raises
-    DegenerateStateError: the formula is undefined there.
+    rho0 must be a 2x2 Hermitian matrix of unit trace with eigenvalues in
+    [0, 1] and an eigenvalue gap above 1e-10; eta_0, eta_1 are its
+    eigenvectors and H the Hermitian phase generator. In Bloch form, with r
+    the Bloch vector of rho0 and h half that of H, the gap is |r|, the
+    purity term is |r|^2 and the matrix element squared is |h x r/|r||^2,
+    so F = 4 |h x r|^2 needs no eigendecomposition. A degenerate input (for
+    example the maximally mixed state) raises DegenerateStateError: the
+    formula is undefined there.
     """
-    rho0 = validate_density_matrix(rho0)
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (2, 2):
+        raise ValueError("density matrix must be 2x2")
+    if np.max(np.abs(rho0 - rho0.conj().T)) > _HERMITIAN_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    tr = complex(np.trace(rho0))
+    if abs(tr - 1.0) > _HERMITIAN_TOL:
+        raise ValueError(f"density matrix trace is {tr}, not 1")
+    r = _bloch(rho0)
+    gap = math.hypot(r[2], 2.0 * abs(rho0[0, 1]))
+    lo, hi = (tr.real - gap) / 2.0, (tr.real + gap) / 2.0
+    if lo < -_HERMITIAN_TOL or hi > 1.0 + _HERMITIAN_TOL:
+        raise ValueError(f"eigenvalues ({lo}, {hi}) outside [0, 1]")
     generator = np.asarray(generator, dtype=complex)
     if generator.shape != (2, 2):
         raise ValueError("generator must be 2x2")
     if np.max(np.abs(generator - generator.conj().T)) > _HERMITIAN_TOL:
         raise ValueError("generator is not Hermitian")
-    (lam0, lam1), vecs = _eig2_hermitian(rho0)
-    if lam1 - lam0 <= _DEGENERACY_GAP:
+    # tested as the eigenvalues' difference, which can round away from |r|
+    # in the last digit, so the threshold falls where it always has
+    if hi - lo <= _DEGENERACY_GAP:
         raise DegenerateStateError(
-            f"QFI formula undefined at degenerate input (gap {lam1 - lam0})"
+            f"QFI formula undefined at degenerate input (gap {hi - lo})"
         )
-    purity = float(np.real(np.trace(rho0 @ rho0)))
-    element = vecs[:, 0].conj() @ (generator @ vecs[:, 1])
-    return 4.0 * (2.0 * purity - 1.0) * float(abs(element)) ** 2
+    return 4.0 * float(np.sum(np.cross(_bloch(generator) / 2.0, r) ** 2))
 
 
 def qfi_depolarized(
@@ -281,8 +246,8 @@ def qfi_depolarized(
     """Quantum Fisher information after depolarizing the input at strength q.
 
     method="scaled" uses the factorization F((1-q) rho + q I/2) =
-    (1-q)^2 F(rho). method="direct" eigendecomposes the depolarized state
-    and applies the base formula, providing an independent cross-check;
+    (1-q)^2 F(rho). method="direct" builds the depolarized state and
+    applies the base formula to it, providing an independent cross-check;
     the two agree to near machine precision for every valid input.
     """
     if not 0.0 <= q < 1.0:

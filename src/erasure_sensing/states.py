@@ -12,10 +12,14 @@ scalar weight suffice instead of a full 3x3 density matrix.
 
 `ChannelKind` carries the channel contract: the fringe amplitude and the
 atom survival probability that a strength-q channel leaves, and the rate
-law that turns a decay gamma * T into q. Every consumer outside this
-module reads the physics from there; `apply_noise` keeps its own
-state-level formulas as the independent model the contract is checked
-against. All operations are pure functions of their inputs.
+law that turns a decay gamma * T into q; `NoiseChannel` is a configured
+channel, a kind with a fixed q or a rate gamma. Every consumer outside this
+module reads the physics from the contract except the numeric Fisher
+oracle, whose outcome model (`fisher.channel_outcome_model`) chains
+`prepare_plus`, `accumulate_phase`, `apply_noise` and `measure_probs`:
+their state-level formulas are written independently of the contract, so
+each is checked against the other. All operations are pure functions of
+their inputs.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ TWO_PI = 2.0 * math.pi
 # fringe extrema and clamped to zero; anything worse is a real error.
 _NEGATIVE_TOL = 1e-14
 _SUM_TOL = 1e-12
-_LEAK_TOL = 1e-12
 
 
 class ChannelKind(enum.Enum):
@@ -124,16 +127,6 @@ class NoiseChannel:
 
 
 @dataclass(frozen=True)
-class MeasurementBasis:
-    """Readout basis |+/- theta> = (|0> +/- e^{i theta} |1>) / sqrt(2)."""
-
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-
-
-@dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities over the three terminal outcomes {plus, minus, erasure}."""
 
@@ -174,11 +167,7 @@ def accumulate_phase(state: SensorState, phi: float) -> SensorState:
     )
 
 
-def apply_noise(
-    state: SensorState,
-    channel: NoiseChannel | ChannelKind,
-    q: float | None = None,
-) -> SensorState:
+def apply_noise(state: SensorState, kind: ChannelKind, q: float) -> SensorState:
     """Apply one noise channel of strength q.
 
     Depolarizing shrinks the whole Bloch vector by (1 - q). Dephasing shrinks
@@ -186,14 +175,6 @@ def apply_noise(
     remaining qubit population to the leak level and leaves the normalized
     qubit-subspace Bloch vector exactly as it was.
     """
-    if isinstance(channel, NoiseChannel):
-        kind = channel.kind
-        if q is None:
-            q = channel.strength()
-    else:
-        kind = channel
-        if q is None:
-            raise ValueError("q is required when only a channel kind is given")
     q = float(q)
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
@@ -210,28 +191,17 @@ def apply_noise(
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
-def measure_probs(
-    state: SensorState,
-    basis: MeasurementBasis,
-    erasure_detection: bool = True,
-) -> OutcomeDistribution:
-    """Terminal measurement distribution in the basis |+/- theta>.
+def measure_probs(state: SensorState, theta: float) -> OutcomeDistribution:
+    """Terminal measurement distribution in the basis
+    |+/- theta> = (|0> +/- e^{i theta} |1>) / sqrt(2), theta taken mod 2 pi.
 
-    With erasure detection the leak level is resolved as its own outcome:
-    p_erasure equals the leak weight and the +/- branch carries the rest.
-    Without detection the state must be leak-free (undetected-leakage
-    modeling is out of scope) and p_erasure is exactly 0.
+    The leak level is resolved as its own outcome: p_erasure equals the leak
+    weight and the +/- branch carries the rest.
     """
+    theta = float(theta) % TWO_PI
     w = state.erasure_weight
-    if not erasure_detection:
-        if w > _LEAK_TOL:
-            raise ValueError(
-                "erasure detection disabled but the state has leak population "
-                f"{w}; only leak-free pipelines may disable detection"
-            )
-        w = 0.0
     bx, by, _ = state.bloch
-    proj = bx * math.cos(basis.theta) + by * math.sin(basis.theta)
+    proj = bx * math.cos(theta) + by * math.sin(theta)
     p_plus = (1.0 - w) * (1.0 + proj) / 2.0
     p_minus = (1.0 - w) * (1.0 - proj) / 2.0
     return OutcomeDistribution(p_plus=p_plus, p_minus=p_minus, p_erasure=w)

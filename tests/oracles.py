@@ -5,8 +5,9 @@ solvers, its cycle columns and its closed-form interrogation optimum: one
 full ellipse refit per fit window and per jackknife deletion, one full
 overlapping-ADEV evaluation per deleted Allan block, one record object per
 simulated cycle, and a golden-section search for the optimal interrogation
-time. They are kept here, independent of the library code, only as test
-oracles.
+time; plus the paper's eigenvector form of the qubit quantum Fisher
+information, which the library evaluates in Bloch form. They are kept
+here, independent of the library code, only as test oracles.
 """
 
 import math
@@ -263,3 +264,14 @@ def optimize_interrogation(gamma_d, t_d, kind):
     )
     t_star = math.exp(u_star)
     return t_star, sigma(t_star)
+
+
+def qfi(rho, generator):
+    """The paper's qubit quantum Fisher information
+    4 (2 tr(rho^2) - 1) |<eta_0|H|eta_1>|^2, with rho's eigenvectors eta_0,
+    eta_1 from a general Hermitian eigensolver."""
+    rho = np.asarray(rho, dtype=complex)
+    _, eta = np.linalg.eigh(rho)
+    purity = np.trace(rho @ rho).real
+    element = eta[:, 0].conj() @ np.asarray(generator, dtype=complex) @ eta[:, 1]
+    return 4.0 * (2.0 * purity - 1.0) * abs(element) ** 2

@@ -83,6 +83,8 @@ class TestConfigParsing:
             ComparisonConfig.from_dict(dict(BASE, phi_d="wide"))
         with pytest.raises(ValueError, match="laser_phase_model"):
             ComparisonConfig.from_dict(dict(BASE, laser_phase_model=["FixedSweep"]))
+        with pytest.raises(ValueError, match="shot_noise"):
+            ComparisonConfig.from_dict(dict(BASE, shot_noise="yes"))
 
     def test_noise_subobject_validated(self):
         with pytest.raises(ValueError):

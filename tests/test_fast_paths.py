@@ -1,7 +1,7 @@
 """The stacked ellipse solver, the linear-time Allan jackknife, the cycle
-columns and the closed-form interrogation optimum against the slow paths
-they replaced (tests/oracles.py), on random inputs and on the degenerate
-windows a batch must survive."""
+columns, the closed-form interrogation optimum and the Bloch-form quantum
+Fisher information against the slow paths they replaced (tests/oracles.py),
+on random inputs and on the degenerate windows a batch must survive."""
 
 import math
 
@@ -24,6 +24,7 @@ from erasure_sensing.estimation import (
     ellipse_phase_jackknife,
     phase_series_from_cycles,
 )
+from erasure_sensing.fisher import bloch_density, qfi_depolarized, qfi_pure_generator
 from erasure_sensing.states import ChannelKind, NoiseChannel
 
 RTOL = 1e-10
@@ -174,6 +175,25 @@ class TestAgainstOracles:
         assert fast.t_c_star == pytest.approx(t_star, rel=1e-8)
         assert fast.sigma_star <= sigma_star * (1.0 + 1e-12)
 
+    @PROPERTY
+    @given(
+        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda v: math.hypot(*v) > 1e-3),
+        length=st.just(1.0) | st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+        h=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+        q=st.floats(0.0, 0.95),
+    )
+    def test_qubit_qfi(self, direction, length, h, q):
+        # The Bloch form 4 |h x r|^2 is the paper's eigenvector formula.
+        r = length * np.array(direction) / math.hypot(*direction)
+        rho = bloch_density(r)
+        generator = np.array([[h[0], h[2] + 1j * h[3]], [h[2] - 1j * h[3], h[1]]])
+        rho_q = (1.0 - q) * rho + q * np.eye(2) / 2.0
+        assert qfi_pure_generator(rho, generator) == pytest.approx(
+            oracles.qfi(rho, generator), rel=1e-12, abs=1e-12)
+        assert qfi_depolarized(rho, generator, q, method="direct") == pytest.approx(
+            oracles.qfi(rho_q, generator), rel=1e-12, abs=1e-12)
+
 
 class TestDegenerateWindows:
     """A degenerate window is a NaN gap and never fails the rest of its
@@ -223,7 +243,7 @@ class TestDegenerateWindows:
     def test_windows_of_exactly_min_points(self):
         rng = np.random.default_rng(7)
         cycles = noisy_ellipse(rng, 6 * 50, 0.01)
-        fast = phase_series_from_cycles(cycles, window=6, min_points=6)
+        fast = phase_series_from_cycles(cycles, window=6)
         assert_close(fast, oracles.phase_series(cycles, 6))
         assert np.isfinite(fast).all()
 

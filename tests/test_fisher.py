@@ -12,7 +12,6 @@ from erasure_sensing.fisher import (
     bloch_density,
     channel_outcome_model,
     classical_fisher_numeric,
-    convexity_upper_bound,
     fisher_dephasing,
     fisher_depolarizing,
     fisher_erasure,
@@ -184,22 +183,32 @@ class TestQuantumFisher:
         rho = bloch_density([1.0, 0.0, 0.0])
         for q in (0.0, 0.2, 0.5, 0.9):
             true_val = qfi_depolarized(rho, HALF_SIGMA_Z, q)
-            assert convexity_upper_bound(q, 1.0) >= true_val - 1e-12
+            # the convexity bound (1 - q) F with noiseless F = 1
+            assert (1.0 - q) >= true_val - 1e-12
 
     def test_convexity_bound_is_attained_by_detected_erasure(self):
-        assert convexity_upper_bound(0.36, 1.0) == pytest.approx(0.64, abs=1e-15)
-        assert convexity_upper_bound(0.36, 1.0) == pytest.approx(fisher_erasure(0.36), abs=1e-15)
-        assert convexity_upper_bound(0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        q = 0.36
+        assert (1.0 - q) == pytest.approx(0.64, abs=1e-15)
+        assert (1.0 - q) == pytest.approx(fisher_erasure(q), abs=1e-15)
+        q = 0.0
+        assert (1.0 - q) == pytest.approx(1.0, abs=1e-15)
 
     def test_convexity_bound_dominates_depolarized_fringe_everywhere(self):
         deltas = np.linspace(0.0, 2.0 * math.pi, 1000)
-        assert np.all(convexity_upper_bound(0.2, 1.0)
-                      >= fisher_depolarizing(0.2, deltas) - 1e-12)
+        q = 0.2
+        assert np.all((1.0 - q) >= fisher_depolarizing(q, deltas) - 1e-12)
 
     def test_maximally_mixed_state_is_degenerate(self):
         rho = 0.5 * np.eye(2)
         with pytest.raises(DegenerateStateError):
             qfi_pure_generator(rho, HALF_SIGMA_Z)
+
+    def test_degeneracy_threshold_is_an_eigenvalue_gap_of_1e_10(self):
+        h = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(DegenerateStateError):
+            qfi_pure_generator(np.diag([0.5 + 0.4e-10, 0.5 - 0.4e-10]), h)
+        assert qfi_pure_generator(np.diag([0.5 + 0.6e-10, 0.5 - 0.6e-10]), h) == pytest.approx(
+            (1.2e-10) ** 2, rel=1e-5)
 
     def test_fully_depolarized_is_outside_the_domain(self):
         rho = bloch_density([1.0, 0.0, 0.0])

@@ -7,7 +7,6 @@ import pytest
 
 from erasure_sensing.states import (
     ChannelKind,
-    MeasurementBasis,
     NoiseChannel,
     SensorState,
     accumulate_phase,
@@ -90,12 +89,6 @@ class TestChannels:
         out = apply_noise(apply_noise(s, ChannelKind.ERASURE, q=0.3), ChannelKind.ERASURE, q=0.3)
         assert out.erasure_weight == pytest.approx(1.0 - 0.7**2, abs=1e-15)
 
-    def test_channel_object_and_kind_plus_q_agree(self):
-        s = state_at(0.4)
-        a = apply_noise(s, NoiseChannel(ChannelKind.DEPOLARIZING, q=0.25))
-        b = apply_noise(s, ChannelKind.DEPOLARIZING, q=0.25)
-        assert np.allclose(a.bloch, b.bloch)
-
     def test_rate_form_strength(self):
         ch = NoiseChannel(ChannelKind.ERASURE, gamma=0.5)
         assert ch.strength(2.0) == pytest.approx(0.6321205588285577, abs=1e-15)
@@ -139,20 +132,20 @@ class TestChannels:
 
 class TestMeasurement:
     def test_aligned_and_anti_aligned_states_are_deterministic(self):
-        aligned = measure_probs(prepare_plus(), MeasurementBasis(theta=0.0))
+        aligned = measure_probs(prepare_plus(), 0.0)
         assert aligned.p_plus == pytest.approx(1.0, abs=1e-15)
-        flipped = measure_probs(accumulate_phase(prepare_plus(), math.pi), MeasurementBasis(0.0))
+        flipped = measure_probs(accumulate_phase(prepare_plus(), math.pi), 0.0)
         assert flipped.p_minus == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_mixed_state_is_a_coin_flip(self):
         mixed = SensorState(bloch=np.zeros(3), erasure_weight=0.0)
-        dist = measure_probs(mixed, MeasurementBasis(theta=1.3))
+        dist = measure_probs(mixed, 1.3)
         assert dist.p_plus == pytest.approx(0.5, abs=1e-15)
         assert dist.p_minus == pytest.approx(0.5, abs=1e-15)
 
     def test_rotated_basis_probabilities(self):
         # independent arithmetic: p_pm = (1-w)(1 +- c cos(phi-theta))/2
-        dist = measure_probs(state_at(0.7, contrast=0.9, w=0.15), MeasurementBasis(theta=0.2))
+        dist = measure_probs(state_at(0.7, contrast=0.9, w=0.15), 0.2)
         assert dist.p_plus == pytest.approx(0.7606753299230676, abs=1e-14)
         assert dist.p_minus == pytest.approx(0.08932467007693239, abs=1e-14)
         assert dist.p_erasure == pytest.approx(0.15, abs=1e-15)
@@ -164,18 +157,7 @@ class TestMeasurement:
             theta = rng.uniform(0.0, 2.0 * math.pi)
             c = rng.uniform(0.0, 1.0)
             w = rng.uniform(0.0, 1.0)
-            d = measure_probs(state_at(phi, c, w), MeasurementBasis(theta))
+            d = measure_probs(state_at(phi, c, w), theta)
             vals = (d.p_plus, d.p_minus, d.p_erasure)
             assert all(v >= -1e-14 for v in vals)
             assert sum(vals) == pytest.approx(1.0, abs=1e-12)
-
-    def test_detection_off_with_erased_weight_raises(self):
-        s = state_at(0.3, w=0.2)
-        with pytest.raises(ValueError):
-            measure_probs(s, MeasurementBasis(0.0), erasure_detection=False)
-
-    def test_detection_off_renormalizes_nothing_when_no_loss(self):
-        d_on = measure_probs(state_at(0.3), MeasurementBasis(0.0), erasure_detection=True)
-        d_off = measure_probs(state_at(0.3), MeasurementBasis(0.0), erasure_detection=False)
-        assert d_on.p_plus == pytest.approx(d_off.p_plus, abs=1e-15)
-        assert d_off.p_erasure == 0.0
