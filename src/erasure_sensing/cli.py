@@ -49,8 +49,6 @@ EXIT_SINGULAR = 3
 EXIT_DEGENERATE = 4
 EXIT_FIT = 5
 
-# Fixed default seed: deterministic-by-default runs for CI and scripting.
-DEFAULT_SEED = 20260823
 OUTPUT_ENV_VAR = "ERASURE_SENSING_OUT"
 
 _FIXED_EXPONENTS = {ChannelKind.ERASURE: -0.5, ChannelKind.DEPOLARIZING: -1.0}
@@ -102,7 +100,8 @@ def _write_manifest(
     _write_json_atomic(outdir / f"{command}_manifest.json", payload)
 
 
-def _load_config(path: str) -> ComparisonConfig:
+def _load_config(path: str) -> tuple[dict, ComparisonConfig]:
+    """The config file's JSON object as read, and the config it describes."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -110,7 +109,7 @@ def _load_config(path: str) -> ComparisonConfig:
         raise ValueError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from None
-    return ComparisonConfig.from_dict(data)
+    return data, ComparisonConfig.from_dict(data)
 
 
 def _parse_grid(text: str, what: str) -> list[float]:
@@ -165,7 +164,7 @@ def cmd_fisher(args, outdir: Path) -> dict:
     analytic = fisher_information(kind, args.q, args.phi - args.theta)
     if args.numeric:
         model = channel_outcome_model(kind, args.q, args.theta)
-        numeric = classical_fisher_numeric(model, args.phi, step=args.step)
+        numeric = classical_fisher_numeric(model, args.phi)
         print(f"analytic {_fmt(analytic)}")
         print(f"numeric {_fmt(numeric)}")
         print(f"difference {_fmt(numeric - analytic)}")
@@ -178,13 +177,12 @@ def cmd_fisher(args, outdir: Path) -> dict:
             "phi": args.phi,
             "theta": args.theta,
             "numeric": bool(args.numeric),
-            "step": args.step,
         }
     }
 
 
 def cmd_simulate(args, outdir: Path) -> dict:
-    config = _load_config(args.config)
+    data, config = _load_config(args.config)
     run = analyze_comparison(config, args.window)
 
     _write_cycles_csv(outdir / "cycles.csv", run.cycles)
@@ -196,7 +194,7 @@ def cmd_simulate(args, outdir: Path) -> dict:
 
     print(f"sigma_one_window {_fmt(run.allan.sigmas[0])}")
     return {
-        "config": config.to_dict(),
+        "config": data,
         "seed": config.seed,
         "outputs": ["cycles.csv", "phases.csv", "allan.json"],
         "stats": dict(
@@ -209,7 +207,7 @@ def cmd_simulate(args, outdir: Path) -> dict:
 
 
 def cmd_scaling(args, outdir: Path) -> dict:
-    base = _load_config(args.config)
+    data, base = _load_config(args.config)
     if args.kind == "both":
         kinds = [ChannelKind.ERASURE, ChannelKind.DEPOLARIZING]
     else:
@@ -258,7 +256,7 @@ def cmd_scaling(args, outdir: Path) -> dict:
         )
     return {
         "config": {
-            "base_config": base.to_dict(),
+            "base_config": data,
             "q_grid": grid,
             "kind": args.kind,
             "window": args.window,
@@ -295,11 +293,11 @@ def cmd_optimize(args, outdir: Path) -> dict:
 
 def cmd_ellipse(args, outdir: Path) -> dict:
     pairs = load_pairs_csv(args.points)
-    payload = ellipse_fit(pairs, min_points=args.min_points).to_dict()
+    payload = ellipse_fit(pairs).to_dict()
     print(json.dumps(payload, indent=2))
     _write_json_atomic(outdir / "ellipse.json", payload)
     return {
-        "config": {"points": str(args.points), "min_points": args.min_points},
+        "config": {"points": str(args.points)},
         "outputs": ["ellipse.json"],
     }
 
@@ -375,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also evaluate the central-difference oracle and print the difference",
     )
-    p.add_argument(
-        "--step", type=_finite_float, default=1e-5, help="finite-difference step"
-    )
     add_out(p)
     p.set_defaults(func=cmd_fisher)
 
@@ -424,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ellipse", help="fit an ellipse to an x_a,x_b CSV")
     p.add_argument("points", help="CSV file with header x_a,x_b")
-    p.add_argument("--min-points", type=_positive_int, default=6)
     add_out(p)
     p.set_defaults(func=cmd_ellipse)
 

@@ -74,7 +74,10 @@ def _number(value, field: str) -> float:
     """A JSON number (not a boolean) as a float; the error names the field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"field '{field}' must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"field '{field}' is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -190,27 +193,6 @@ class ComparisonConfig:
             seed=data["seed"],
             shot_noise=data["shot_noise"],
         )
-
-    def to_dict(self) -> dict:
-        noise = {"kind": self.noise.kind.value}
-        if self.noise.q is not None:
-            noise["q"] = self.noise.q
-        else:
-            noise["gamma"] = self.noise.gamma
-        return {
-            "phi_d": self.phi_d,
-            "N0": int(self.n0),
-            "T_c": self.t_c,
-            "T_d": self.t_d,
-            "f0": self.f0,
-            "cycles": int(self.cycles),
-            "noise": noise,
-            "c_a": self.c_a,
-            "c_b": self.c_b,
-            "laser_phase_model": self.laser_phase_model.value,
-            "seed": int(self.seed),
-            "shot_noise": self.shot_noise,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,8 +449,8 @@ def allan_deviation(series, cycle_time: float) -> AllanResult:
     costs O(n) and the whole result O(n log n). NaN entries (gap markers
     from failed fit windows) are dropped before analysis.
     """
-    if cycle_time <= 0.0:
-        raise ValueError("cycle_time must be positive")
+    if not 0.0 < cycle_time < math.inf:
+        raise ValueError("cycle_time must be positive and finite")
     y = np.asarray(series, dtype=float).ravel()
     y = y[np.isfinite(y)]
     n = y.size
@@ -497,8 +479,8 @@ def allan_deviation(series, cycle_time: float) -> AllanResult:
 
 def phase_series_to_fractional_frequency(series, t_c: float, f0: float) -> np.ndarray:
     """Convert phase estimates to fractional frequency, y = phi / (2 pi T_c f0)."""
-    if t_c <= 0.0 or f0 <= 0.0:
-        raise ValueError("T_c and f0 must be positive")
+    if not (0.0 < t_c < math.inf and 0.0 < f0 < math.inf):
+        raise ValueError("T_c and f0 must be positive and finite")
     return np.asarray(series, dtype=float) / (TWO_PI * t_c * f0)
 
 
@@ -561,13 +543,15 @@ def instability_vs_error_rate(
     compatibility and changes nothing (see run_comparison).
 
     Raises ValueError, before any simulation, if a grid entry lies outside
-    [0, 0.95], and SimulationDegeneracyError if more than 10% of cycles are
-    invalid.
+    [0, 0.95] or repeats another, and SimulationDegeneracyError if more
+    than 10% of cycles are invalid.
     """
     qs = [float(q) for q in q_grid]
     for q in qs:
         if not 0.0 <= q <= 0.95:
             raise ValueError(f"q_grid entries must lie in [0, 0.95], got {q}")
+    if len(set(qs)) != len(qs):
+        raise ValueError("q_grid entries must be distinct")
     points = []
     for q in qs:
         cfg = replace(base, noise=NoiseChannel(kind, q=q))
@@ -581,12 +565,15 @@ def fit_loglog_exponent(qs, sigmas) -> tuple[float, float, float]:
 
     Fits log(sigma) = log(sigma0) + b * log(1 - q) by ordinary least
     squares and returns (b, stderr_b, sigma0). The erasure channel should
-    give b near -1/2 and depolarizing near -1.
+    give b near -1/2 and depolarizing near -1. Needs at least 3 points at
+    two or more distinct q, since the slope is undefined at one q.
     """
     qs = np.asarray(qs, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     if qs.size != sigmas.size or qs.size < 3:
         raise ValueError("need at least 3 (q, sigma) points")
+    if qs.min() == qs.max():
+        raise ValueError("need at least 2 distinct q values")
     x = np.log1p(-qs)
     z = np.log(sigmas)
     slope, intercept = np.polyfit(x, z, 1)
@@ -616,8 +603,9 @@ def crb_floor(
     sigma = (1 / (2 pi f0)) sqrt(1 / (N T_c tau)), times sqrt(2) for a
     differential comparison in which both ensembles fluctuate.
     """
-    if n_atoms < 1 or t_c <= 0.0 or tau_total <= 0.0 or f0 <= 0.0:
-        raise ValueError("all floor arguments must be positive")
+    scales = (n_atoms, t_c, tau_total, f0)
+    if n_atoms < 1 or not all(0.0 < x < math.inf for x in scales):
+        raise ValueError("all floor arguments must be positive and finite")
     value = math.sqrt(1.0 / (n_atoms * t_c * tau_total)) / (TWO_PI * f0)
     if differential:
         value *= math.sqrt(2.0)

@@ -6,7 +6,8 @@ channel and reports the Cramer-Rao standard error. The two-ensemble path
 fits the parametric plot of excitation fractions (x_a, x_b) with the
 ellipse-constrained least-squares conic (constraint 4AC - B^2 = 1, solved as
 a generalized eigenproblem on the scatter matrix) and reads the differential
-phase off the cross term, cos(phi_d) = -B / (2 sqrt(AC)).
+phase off the cross term, cos(phi_d) = -B / (2 sqrt(AC)). Every fit needs
+at least six points, the degrees of freedom of a conic.
 """
 
 from __future__ import annotations
@@ -295,12 +296,12 @@ def _fit_phases(count: int, scatter_of) -> np.ndarray:
     return phases
 
 
-def ellipse_fit(points, min_points: int = _CONIC_DOF) -> EllipseFitResult:
+def ellipse_fit(points) -> EllipseFitResult:
     """Fit an ellipse to (x_a, x_b) pairs and extract the differential phase.
 
-    Needs at least min_points (default 6, the degrees of freedom of a conic)
-    non-degenerate points. The fit is performed on mean-centered coordinates
-    for conditioning and the coefficients are translated back afterwards.
+    Needs at least 6 non-degenerate points, the degrees of freedom of a
+    conic. The fit is performed on mean-centered coordinates for
+    conditioning and the coefficients are translated back afterwards.
     The phase comes from cos(phi_d) = -B / (2 sqrt(AC)) and is a magnitude
     in [0, pi]: a single ellipse cannot distinguish +phi_d from -phi_d.
     This is the one-fit case of the stacked solver behind
@@ -313,13 +314,9 @@ def ellipse_fit(points, min_points: int = _CONIC_DOF) -> EllipseFitResult:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array of pairs")
-    if min_points < _CONIC_DOF:
-        raise ValueError(
-            f"min_points must be at least {_CONIC_DOF} (conic degrees of freedom)"
-        )
     n = pts.shape[0]
-    if n < min_points:
-        raise ValueError(f"need at least {min_points} points, got {n}")
+    if n < _CONIC_DOF:
+        raise ValueError(f"need at least {_CONIC_DOF} points, got {n}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
 

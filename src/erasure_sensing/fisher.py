@@ -2,10 +2,11 @@
 
 Closed-form classical Fisher information of any channel, read off the
 channel contract on `ChannelKind` as survival times the fringe information
-at the channel's amplitude; a central-difference numeric evaluator that
-serves as the oracle for the closed forms; and the single-qubit quantum
-Fisher information F = 4 (2 tr(rho^2) - 1) |<eta_0| H |eta_1>|^2, evaluated
-in Bloch form as 4 |h x r|^2, with its depolarized form (1 - q)^2 F.
+at the channel's amplitude; a central-difference numeric evaluator with
+one fixed step (_STEP) that serves as the oracle for the closed forms; and
+the single-qubit quantum Fisher information
+F = 4 (2 tr(rho^2) - 1) |<eta_0| H |eta_1>|^2, evaluated in Bloch form as
+4 |h x r|^2, with its depolarized form (1 - q)^2 F.
 
 Everything here is pure and re-entrant.
 """
@@ -36,6 +37,9 @@ _DERIV_FLOOR = 1e-10
 _DEGENERACY_GAP = 1e-10
 
 _HERMITIAN_TOL = 1e-12
+# Central-difference step of the numeric oracle; it balances truncation
+# against rounding at double precision.
+_STEP = 1e-5
 
 
 class SingularFisherError(ArithmeticError):
@@ -67,25 +71,20 @@ def channel_outcome_model(
 
 
 def classical_fisher_numeric(
-    model: Callable[[float], OutcomeDistribution],
-    phi: float,
-    step: float = 1e-5,
+    model: Callable[[float], OutcomeDistribution], phi: float
 ) -> float:
     """Central-difference Fisher information sum_x (d_phi p_x)^2 / p_x.
 
     Outcomes whose probability is numerically zero contribute through the
     quadratic-zero limit 2 p'' provided their derivative also vanishes;
     a vanishing probability with non-vanishing slope raises
-    SingularFisherError. The default step 1e-5 balances truncation against
-    rounding at double precision.
+    SingularFisherError. The differences are taken at phi +/- 1e-5.
     """
-    if not 0.0 < step <= 1e-2:
-        raise ValueError("step must lie in (0, 1e-2]")
     p0 = model(phi).as_array()
-    pp = model(phi + step).as_array()
-    pm = model(phi - step).as_array()
-    deriv = (pp - pm) / (2.0 * step)
-    second = (pp - 2.0 * p0 + pm) / step**2
+    pp = model(phi + _STEP).as_array()
+    pm = model(phi - _STEP).as_array()
+    deriv = (pp - pm) / (2.0 * _STEP)
+    second = (pp - 2.0 * p0 + pm) / _STEP**2
 
     total = 0.0
     for x in range(3):

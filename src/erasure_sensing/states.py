@@ -115,12 +115,11 @@ class NoiseChannel:
         if self.gamma is not None and not 0.0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and non-negative")
 
-    def strength(self, t_c: float | None = None) -> float:
-        """Error probability for one interrogation of duration t_c."""
+    def strength(self, t_c: float) -> float:
+        """Error probability for one interrogation of duration t_c: the
+        fixed q, or kind.strength(gamma * t_c) for a rate."""
         if self.q is not None:
             return self.q
-        if t_c is None:
-            raise ValueError("rate-specified channel needs an interrogation time")
         if t_c < 0.0:
             raise ValueError("interrogation time must be non-negative")
         return self.kind.strength(self.gamma * t_c)

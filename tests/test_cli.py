@@ -134,6 +134,22 @@ class TestSimulateCommand:
             assert (out / "cycles.csv").read_bytes() == ref_cycles
             assert (out / "phases.csv").read_bytes() == ref_phases
 
+    def test_config_echoed_as_written(self, tmp_path, capsys):
+        # integer-valued float fields and keys out of schema order reach
+        # both manifests exactly as the file wrote them
+        text = ('{"shot_noise": true, "seed": 5, "noise": {"q": 0.1, "kind": "erasure"}, '
+                '"laser_phase_model": "UniformRandomPerCycle", "c_b": 1, "c_a": 1, '
+                '"cycles": 600, "f0": 1, "T_d": 0, "T_c": 1, "N0": 150, "phi_d": 1.5}')
+        path = tmp_path / "reordered.json"
+        path.write_text(text)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 0
+        assert main(["scaling", str(path), "--q-grid", "0", "--kind", "erasure",
+                     "--out", str(tmp_path / "s")]) == 0
+        simulate = json.loads((tmp_path / "run" / "simulate_manifest.json").read_text())
+        scaling = json.loads((tmp_path / "s" / "scaling_manifest.json").read_text())
+        assert json.dumps(simulate["config"]) == text
+        assert json.dumps(scaling["config"]["base_config"]) == text
+
     def test_shipped_config_sits_within_twenty_percent_of_floor(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", EXAMPLE_CONFIG, "--out", str(out)]) == 0
@@ -194,6 +210,11 @@ class TestScalingCommand:
     def test_out_of_range_grid_is_a_usage_error(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         assert main(["scaling", cfg, "--q-grid", "0.99", "--out", str(tmp_path)]) == 2
+        # a repeated entry would leave the exponent fit rank-deficient
+        assert main(["scaling", cfg, "--q-grid", "0.1,0.1,0.1", "--kind", "erasure",
+                     "--out", str(tmp_path)]) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert list(tmp_path.glob("scaling*")) == []
 
 
 class TestOptimizeCommand:
@@ -276,8 +297,9 @@ class TestNonFiniteAndNonPositiveNumbers:
     def test_nan_dead_time_in_config(self, tmp_path, capsys):
         # JSON's NaN and Infinity literals parse; the run must stop before
         # simulating, as it must for an N0 past the survivor draw's int64
+        # and for an integer literal too large for a float
         cases = (("T_d", float("nan")), ("T_c", math.inf), ("T_d", math.inf),
-                 ("f0", math.inf), ("N0", 2**63))
+                 ("f0", math.inf), ("N0", 2**63), ("f0", 10**400))
         for k, (field, value) in enumerate(cases):
             out = tmp_path / f"run{k}"
             cfg = small_config(tmp_path, **{field: value})

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from erasure_sensing import clock
-from erasure_sensing.cli import DEFAULT_SEED
 from erasure_sensing.clock import (
     ComparisonConfig,
     LaserPhaseModel,
@@ -108,10 +107,12 @@ class TestConfigParsing:
                 dict(BASE, noise={"kind": "dephasing", "gamma": float("nan")}))
 
     def test_nan_dead_time_rejected(self):
-        # also infinite times (`not x > 0` lets +inf through) and an N0 past
-        # the survivor draw's signed 64-bit range
+        # also infinite times (`not x > 0` lets +inf through), an N0 past
+        # the survivor draw's signed 64-bit range and an integer too large
+        # for a float
         for field, value in (("T_d", float("nan")), ("T_c", math.inf),
-                             ("T_d", math.inf), ("f0", math.inf), ("N0", 2**63)):
+                             ("T_d", math.inf), ("f0", math.inf), ("N0", 2**63),
+                             ("f0", 10**400)):
             with pytest.raises(ValueError, match=field):
                 config(**{field: value})
         assert config(N0=2**62).n0 == 2**62
@@ -136,7 +137,7 @@ class TestPerCycleStreams:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, DEFAULT_SEED])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 20260823])
     def test_keys_equal_seed_sequence_keys(self, seed):
         # Indices from 2^32 on have two spawn words; the last range
         # straddles the boundary between two chunks of keys.
@@ -156,10 +157,10 @@ class TestPerCycleStreams:
             words = gen.integers(2**32, size=3, dtype=np.uint32).tolist()
             return gen.random(), words, gen.binomial(3000, 0.7)
 
-        count = clock._KEY_CHUNK + 2
-        for i, rng in clock._cycle_streams(DEFAULT_SEED, count):
+        seed, count = 20260823, clock._KEY_CHUNK + 2
+        for i, rng in clock._cycle_streams(seed, count):
             if i >= count - 6:
-                ss = np.random.SeedSequence(entropy=DEFAULT_SEED, spawn_key=(i,))
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
                 assert draws(rng) == draws(np.random.Generator(np.random.Philox(ss)))
 
     def test_cycle_results_independent_of_execution_order(self):
@@ -308,8 +309,9 @@ class TestAllanDeviation:
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):
             allan_deviation(np.ones(3), cycle_time=1.0)
-        with pytest.raises(ValueError):
-            allan_deviation(np.ones(100), cycle_time=0.0)
+        for cycle_time in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                allan_deviation(np.ones(100), cycle_time=cycle_time)
 
 
 class TestFloorsAndFits:
@@ -326,6 +328,14 @@ class TestFloorsAndFits:
 
     def test_unit_floor_value(self):
         assert crb_floor(1, 1.0, 1.0, 1.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+
+    def test_non_positive_and_non_finite_floor_arguments_rejected(self):
+        for args in ((0, 1.0, 1.0, 1.0), (math.nan, 1.0, 1.0, 1.0), (math.inf, 1.0, 1.0, 1.0),
+                     (100, 0.0, 1.0, 1.0), (100, math.nan, 1.0, 1.0),
+                     (100, 1.0, math.inf, 1.0), (100, 1.0, 1.0, math.nan),
+                     (100, 1.0, 1.0, math.inf)):
+            with pytest.raises(ValueError):
+                crb_floor(*args)
 
     def test_noiseless_comparison_sits_just_above_the_floor(self):
         # ellipse readout is slightly inefficient, so the measured one-window
@@ -345,6 +355,12 @@ class TestFloorsAndFits:
         assert slope == pytest.approx(-0.5, abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-10)
         assert sigma0 == pytest.approx(2.0, rel=1e-12)
+        # one repeated q leaves the slope undefined (a rank-deficient fit);
+        # two distinct q among three points still fix it
+        with pytest.raises(ValueError, match="distinct"):
+            fit_loglog_exponent([0.1] * 3, [1.0, 2.0, 3.0])
+        assert fit_loglog_exponent([0.0, 0.0, 0.75], [2.0, 2.0, 4.0])[0] == pytest.approx(
+            -0.5, abs=1e-12)
 
     def test_fixed_form_intercept(self):
         qs = np.array([0.0, 0.3, 0.6])
@@ -364,6 +380,8 @@ class TestFloorsAndFits:
         monkeypatch.setattr(clock, "run_comparison", lambda *a, **k: runs.append(a))
         with pytest.raises(ValueError, match="0.99"):
             instability_vs_error_rate(config(), [0.0, 0.3, 0.99], ChannelKind.ERASURE)
+        with pytest.raises(ValueError, match="distinct"):
+            instability_vs_error_rate(config(), [0.0, 0.3, 0.3], ChannelKind.ERASURE)
         assert runs == []
 
 
@@ -436,5 +454,7 @@ class TestFrequencyConversion:
         assert sigma == pytest.approx(target, rel=0.10)
 
     def test_invalid_scales_rejected(self):
-        with pytest.raises(ValueError):
-            phase_series_to_fractional_frequency([0.1], t_c=0.0, f0=1.0)
+        for t_c, f0 in ((0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                        (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                phase_series_to_fractional_frequency([0.1], t_c=t_c, f0=f0)

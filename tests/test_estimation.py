@@ -157,8 +157,6 @@ class TestEllipseFit:
     def test_too_few_points_is_a_usage_error(self):
         with pytest.raises(ValueError):
             ellipse_fit(ellipse_points(1.0, n=5))
-        with pytest.raises(ValueError):
-            ellipse_fit(ellipse_points(1.0, n=8), min_points=10)
 
     def test_bad_shapes_and_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -92,8 +92,6 @@ class TestChannels:
     def test_rate_form_strength(self):
         ch = NoiseChannel(ChannelKind.ERASURE, gamma=0.5)
         assert ch.strength(2.0) == pytest.approx(0.6321205588285577, abs=1e-15)
-        with pytest.raises(ValueError):
-            ch.strength()  # rate form needs a duration
 
     def test_channel_requires_exactly_one_strength(self):
         with pytest.raises(ValueError):
