@@ -13,14 +13,7 @@ import math
 
 import numpy as np
 
-from erasure_sensing import (
-    ChannelKind,
-    CountRecord,
-    fisher_dephasing,
-    fisher_depolarizing,
-    fisher_erasure,
-    mle_phase,
-)
+from erasure_sensing import ChannelKind, CountRecord, fisher, mle_phase
 
 SHOTS = 50_000
 REPS = 500
@@ -46,16 +39,12 @@ for kind in ChannelKind:
             survivors = SHOTS - n_e
             n_p = rng.binomial(survivors, 0.5)
             n_m = survivors - n_p
-            info = fisher_erasure(q)
         else:
-            amp = 1.0 - q if kind is ChannelKind.DEPOLARIZING else 1.0 - 2.0 * q
-            p = (1.0 + amp * math.cos(PHI - THETA)) / 2.0
+            p = (1.0 + kind.amplitude(q) * math.cos(PHI - THETA)) / 2.0
             n_p = rng.binomial(SHOTS, p, size=REPS)
             n_m = SHOTS - n_p
             n_e = np.zeros(REPS, dtype=int)
-            info = (fisher_depolarizing(q, math.pi / 2)
-                    if kind is ChannelKind.DEPOLARIZING
-                    else fisher_dephasing(q, math.pi / 2))
+        info = fisher.fisher_information(kind, q, PHI - THETA)
 
         estimates = np.array([
             mle_phase(CountRecord(int(a), int(b), int(c),

@@ -16,14 +16,11 @@ import numpy as np
 
 from erasure_sensing import (
     ComparisonConfig,
-    allan_deviation,
     crb_floor,
     ellipse_phase_jackknife,
-    phase_series_from_cycles,
-    phase_series_to_fractional_frequency,
-    run_comparison,
     valid_pairs,
 )
+from erasure_sensing.clock import analyze_comparison
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIG = os.path.join(HERE, os.pardir, "data", "example_comparison.json")
@@ -33,18 +30,15 @@ with open(CONFIG) as fh:
 print(f"config: N0 = {cfg.n0}, cycles = {cfg.cycles}, "
       f"phi_d = {cfg.phi_d:.6f}, channel = {cfg.noise.kind.value} q = {cfg.noise.q}")
 
-# simulate and fit one window to see the raw ingredients
-results = run_comparison(cfg, threads=4)
-pairs = valid_pairs(results)
-phi_hat, jk = ellipse_phase_jackknife(pairs[:100])
+# simulate -> window fits -> fractional frequency -> Allan deviation
+window = 100
+run = analyze_comparison(cfg, window)
+res = run.allan
+
+# the first window's fit on its own shows the raw ingredients
+phi_hat, jk = ellipse_phase_jackknife(valid_pairs(run.cycles)[:window])
 print(f"first window: phi_d = {phi_hat:.5f} +/- {jk:.5f} "
       f"(true {cfg.phi_d:.5f})")
-
-# phase series -> fractional frequency -> Allan deviation
-window = 100
-series = phase_series_from_cycles(pairs, window)
-y = phase_series_to_fractional_frequency(series - series.mean(), cfg.t_c, cfg.f0)
-res = allan_deviation(y, cycle_time=window * cfg.cycle_time)
 
 floor = crb_floor(cfg.n0, cfg.t_c, window * cfg.cycle_time, cfg.f0,
                   differential=True)

@@ -43,7 +43,7 @@ for i, q in enumerate(grid):
     print(f"{q:5.1f} {era:15.3e} {dep:14.3e} {dep / era:14.2f}")
 
 print("\nfitted log-log exponents (sigma vs 1 - q):")
-for kind, target in ((ChannelKind.ERASURE, -0.5), (ChannelKind.DEPOLARIZING, -1.0)):
-    pts = curves[kind]
+for kind, pts in curves.items():
     slope, err, _ = fit_loglog_exponent([p.q for p in pts], [p.sigma for p in pts])
-    print(f"  {kind.value:13s} {slope:+.3f} +/- {err:.3f}   (ideal {target:+.1f})")
+    print(f"  {kind.value:13s} {slope:+.3f} +/- {err:.3f}   "
+          f"(ideal {-kind.decay_exponent():+.1f})")

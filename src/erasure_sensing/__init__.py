@@ -26,7 +26,6 @@ from .estimation import (
     ellipse_fit,
     ellipse_phase_jackknife,
     mle_phase,
-    phase_series_from_cycles,
 )
 from .clock import (
     ComparisonConfig,
@@ -37,7 +36,6 @@ from .clock import (
     fit_loglog_exponent,
     instability_vs_error_rate,
     optimize_interrogation,
-    phase_series_to_fractional_frequency,
     run_comparison,
     valid_pairs,
 )

@@ -51,7 +51,8 @@ EXIT_FIT = 5
 
 OUTPUT_ENV_VAR = "ERASURE_SENSING_OUT"
 
-_FIXED_EXPONENTS = {ChannelKind.ERASURE: -0.5, ChannelKind.DEPOLARIZING: -1.0}
+# The channels `scaling` sweeps, in output order.
+_SCALING_KINDS = (ChannelKind.ERASURE, ChannelKind.DEPOLARIZING)
 
 
 def _fmt(value: float) -> str:
@@ -208,10 +209,7 @@ def cmd_simulate(args, outdir: Path) -> dict:
 
 def cmd_scaling(args, outdir: Path) -> dict:
     data, base = _load_config(args.config)
-    if args.kind == "both":
-        kinds = [ChannelKind.ERASURE, ChannelKind.DEPOLARIZING]
-    else:
-        kinds = [ChannelKind(args.kind)]
+    kinds = _SCALING_KINDS if args.kind == "both" else (ChannelKind(args.kind),)
     grid = sorted(_parse_grid(args.q_grid, "--q-grid"))
 
     curves = {}
@@ -223,7 +221,7 @@ def cmd_scaling(args, outdir: Path) -> dict:
             exponent, stderr, sigma0 = fit_loglog_exponent(
                 [p.q for p in points], [p.sigma for p in points]
             )
-            fixed = _FIXED_EXPONENTS[kind]
+            fixed = -kind.decay_exponent()
             fits[kind.value] = {
                 "exponent": exponent,
                 "exponent_stderr": stderr,
@@ -390,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         default="both",
-        choices=[k.value for k in _FIXED_EXPONENTS] + ["both"],
+        choices=[k.value for k in _SCALING_KINDS] + ["both"],
         help="which channel(s) to sweep",
     )
     p.add_argument(

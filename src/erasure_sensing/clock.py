@@ -26,10 +26,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .estimation import phase_series_from_cycles
+from .estimation import EllipseFitError, phase_series_from_cycles
 from .states import ChannelKind, NoiseChannel, TWO_PI
 
 
@@ -41,21 +42,6 @@ class LaserPhaseModel(enum.Enum):
     UNIFORM_RANDOM_PER_CYCLE = "UniformRandomPerCycle"
     FIXED_SWEEP = "FixedSweep"
 
-
-_CONFIG_FIELDS = (
-    "phi_d",
-    "N0",
-    "T_c",
-    "T_d",
-    "f0",
-    "cycles",
-    "noise",
-    "c_a",
-    "c_b",
-    "laser_phase_model",
-    "seed",
-    "shot_noise",
-)
 
 _KIND_NAMES = {k.value: k for k in ChannelKind}
 _PHASE_MODEL_NAMES = {m.value: m for m in LaserPhaseModel}
@@ -78,6 +64,48 @@ def _number(value, field: str) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"field '{field}' is too large for a float") from None
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer (not a boolean); the error names the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field '{field}' must be an integer")
+    return value
+
+
+def _noise(value, field: str) -> NoiseChannel:
+    """The noise object: 'kind' plus exactly one of 'q' or 'gamma'."""
+    if not isinstance(value, dict):
+        raise ValueError(f"field '{field}' must be an object")
+    if "kind" not in value:
+        raise ValueError(f"field '{field}.kind' is missing")
+    kind = _choice(value["kind"], f"{field}.kind", _KIND_NAMES)
+    strength_keys = sorted(set(value) - {"kind"})
+    if strength_keys not in (["q"], ["gamma"]):
+        raise ValueError(
+            f"field '{field}' must hold 'kind' plus exactly one of 'q' or "
+            f"'gamma', got keys {sorted(value)}"
+        )
+    key = strength_keys[0]
+    return NoiseChannel(kind, **{key: _number(value[key], f"{field}.{key}")})
+
+
+# The JSON form in order: key -> (ComparisonConfig field, type reader). Range
+# rules stay in __post_init__, which replace() and direct construction run.
+_SCHEMA = {
+    "phi_d": ("phi_d", _number),
+    "N0": ("n0", _integer),
+    "T_c": ("t_c", _number),
+    "T_d": ("t_d", _number),
+    "f0": ("f0", _number),
+    "cycles": ("cycles", _integer),
+    "noise": ("noise", _noise),
+    "c_a": ("c_a", _number),
+    "c_b": ("c_b", _number),
+    "laser_phase_model": ("laser_phase_model", partial(_choice, names=_PHASE_MODEL_NAMES)),
+    "seed": ("seed", _integer),
+    "shot_noise": ("shot_noise", lambda value, field: value),
+}
 
 
 @dataclass(frozen=True)
@@ -138,61 +166,22 @@ class ComparisonConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ComparisonConfig":
-        """Build a config from its JSON object form.
+        """Build a config from its JSON object form (_SCHEMA).
 
         The schema is strict: all fields must be present and no unknown
         fields are allowed, so a config file is always a complete record of
-        the run. Error messages name the offending field.
+        the run. Error messages name the offending field; with several bad
+        fields, the first in schema order.
         """
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        missing = [k for k in _CONFIG_FIELDS if k not in data]
+        missing = [k for k in _SCHEMA if k not in data]
         if missing:
             raise ValueError(f"config missing field(s): {', '.join(missing)}")
-        unknown = [k for k in data if k not in _CONFIG_FIELDS]
+        unknown = [k for k in data if k not in _SCHEMA]
         if unknown:
             raise ValueError(f"config has unknown field(s): {', '.join(sorted(unknown))}")
-
-        noise_obj = data["noise"]
-        if not isinstance(noise_obj, dict):
-            raise ValueError("field 'noise' must be an object")
-        if "kind" not in noise_obj:
-            raise ValueError("field 'noise.kind' is missing")
-        kind = _choice(noise_obj["kind"], "noise.kind", _KIND_NAMES)
-        strength_keys = sorted(set(noise_obj) - {"kind"})
-        if strength_keys not in (["q"], ["gamma"]):
-            raise ValueError(
-                "field 'noise' must hold 'kind' plus exactly one of 'q' or "
-                f"'gamma', got keys {sorted(noise_obj)}"
-            )
-        key = strength_keys[0]
-        noise = NoiseChannel(kind, **{key: _number(noise_obj[key], f"noise.{key}")})
-
-        model = _choice(
-            data["laser_phase_model"], "laser_phase_model", _PHASE_MODEL_NAMES
-        )
-        for name in ("N0", "cycles", "seed"):
-            if isinstance(data[name], bool) or not isinstance(data[name], int):
-                raise ValueError(f"field '{name}' must be an integer")
-        num = {
-            name: _number(data[name], name)
-            for name in ("phi_d", "T_c", "T_d", "f0", "c_a", "c_b")
-        }
-
-        return cls(
-            phi_d=num["phi_d"],
-            n0=data["N0"],
-            t_c=num["T_c"],
-            t_d=num["T_d"],
-            f0=num["f0"],
-            cycles=data["cycles"],
-            noise=noise,
-            c_a=num["c_a"],
-            c_b=num["c_b"],
-            laser_phase_model=model,
-            seed=data["seed"],
-            shot_noise=data["shot_noise"],
-        )
+        return cls(**{f: read(data[k], k) for k, (f, read) in _SCHEMA.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,6 +362,8 @@ def comparison_stats(cycles: CycleRecord, n0: int) -> dict:
 
 # Series samples whose block deletions the Allan jackknife forms at a time.
 _JACKKNIFE_SPAN = 1 << 16
+# Fewest samples an Allan deviation is taken from.
+_ALLAN_MIN = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,15 +438,18 @@ def allan_deviation(series, cycle_time: float) -> AllanResult:
     and jackknife alike, reads one prefix sum of the series, and each
     deletion only corrects the differences near its block, so an octave
     costs O(n) and the whole result O(n log n). NaN entries (gap markers
-    from failed fit windows) are dropped before analysis.
+    from failed fit windows) are dropped before analysis; an infinite
+    entry raises ValueError.
     """
     if not 0.0 < cycle_time < math.inf:
         raise ValueError("cycle_time must be positive and finite")
     y = np.asarray(series, dtype=float).ravel()
-    y = y[np.isfinite(y)]
+    if np.isinf(y).any():
+        raise ValueError("series holds an infinite value")
+    y = y[~np.isnan(y)]
     n = y.size
-    if n < 4:
-        raise ValueError(f"series must hold at least 4 finite samples, got {n}")
+    if n < _ALLAN_MIN:
+        raise ValueError(f"series must hold at least {_ALLAN_MIN} finite samples, got {n}")
 
     cs = np.concatenate([[0.0], np.cumsum(y)])
     taus, sigmas, errors, factors = [], [], [], []
@@ -501,7 +495,9 @@ def analyze_comparison(config: ComparisonConfig, window: int) -> ComparisonAnaly
     The valid pairs are fitted window by window of `window` cycles, the
     phi_d series is converted to fractional frequency, and its Allan
     deviation is taken with one window as the sample spacing. Raises
-    SimulationDegeneracyError if more than 10% of cycles are invalid.
+    SimulationDegeneracyError if more than 10% of cycles are invalid, and
+    EllipseFitError if the run has enough windows for an Allan deviation
+    but too few of them fit.
     """
     cycles = run_comparison(config)
     stats = comparison_stats(cycles, config.n0)
@@ -512,6 +508,9 @@ def analyze_comparison(config: ComparisonConfig, window: int) -> ComparisonAnaly
             f"({config.noise.kind.value}); the configuration is degenerate"
         )
     series = phase_series_from_cycles(valid_pairs(cycles), window)
+    fitted = int(np.count_nonzero(~np.isnan(series)))
+    if fitted < _ALLAN_MIN <= series.size:
+        raise EllipseFitError(f"only {fitted} of {series.size} fit windows gave a phase")
     y = phase_series_to_fractional_frequency(series, config.t_c, config.f0)
     allan = allan_deviation(y, cycle_time=window * config.cycle_time)
     return ComparisonAnalysis(cycles=cycles, stats=stats, series=series, allan=allan)
@@ -586,9 +585,9 @@ def fit_loglog_exponent(qs, sigmas) -> tuple[float, float, float]:
 def fit_fixed_form_intercept(qs, sigmas, exponent: float) -> float:
     """Best sigma0 for the fixed-shape model sigma = sigma0 * (1-q)^exponent.
 
-    The exponent is pinned (-1/2 for erasure, -1 for depolarizing) and the
-    instability at q = 0 is the only free parameter, fitted by least squares
-    in log space.
+    The exponent is pinned (-kind.decay_exponent(): -1/2 for erasure, -1
+    for depolarizing) and the instability at q = 0 is the only free
+    parameter, fitted by least squares in log space.
     """
     qs = np.asarray(qs, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
@@ -628,23 +627,24 @@ def optimize_interrogation(
 
     The model is sigma(T_c) proportional to sqrt(T_c + T_d) / (T_c sqrt(F)),
     with F = survival * amplitude^2 at q = kind.strength(gamma_d T_c), which
-    is e^{-2 k gamma_d T_c} for every kind (k = 1 for depolarizing and
-    dephasing, 1/2 for erasure). In x = gamma_d T_c and d = gamma_d T_d the
+    is e^{-2 k gamma_d T_c} with k = kind.decay_exponent() (1 for
+    depolarizing and dephasing, 1/2 for erasure). In x = gamma_d T_c and
+    d = gamma_d T_d the
     minimum of e^{k x} sqrt(x + d) / x is the positive root of
     2k x^2 + (2kd - 1) x - 2d = 0, taken in the form that does not cancel:
     the standard formula while 2kd <= 1, else the one divided through by d,
     which stays finite as d grows without bound. With no dead time the
     optima are 1/(2 gamma_d) and 1/gamma_d.
 
-    Raises ValueError for a non-positive gamma_d, a negative t_d, or an
-    optimum whose T_c or sigma lies outside floating-point range.
+    Raises ValueError for a gamma_d that is not positive and finite, a t_d
+    that is not non-negative and finite, or an optimum whose T_c or sigma
+    lies outside floating-point range.
     """
-    if gamma_d <= 0.0:
-        raise ValueError("gamma_d must be positive")
-    if t_d < 0.0:
-        raise ValueError("t_d must be non-negative")
-    q = kind.strength(1.0)  # k read off the contract at gamma T = 1
-    k = -0.5 * math.log(kind.survival(q) * kind.amplitude(q) ** 2)
+    if not 0.0 < gamma_d < math.inf:
+        raise ValueError("gamma_d must be positive and finite")
+    if not 0.0 <= t_d < math.inf:
+        raise ValueError("t_d must be non-negative and finite")
+    k = kind.decay_exponent()
     d = gamma_d * t_d
     if 2.0 * k * d <= 1.0:
         b = 1.0 - 2.0 * k * d

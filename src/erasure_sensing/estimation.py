@@ -46,6 +46,8 @@ class CountRecord:
             v = getattr(self, name)
             if v != int(v) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if self.kind is not ChannelKind.ERASURE and self.n_erasure > 0:
             raise ValueError("erasure counts recorded for a non-erasure channel")
         if self.kind is not ChannelKind.ERASURE:

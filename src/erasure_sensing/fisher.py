@@ -30,9 +30,6 @@ from .states import (
 # Outcomes with probability below this are treated as (possibly removable)
 # zeros of the model rather than regular points.
 _PROB_FLOOR = 1e-14
-# At such a zero the derivative must also vanish (quadratic zero) for the
-# Fisher sum to stay finite; this is the tolerance on "vanish".
-_DERIV_FLOOR = 1e-10
 # Eigenvalue gap |r| below which a 2x2 density matrix counts as degenerate.
 _DEGENERACY_GAP = 1e-10
 
@@ -75,10 +72,10 @@ def classical_fisher_numeric(
 ) -> float:
     """Central-difference Fisher information sum_x (d_phi p_x)^2 / p_x.
 
-    Outcomes whose probability is numerically zero contribute through the
-    quadratic-zero limit 2 p'' provided their derivative also vanishes;
-    a vanishing probability with non-vanishing slope raises
-    SingularFisherError. The differences are taken at phi +/- 1e-5.
+    An outcome with p below _PROB_FLOOR contributes the quadratic-zero limit
+    2 p'' of p'^2 / p: near such a zero p'^2 = 2 p'' p <= 2 p'' _PROB_FLOOR,
+    so a slope with p'^2 > 4 max(p'', 0) _PROB_FLOOR (a factor 2 of slack)
+    raises SingularFisherError. The differences are taken at phi +/- 1e-5.
     """
     p0 = model(phi).as_array()
     pp = model(phi + _STEP).as_array()
@@ -90,8 +87,7 @@ def classical_fisher_numeric(
     for x in range(3):
         if p0[x] > _PROB_FLOOR:
             total += deriv[x] ** 2 / p0[x]
-        elif abs(deriv[x]) < _DERIV_FLOOR:
-            # p ~ a (phi - phi0)^2 near a quadratic zero gives p'^2/p -> 2 p''.
+        elif deriv[x] ** 2 <= 4.0 * max(second[x], 0.0) * _PROB_FLOOR:
             total += max(2.0 * second[x], 0.0)
         else:
             raise SingularFisherError(

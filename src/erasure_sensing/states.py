@@ -11,15 +11,15 @@ block-diagonal mixtures of that form, which is why a Bloch vector and a
 scalar weight suffice instead of a full 3x3 density matrix.
 
 `ChannelKind` carries the channel contract: the fringe amplitude and the
-atom survival probability that a strength-q channel leaves, and the rate
-law that turns a decay gamma * T into q; `NoiseChannel` is a configured
-channel, a kind with a fixed q or a rate gamma. Every consumer outside this
-module reads the physics from the contract except the numeric Fisher
-oracle, whose outcome model (`fisher.channel_outcome_model`) chains
-`prepare_plus`, `accumulate_phase`, `apply_noise` and `measure_probs`:
-their state-level formulas are written independently of the contract, so
-each is checked against the other. All operations are pure functions of
-their inputs.
+atom survival probability that a strength-q channel leaves, the rate law
+that turns a decay gamma * T into q, and the information exponent of that
+decay; `NoiseChannel` is a configured channel, a kind with a fixed q or a
+rate gamma. Every consumer outside this module reads the physics from the
+contract except the numeric Fisher oracle, whose outcome model
+(`fisher.channel_outcome_model`) chains `prepare_plus`, `accumulate_phase`,
+`apply_noise` and `measure_probs`: their state-level formulas are written
+independently of the contract, so each is checked against the other. All
+operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ _SUM_TOL = 1e-12
 
 
 class ChannelKind(enum.Enum):
+    """A noise channel and its contract: amplitude(q), survival(q), the rate
+    law strength(decay), and the information exponent decay_exponent()."""
+
     DEPOLARIZING = "depolarizing"
     DEPHASING = "dephasing"
     ERASURE = "erasure"
@@ -63,12 +66,18 @@ class ChannelKind(enum.Enum):
     def strength(self, decay: float) -> float:
         """Error probability after a decay gamma * T: (1 - e^{-decay}) / 2
         for dephasing, the Z-flip probability of a T2 decay, and
-        1 - e^{-decay} for the others. Every kind then leaves Fisher
-        information survival * amplitude^2 = e^{-2 k decay}, with k = 1 for
-        depolarizing and dephasing (amplitude e^{-decay}) and k = 1/2 for
-        erasure (survival e^{-decay})."""
+        1 - e^{-decay} for the others, so every kind leaves the information
+        e^{-2 k decay} of decay_exponent."""
         q = 1.0 - math.exp(-decay)
         return q / 2.0 if self is ChannelKind.DEPHASING else q
+
+    def decay_exponent(self) -> float:
+        """The information exponent k: a decay gamma * T leaves Fisher
+        information survival * amplitude^2 = e^{-2 k gamma T}, with k = 1/2
+        for erasure (survival e^{-gamma T}) and 1 otherwise (amplitude
+        e^{-gamma T}). Read off the contract at gamma T = 1."""
+        q = self.strength(1.0)
+        return -0.5 * math.log(self.survival(q) * self.amplitude(q) ** 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,9 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from erasure_sensing import __version__
-from erasure_sensing.clock import crb_floor
+from erasure_sensing import __version__, cli
 from erasure_sensing.cli import main
+from erasure_sensing.clock import crb_floor
+from erasure_sensing.fisher import SingularFisherError
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 EXAMPLE_CONFIG = os.path.abspath(os.path.join(DATA, "example_comparison.json"))
@@ -70,10 +71,18 @@ class TestFisherCommand:
     def test_invalid_q_is_a_usage_error(self, capsys):
         assert main(["fisher", "erasure", "-q", "1.5"]) == 2
 
-    def test_singular_evaluation_exit_code(self, capsys):
+    def test_singular_evaluation_exit_code(self, tmp_path, capsys, monkeypatch):
+        # no channel model has a slope at a zero of its probabilities, so
+        # the oracle is made to raise to check the exit-code mapping
+        def singular(model, phi):
+            raise SingularFisherError(f"singular Fisher evaluation at phi = {phi}")
+
+        monkeypatch.setattr(cli, "classical_fisher_numeric", singular)
         assert main(["fisher", "depolarizing", "-q", "0", "--numeric",
-                     "--phi", str(math.pi - 1e-7), "--theta", "0"]) == 3
+                     "--phi", str(math.pi - 1e-7), "--theta", "0",
+                     "--out", str(tmp_path)]) == 3
         assert "singular" in capsys.readouterr().err.lower()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEllipseCommand:
@@ -175,6 +184,38 @@ class TestSimulateCommand:
         assert main(["simulate", str(path), "--out", str(tmp_path)]) == 2
         assert "cycles" in capsys.readouterr().err  # missing fields are named
 
+    @pytest.mark.parametrize("overrides, named", [
+        (None, "JSON object"),
+        ({"noise": [1]}, "noise"),
+        ({"noise": {"q": 0.1}}, "noise.kind"),
+        ({"phi_d": 4.0}, "phi_d"),
+        ({"cycles": 0}, "cycles"),
+        ({"c_a": 1.5}, "c_a"),
+        ({"seed": -1}, "seed"),
+    ], ids=["not-an-object", "noise-not-an-object", "noise-without-kind",
+            "phi_d-out-of-range", "zero-cycles", "contrast-above-one", "negative-seed"])
+    def test_config_error_names_its_field(self, overrides, named, tmp_path, capsys):
+        if overrides is None:
+            path = tmp_path / "config.json"
+            path.write_text("[1, 2]")
+        else:
+            path = small_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_no_fitted_window_is_a_fit_error(self, tmp_path, capsys):
+        # with phi_d = 0 and no shot noise every pair lies on the diagonal,
+        # so every window is collinear and none gives a phase
+        cfg = small_config(tmp_path, phi_d=0.0, shot_noise=False)
+        assert main(["simulate", cfg, "--out", str(tmp_path / "run")]) == 5
+        assert "0 of 6 fit windows" in capsys.readouterr().err
+        assert main(["scaling", cfg, "--q-grid", "0", "--kind", "erasure",
+                     "--out", str(tmp_path / "s")]) == 5
+        assert list((tmp_path / "run").iterdir()) == []
+        assert list((tmp_path / "s").iterdir()) == []
+
     def test_mistyped_noise_field_is_a_usage_error(self, tmp_path, capsys):
         cfg = small_config(tmp_path, noise={"kind": "erasure", "q": None})
         assert main(["simulate", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -267,6 +308,29 @@ class TestAllanCommand:
         path.write_text("not-a-number\n")
         assert main(["allan", str(path), "--cycle-time", "1", "--out", str(tmp_path)]) == 2
 
+    def test_infinite_sample_is_a_usage_error(self, tmp_path, capsys):
+        # 1e400 parses to inf; an infinite sample is not a NaN gap to drop
+        rng = np.random.default_rng(4)
+        path = tmp_path / "y.txt"
+        path.write_text("".join(f"{v!r}\n" for v in rng.normal(size=50).tolist())
+                        + "inf\n-inf\n1e400\n")
+        out = tmp_path / "a"
+        assert main(["allan", str(path), "--cycle-time", "1", "--out", str(out)]) == 2
+        assert "series holds an infinite value" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+# Input files the usage-error cases read, written into each test's working
+# directory; "missing.*" names a file that does not exist.
+USAGE_INPUTS = {
+    "not_json.json": "{",
+    "series.txt": "".join(f"{v}\n" for v in range(8)),
+    "empty.csv": "",
+    "header_only.csv": "x_a,x_b\n",
+    "three_columns.csv": "x_a,x_b\n" + "0.1,0.2,0.3\n" * 8,
+    "non_numeric.csv": "x_a,x_b\n" + "0.1,abc\n" * 8,
+}
+
 
 def exit_code(argv):
     """main's return value, or the code argparse exits with."""
@@ -287,11 +351,29 @@ class TestNonFiniteAndNonPositiveNumbers:
         ["optimize", "--gamma", "1e-310"],
         ["optimize", "--gamma", "1e308", "--dead-time-grid", "0,10"],
         ["scaling", EXAMPLE_CONFIG, "--kind", "dephasing"],
+        ["simulate", "missing.json"],
+        ["simulate", "not_json.json"],
+        ["scaling", EXAMPLE_CONFIG, "--q-grid", "abc"],
+        ["scaling", EXAMPLE_CONFIG, "--q-grid", ","],
+        ["optimize", "--gamma", "1.0", "--dead-time-grid", "-1"],
+        ["allan", "series.txt", "--cycle-time", "0"],
+        ["allan", "missing.txt", "--cycle-time", "1"],
+        ["ellipse", "empty.csv"],
+        ["ellipse", "header_only.csv"],
+        ["ellipse", "three_columns.csv"],
+        ["ellipse", "non_numeric.csv"],
     ], ids=["gamma-nan", "dead-time-nan", "dead-time-inf", "phi-nan",
             "threads-zero", "threads-negative", "gamma-subnormal",
-            "sigma-overflow", "scaling-dephasing"])
+            "sigma-overflow", "scaling-dephasing", "config-unreadable",
+            "config-not-json", "q-grid-not-numbers", "q-grid-empty",
+            "dead-time-negative", "cycle-time-zero", "series-unreadable",
+            "pairs-empty", "pairs-header-only", "pairs-three-columns",
+            "pairs-non-numeric"])
     def test_rejected_as_usage_error(self, argv, tmp_path, capsys):
+        for name, text in USAGE_INPUTS.items():
+            (tmp_path / name).write_text(text)
         assert exit_code(argv + ["--out", str(tmp_path)]) == 2
+        assert "error" in capsys.readouterr().err
         assert list(tmp_path.glob("*_manifest.json")) == []
 
     def test_nan_dead_time_in_config(self, tmp_path, capsys):

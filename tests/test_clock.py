@@ -1,8 +1,10 @@
 """Clock-comparison Monte Carlo: config parsing, per-cycle random streams,
 determinism, Allan deviation, scaling fits, and interrogation-time optimization."""
 
+import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +118,14 @@ class TestConfigParsing:
             with pytest.raises(ValueError, match=field):
                 config(**{field: value})
         assert config(N0=2**62).n0 == 2**62
+
+    def test_readme_config_block_matches_the_schema(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Simulation config", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        data = json.loads(block)
+        assert list(data) == list(clock._SCHEMA)
+        assert ComparisonConfig.from_dict(data).n0 == data["N0"]
 
     def test_rate_specified_noise_accepted(self):
         cfg = config(noise={"kind": "dephasing", "gamma": 0.25}, T_c=2.0)
@@ -309,6 +319,12 @@ class TestAllanDeviation:
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):
             allan_deviation(np.ones(3), cycle_time=1.0)
+        # only NaN marks a gap: an infinite sample is an error, not dropped
+        for bad in (math.inf, -math.inf):
+            y = np.ones(100)
+            y[40] = bad
+            with pytest.raises(ValueError, match="infinite"):
+                allan_deviation(y, cycle_time=1.0)
         for cycle_time in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 allan_deviation(np.ones(100), cycle_time=cycle_time)
@@ -435,6 +451,13 @@ class TestOptimizer:
             optimize_interrogation(0.0, 0.0, ChannelKind.ERASURE)
         with pytest.raises(ValueError):
             optimize_interrogation(1.0, -0.5, ChannelKind.ERASURE)
+        for kind in ChannelKind:
+            for gamma_d, t_d, named in ((math.inf, 1.0, "gamma_d"),
+                                        (math.nan, 1.0, "gamma_d"),
+                                        (1.0, math.inf, "t_d"),
+                                        (1.0, math.nan, "t_d")):
+                with pytest.raises(ValueError, match=named):
+                    optimize_interrogation(gamma_d, t_d, kind)
 
 
 class TestFrequencyConversion:

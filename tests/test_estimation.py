@@ -107,6 +107,11 @@ class TestMlePhase:
         with pytest.raises(ValueError):
             mle_phase(CountRecord(0, 0, 100, theta=0.0, kind=ChannelKind.ERASURE, q=0.0))
 
+    def test_non_finite_theta_rejected(self):
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="theta"):
+                CountRecord(600, 400, 0, theta=theta, kind=ChannelKind.DEPOLARIZING, q=0.2)
+
 
 class TestEllipseFit:
     def test_recovers_shipped_example_phase(self):

@@ -19,7 +19,7 @@ from erasure_sensing.fisher import (
     qfi_depolarized,
     qfi_pure_generator,
 )
-from erasure_sensing.states import ChannelKind
+from erasure_sensing.states import ChannelKind, OutcomeDistribution
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 HALF_SIGMA_Z = 0.5 * SIGMA_Z
@@ -139,13 +139,19 @@ class TestNumericOracleAgreement:
         # the quadratic-limit term keeps the noiseless value finite and exact
         model = channel_outcome_model(ChannelKind.DEPOLARIZING, 0.0, 0.0)
         assert classical_fisher_numeric(model, math.pi) == pytest.approx(1.0, abs=1e-6)
+        # just off the node p ~ 2.5e-15 is below the floor with slope ~5e-8,
+        # and p'^2 / p = (5e-8)^2 / 2.5e-15 = 1: the same removable limit
+        assert classical_fisher_numeric(model, math.pi - 1e-7) == pytest.approx(1.0, abs=1e-5)
 
     def test_true_singularity_raises(self):
-        # just off the node: p ~ 2.5e-15 but the slope is only ~5e-8, so the
-        # quotient is a genuine blow-up rather than a removable limit
-        model = channel_outcome_model(ChannelKind.DEPOLARIZING, 0.0, 0.0)
+        # a one-sided zero: p = max(phi, 0) / 2 vanishes at phi = 0 with
+        # slope 1/2 on one side, so p'^2 / p has no finite limit there
+        def model(phi):
+            p = max(phi, 0.0) / 2.0
+            return OutcomeDistribution(p_plus=p, p_minus=1.0 - p)
+
         with pytest.raises(SingularFisherError):
-            classical_fisher_numeric(model, math.pi - 1e-7)
+            classical_fisher_numeric(model, 0.0)
 
 
 class TestQuantumFisher:
