@@ -17,7 +17,8 @@ Determinism contract: cycle i draws, in a documented order
 Philox(SeedSequence(entropy=seed, spawn_key=(i,))), so results are
 bit-identical for a given config; the threads arguments and flags are
 accepted but change nothing. The simulator does not build those sequences:
-it derives their Philox keys in vectorized chunks (_cycle_keys) and re-keys
+it derives their Philox keys in vectorized chunks from numpy's pool for
+SeedSequence(seed) and one index word per cycle (_cycle_keys), and re-keys
 one generator per cycle (_cycle_streams), which yields the same bits.
 """
 
@@ -143,8 +144,9 @@ class ComparisonConfig:
         # N0 is bounded like seed: the survivor draw takes a signed 64-bit n
         if int(self.n0) != self.n0 or not 1 <= self.n0 < 2**63:
             raise ValueError("N0 must be an integer in [1, 2^63)")
-        if int(self.cycles) != self.cycles or self.cycles < 1:
-            raise ValueError("cycles must be an integer >= 1")
+        # one spawn word per cycle index: _cycle_keys stops at 2^32
+        if int(self.cycles) != self.cycles or not 1 <= self.cycles <= 2**32:
+            raise ValueError("cycles must be an integer in [1, 2^32]")
         if not 0.0 < self.t_c < math.inf:
             raise ValueError("T_c must be positive and finite")
         if not 0.0 <= self.t_d < math.inf:
@@ -202,16 +204,18 @@ class CycleRecord:
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, pool of 4
 # uint32 words), and the cycles whose Philox keys are derived at a time.
+# _SEEDED is the hash constant after the seed's 16 hashes (4 in, 12 mixes).
 _MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MULT_A = 0x931E8875
+_SEEDED = 0x43B0D7E5 * pow(_MULT_A, 16, 1 << 32) & _MASK32
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _KEY_CHUNK = 4096
 
 
 def _hashmix(value, const: int, mult: int):
-    """One SeedSequence hash of a word (a Python int or a uint32 array),
-    returned with the advanced hash constant."""
+    """One SeedSequence hash of a uint32 array, returned with the advanced
+    hash constant."""
     nxt = const * mult & _MASK32
     value = (value ^ const) * nxt & _MASK32
     return value ^ value >> 16, nxt
@@ -226,42 +230,22 @@ def _mix(x, y):
 
 
 def _cycle_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    """(stop - start, 2) uint64 Philox keys of cycles start .. stop - 1.
+    """(stop - start, 2) uint64 Philox keys of cycles start .. stop - 1,
+    for stop <= 2^32.
 
     Row k equals SeedSequence(entropy=seed, spawn_key=(start + k,))
     .generate_state(2, np.uint64), the key Philox takes from that sequence.
-    The sequence's entropy is the seed's two 32-bit words zero-padded to
-    the pool size, then the index's words (one below 2^32, two above).
-    Hashing and cross-mixing the seed's words does not depend on the index,
-    so it runs once on Python ints; absorbing the index words and hashing
-    the pool out run on uint32 arrays. All of it is integer arithmetic
-    modulo 2^32, so the keys are exact.
+    Until it absorbs its spawn word, that sequence's pool is the one numpy
+    computes for SeedSequence(seed): the zeros a spawn key makes numpy pad
+    the seed's words with hash as the missing words do. Absorbing the index
+    word and hashing the pool out run on uint32 arrays modulo 2^32, so the
+    keys are exact.
     """
-    seed = int(seed)  # a numpy integer seed would warn as its products wrap
-    const = _INIT_A
-    pool = []
-    for word in (seed & _MASK32, seed >> 32, 0, 0):
-        h, const = _hashmix(word, const, _MULT_A)
-        pool.append(h)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
-
-    def absorb(pool, word, const):
-        mixed = []
-        for p in pool:
-            h, const = _hashmix(word, const, _MULT_A)
-            mixed.append(_mix(p, h))
-        return mixed, const
-
-    index = np.arange(start, stop, dtype=np.uint64)
-    pool, const = absorb(pool, (index & _MASK32).astype(np.uint32), const)
-    if stop > 1 << 32:
-        high = (index >> 32).astype(np.uint32)
-        again, _ = absorb(pool, high, const)
-        pool = [np.where(high > 0, b, a) for a, b in zip(pool, again)]
+    index = np.arange(start, stop, dtype=np.uint32)
+    const, pool = _SEEDED, []
+    for word in np.random.SeedSequence(seed).pool.tolist():
+        h, const = _hashmix(index, const, _MULT_A)
+        pool.append(_mix(word, h))
 
     const, words = _INIT_B, []
     for p in pool:
@@ -310,6 +294,7 @@ def run_comparison(config: ComparisonConfig, threads: int = 1) -> CycleRecord:
 
     The streams come from _cycle_streams, one re-keyed generator that is
     bit-identical to building each cycle's generator from its sequence.
+    A cycle index is one 32-bit spawn word, so cycles is at most 2^32.
 
     threads is accepted for compatibility and changes nothing: the loop
     holds the GIL, and a thread pool over it measured no faster.

@@ -130,13 +130,17 @@ class TestSimulateCommand:
         header = (out / "cycles.csv").read_text().splitlines()[0]
         assert header == "cycle,theta,x_a,x_b,n_a,n_b"
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path, capsys):
+    def test_byte_identical_across_runs_and_threads(self, tmp_path, capsys, monkeypatch):
         cfg = small_config(tmp_path)
         outs = []
         for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / name
             assert main(["simulate", cfg, "--out", str(out), "--threads", threads]) == 0
             outs.append(out)
+        # cycles.csv written in chunks that do not divide its 600 rows
+        monkeypatch.setattr(cli, "_CSV_ROWS", 7)
+        assert main(["simulate", cfg, "--out", str(tmp_path / "d")]) == 0
+        outs.append(tmp_path / "d")
         ref_cycles = (outs[0] / "cycles.csv").read_bytes()
         ref_phases = (outs[0] / "phases.csv").read_bytes()
         for out in outs[1:]:
@@ -378,10 +382,12 @@ class TestNonFiniteAndNonPositiveNumbers:
 
     def test_nan_dead_time_in_config(self, tmp_path, capsys):
         # JSON's NaN and Infinity literals parse; the run must stop before
-        # simulating, as it must for an N0 past the survivor draw's int64
-        # and for an integer literal too large for a float
+        # simulating, as it must for an N0 past the survivor draw's int64,
+        # for an integer literal too large for a float and for more cycles
+        # than one spawn word can index
         cases = (("T_d", float("nan")), ("T_c", math.inf), ("T_d", math.inf),
-                 ("f0", math.inf), ("N0", 2**63), ("f0", 10**400))
+                 ("f0", math.inf), ("N0", 2**63), ("f0", 10**400),
+                 ("cycles", 2**32 + 1))
         for k, (field, value) in enumerate(cases):
             out = tmp_path / f"run{k}"
             cfg = small_config(tmp_path, **{field: value})

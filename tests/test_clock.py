@@ -110,14 +110,15 @@ class TestConfigParsing:
 
     def test_nan_dead_time_rejected(self):
         # also infinite times (`not x > 0` lets +inf through), an N0 past
-        # the survivor draw's signed 64-bit range and an integer too large
-        # for a float
+        # the survivor draw's signed 64-bit range, an integer too large
+        # for a float and more cycles than one spawn word can index
         for field, value in (("T_d", float("nan")), ("T_c", math.inf),
                              ("T_d", math.inf), ("f0", math.inf), ("N0", 2**63),
-                             ("f0", 10**400)):
+                             ("f0", 10**400), ("cycles", 2**32 + 1)):
             with pytest.raises(ValueError, match=field):
                 config(**{field: value})
         assert config(N0=2**62).n0 == 2**62
+        assert config(cycles=2**32).cycles == 2**32
 
     def test_readme_config_block_matches_the_schema(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -147,17 +148,20 @@ class TestPerCycleStreams:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 20260823])
+    # the last two seeds were drawn once from [0, 2^64)
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 20260823,
+                                      16134029794114136219, 7122353689425835307])
     def test_keys_equal_seed_sequence_keys(self, seed):
-        # Indices from 2^32 on have two spawn words; the last range
-        # straddles the boundary between two chunks of keys.
-        for i in (0, 1, 2, 2**32 - 1, 2**32, 2**32 + 7):
+        # Indices run up to the largest one spawn word holds; one range
+        # straddles the boundary between two chunks of keys, the other ends
+        # at 2^32.
+        for i in (0, 1, 2, 2**32 - 1):
             keys = clock._cycle_keys(seed, i, i + 1)
             assert keys.dtype == np.uint64
             assert np.array_equal(keys, [seed_sequence_key(seed, i)])
-        lo, hi = clock._KEY_CHUNK - 3, clock._KEY_CHUNK + 3
-        expected = [seed_sequence_key(seed, i) for i in range(lo, hi)]
-        assert np.array_equal(clock._cycle_keys(seed, lo, hi), expected)
+        for lo, hi in ((clock._KEY_CHUNK - 3, clock._KEY_CHUNK + 3), (2**32 - 64, 2**32)):
+            expected = [seed_sequence_key(seed, i) for i in range(lo, hi)]
+            assert np.array_equal(clock._cycle_keys(seed, lo, hi), expected)
 
     def test_shared_generator_draws_each_cycles_fresh_stream(self):
         # Mixed draws leave the buffer and the cached 32-bit half in use,
