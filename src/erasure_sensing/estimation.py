@@ -44,7 +44,11 @@ class CountRecord:
     def __post_init__(self):
         for name in ("n_plus", "n_minus", "n_erasure"):
             v = getattr(self, name)
-            if v != int(v) or v < 0:
+            try:
+                whole = v == int(v)
+            except (OverflowError, ValueError, TypeError):  # inf, NaN, not a number
+                whole = False
+            if not whole or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")

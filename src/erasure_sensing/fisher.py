@@ -37,6 +37,8 @@ _HERMITIAN_TOL = 1e-12
 # Central-difference step of the numeric oracle; it balances truncation
 # against rounding at double precision.
 _STEP = 1e-5
+# The fields of an OutcomeDistribution, in outcome order.
+_OUTCOMES = ("p_plus", "p_minus", "p_erasure")
 
 
 class SingularFisherError(ArithmeticError):
@@ -59,8 +61,10 @@ def channel_outcome_model(
     q, and measures in the |+/- theta> basis with the leak level resolved.
     """
 
+    start = prepare_plus()
+
     def model(phi: float) -> OutcomeDistribution:
-        state = accumulate_phase(prepare_plus(), phi)
+        state = accumulate_phase(start, phi)
         state = apply_noise(state, kind, q)
         return measure_probs(state, theta)
 
@@ -77,45 +81,57 @@ def classical_fisher_numeric(
     so a slope with p'^2 > 4 max(p'', 0) _PROB_FLOOR (a factor 2 of slack)
     raises SingularFisherError. The differences are taken at phi +/- 1e-5.
     """
-    p0 = model(phi).as_array()
-    pp = model(phi + _STEP).as_array()
-    pm = model(phi - _STEP).as_array()
-    deriv = (pp - pm) / (2.0 * _STEP)
-    second = (pp - 2.0 * p0 + pm) / _STEP**2
-
+    at, above, below = model(phi), model(phi + _STEP), model(phi - _STEP)
     total = 0.0
-    for x in range(3):
-        if p0[x] > _PROB_FLOOR:
-            total += deriv[x] ** 2 / p0[x]
-        elif deriv[x] ** 2 <= 4.0 * max(second[x], 0.0) * _PROB_FLOOR:
-            total += max(2.0 * second[x], 0.0)
+    for x, name in enumerate(_OUTCOMES):
+        p0, pp, pm = getattr(at, name), getattr(above, name), getattr(below, name)
+        deriv = (pp - pm) / (2.0 * _STEP)
+        second = (pp - 2.0 * p0 + pm) / _STEP**2
+        if p0 > _PROB_FLOOR:
+            total += deriv**2 / p0
+        elif deriv**2 <= 4.0 * max(second, 0.0) * _PROB_FLOOR:
+            total += max(2.0 * second, 0.0)
         else:
             raise SingularFisherError(
-                f"singular Fisher evaluation: outcome {x} has p = {p0[x]} "
-                f"but slope {deriv[x]} at phi = {phi}"
+                f"singular Fisher evaluation: outcome {x} has p = {p0} "
+                f"but slope {deriv} at phi = {phi}"
             )
     return total
 
 
 def _checked_q(q):
+    """q as a float when it is a Python int or float (numpy's float64
+    included), else as an array; raises ValueError outside [0, 1]. The
+    estimators evaluate one point per call, and float arithmetic costs a
+    fraction of numpy's."""
+    if isinstance(q, (float, int)):
+        q = float(q)
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("q must lie in [0, 1]")
+        return q
     q = np.asarray(q, dtype=float)
     if not ((q >= 0.0) & (q <= 1.0)).all():
         raise ValueError("q must lie in [0, 1]")
-    # a scalar q comes back as a numpy scalar, not a 0-d array: the
-    # estimators evaluate one point per call, and scalar arithmetic costs a
-    # fraction of 0-d array arithmetic
-    return q[()]
+    return q
 
 
 def _fringe_fisher(amplitude, delta):
     """Fisher information of a two-outcome fringe p = (1 +/- A cos d)/2.
 
     F = A^2 sin^2 d / (1 - A^2 cos^2 d), with the removable 0/0 at |A| = 1,
-    cos d = +/-1 evaluated as its limit value 1.
+    cos d = +/-1 evaluated as its limit value 1. Floats in give a float;
+    arrays in give an array whose every element equals the float call.
     """
-    s2 = np.sin(delta) ** 2
-    c2 = np.cos(delta) ** 2
-    num = amplitude**2 * s2
+    if isinstance(amplitude, float) and isinstance(delta, (float, int)):
+        s2 = math.sin(delta) ** 2
+        c2 = math.cos(delta) ** 2
+        a2 = amplitude**2
+    else:
+        # a float's ** 2 is libm's pow, an array's ** 2 a multiply, and the
+        # two round apart on ~0.1% of inputs: float_power squares each
+        # element with pow, so an element equals the float call bit for bit
+        s2, c2, a2 = (np.float_power(v, 2) for v in (np.sin(delta), np.cos(delta), amplitude))
+    num = a2 * s2
     # 1 - A^2 cos^2 d rewritten as s^2 + (1-A^2) c^2: every term is
     # non-negative, so the node region |A| -> 1, sin d -> 0 keeps full
     # precision instead of cancelling two near-unit quantities
@@ -138,9 +154,9 @@ def fisher_information(kind: ChannelKind, q, delta):
     """
     q = _checked_q(q)
     out = kind.survival(q) * _fringe_fisher(kind.amplitude(q), delta)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    if isinstance(out, np.ndarray) and out.ndim:
+        return out
+    return float(out)
 
 
 def fisher_depolarizing(q, delta):

@@ -92,7 +92,10 @@ class SensorState:
         if b.shape != (3,):
             raise ValueError("bloch must be a real 3-vector")
         object.__setattr__(self, "bloch", b)
-        if float(np.linalg.norm(b)) > 1.0 + 1e-12:
+        norm = math.hypot(*b.tolist())
+        if not math.isfinite(norm):
+            raise ValueError("bloch must be finite")
+        if norm > 1.0 + 1e-12:
             raise ValueError("Bloch vector norm exceeds 1")
         w = float(self.erasure_weight)
         if not 0.0 <= w <= 1.0:
@@ -145,6 +148,8 @@ class OutcomeDistribution:
     def __post_init__(self):
         for name in ("p_plus", "p_minus", "p_erasure"):
             p = float(getattr(self, name))
+            if not math.isfinite(p):
+                raise ValueError(f"{name} must be finite")
             if p < -_NEGATIVE_TOL:
                 raise ValueError(f"{name} = {p} is negative")
             object.__setattr__(self, name, max(p, 0.0))
@@ -152,13 +157,10 @@ class OutcomeDistribution:
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_plus, self.p_minus, self.p_erasure])
-
 
 def prepare_plus() -> SensorState:
     """Initial sensor state |+>, Bloch vector (1, 0, 0), no leakage."""
-    return SensorState(bloch=np.array([1.0, 0.0, 0.0]), erasure_weight=0.0)
+    return SensorState(bloch=[1.0, 0.0, 0.0], erasure_weight=0.0)
 
 
 def accumulate_phase(state: SensorState, phi: float) -> SensorState:
@@ -168,9 +170,9 @@ def accumulate_phase(state: SensorState, phi: float) -> SensorState:
     population is untouched.
     """
     c, s = math.cos(phi), math.sin(phi)
-    bx, by, bz = state.bloch
+    bx, by, bz = state.bloch.tolist()
     return SensorState(
-        bloch=np.array([bx * c - by * s, bx * s + by * c, bz]),
+        bloch=[bx * c - by * s, bx * s + by * c, bz],
         erasure_weight=state.erasure_weight,
     )
 
@@ -187,15 +189,16 @@ def apply_noise(state: SensorState, kind: ChannelKind, q: float) -> SensorState:
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
 
-    bx, by, bz = state.bloch
+    bx, by, bz = state.bloch.tolist()
     w = state.erasure_weight
     if kind is ChannelKind.DEPOLARIZING:
-        return SensorState(bloch=(1.0 - q) * state.bloch, erasure_weight=w)
+        f = 1.0 - q
+        return SensorState(bloch=[f * bx, f * by, f * bz], erasure_weight=w)
     if kind is ChannelKind.DEPHASING:
         f = 1.0 - 2.0 * q
-        return SensorState(bloch=np.array([f * bx, f * by, bz]), erasure_weight=w)
+        return SensorState(bloch=[f * bx, f * by, bz], erasure_weight=w)
     if kind is ChannelKind.ERASURE:
-        return SensorState(bloch=state.bloch.copy(), erasure_weight=w + q * (1.0 - w))
+        return SensorState(bloch=[bx, by, bz], erasure_weight=w + q * (1.0 - w))
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
@@ -204,11 +207,15 @@ def measure_probs(state: SensorState, theta: float) -> OutcomeDistribution:
     |+/- theta> = (|0> +/- e^{i theta} |1>) / sqrt(2), theta taken mod 2 pi.
 
     The leak level is resolved as its own outcome: p_erasure equals the leak
-    weight and the +/- branch carries the rest.
+    weight and the +/- branch carries the rest. A non-finite theta raises
+    ValueError.
     """
-    theta = float(theta) % TWO_PI
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    theta %= TWO_PI
     w = state.erasure_weight
-    bx, by, _ = state.bloch
+    bx, by, _ = state.bloch.tolist()
     proj = bx * math.cos(theta) + by * math.sin(theta)
     p_plus = (1.0 - w) * (1.0 + proj) / 2.0
     p_minus = (1.0 - w) * (1.0 - proj) / 2.0

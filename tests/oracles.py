@@ -6,8 +6,11 @@ full ellipse refit per fit window and per jackknife deletion, one full
 overlapping-ADEV evaluation per deleted Allan block, one record object per
 simulated cycle, and a golden-section search for the optimal interrogation
 time; plus the paper's eigenvector form of the qubit quantum Fisher
-information, which the library evaluates in Bloch form. They are kept
-here, independent of the library code, only as test oracles.
+information, which the library evaluates in Bloch form; and the
+array-form state chain, numeric Fisher information, closed-form
+information and count inversion, which the library evaluates in floats.
+They are kept here, independent of the library code, only as test
+oracles.
 """
 
 import math
@@ -16,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from erasure_sensing.clock import LaserPhaseModel
-from erasure_sensing.estimation import EllipseFitError
+from erasure_sensing.estimation import EllipseFitError, PhaseEstimate
+from erasure_sensing.fisher import SingularFisherError
+from erasure_sensing.states import ChannelKind, OutcomeDistribution, SensorState
 
 
 def solve_conic(x, y):
@@ -275,3 +280,97 @@ def qfi(rho, generator):
     purity = np.trace(rho @ rho).real
     element = eta[:, 0].conj() @ np.asarray(generator, dtype=complex) @ eta[:, 1]
     return 4.0 * (2.0 * purity - 1.0) * abs(element) ** 2
+
+
+def outcome_model(kind, q, theta):
+    """phi -> OutcomeDistribution: |+>, a phase phi, the channel at
+    strength q and the |+/- theta> readout, each step on the numpy Bloch
+    vector."""
+
+    def model(phi):
+        c, s = math.cos(phi), math.sin(phi)
+        bx, by, bz = np.array([1.0, 0.0, 0.0])
+        bloch = np.array([bx * c - by * s, bx * s + by * c, bz])
+        w = 0.0
+        if not 0.0 <= float(q) <= 1.0:
+            raise ValueError("q must lie in [0, 1]")
+        if kind is ChannelKind.DEPOLARIZING:
+            bloch = (1.0 - q) * bloch
+        elif kind is ChannelKind.DEPHASING:
+            f = 1.0 - 2.0 * q
+            bloch = np.array([f * bloch[0], f * bloch[1], bloch[2]])
+        else:
+            w = w + q * (1.0 - w)
+        state = SensorState(bloch=bloch, erasure_weight=w)
+        t = float(theta) % (2.0 * math.pi)
+        bx, by, _ = state.bloch
+        proj = bx * math.cos(t) + by * math.sin(t)
+        return OutcomeDistribution(
+            p_plus=(1.0 - w) * (1.0 + proj) / 2.0,
+            p_minus=(1.0 - w) * (1.0 - proj) / 2.0,
+            p_erasure=w,
+        )
+
+    return model
+
+
+def classical_fisher_numeric(model, phi):
+    """Central-difference Fisher information on the three outcome
+    probabilities as arrays, with the quadratic-zero limit below 1e-14."""
+    step, floor = 1e-5, 1e-14
+
+    def probs(at):
+        d = model(at)
+        return np.array([d.p_plus, d.p_minus, d.p_erasure])
+
+    p0, pp, pm = probs(phi), probs(phi + step), probs(phi - step)
+    deriv = (pp - pm) / (2.0 * step)
+    second = (pp - 2.0 * p0 + pm) / step**2
+    total = 0.0
+    for x in range(3):
+        if p0[x] > floor:
+            total += deriv[x] ** 2 / p0[x]
+        elif deriv[x] ** 2 <= 4.0 * max(second[x], 0.0) * floor:
+            total += max(2.0 * second[x], 0.0)
+        else:
+            raise SingularFisherError(
+                f"singular Fisher evaluation: outcome {x} has p = {p0[x]} "
+                f"but slope {deriv[x]} at phi = {phi}"
+            )
+    return total
+
+
+def fisher_information(kind, q, delta):
+    """Closed-form information survival(q) * A^2 sin^2 d / (s^2 + (1-A^2) c^2)
+    on numpy scalars, the removable 0/0 at the node read as 1."""
+    q = np.asarray(q, dtype=float)
+    if not ((q >= 0.0) & (q <= 1.0)).all():
+        raise ValueError("q must lie in [0, 1]")
+    q = q[()]
+    amplitude = kind.amplitude(q)
+    s2 = np.sin(delta) ** 2
+    c2 = np.cos(delta) ** 2
+    num = amplitude**2 * s2
+    den = s2 + (1.0 - amplitude) * (1.0 + amplitude) * c2
+    node = den == 0.0
+    return float(kind.survival(q) * ((num + node) / (den + node)))
+
+
+def mle_phase(counts):
+    """Count inversion cos(phi - theta) = (2 p+ - 1) / A, clamped, with the
+    Cramer-Rao error from the closed form above."""
+    n_pm = counts.n_plus + counts.n_minus
+    if n_pm < 1:
+        raise ValueError("all counts erased: no +/- outcomes to invert")
+    shots = counts.shots
+    kind = counts.kind
+    q = counts.n_erasure / shots if kind is ChannelKind.ERASURE else counts.q
+    amplitude = kind.amplitude(q)
+    if abs(amplitude) < 1e-15:
+        raise ValueError("parameter unidentifiable")
+    raw = (2.0 * (counts.n_plus / n_pm) - 1.0) / amplitude
+    delta_hat = math.acos(min(1.0, max(-1.0, raw)))
+    info = fisher_information(kind, q, delta_hat)
+    stderr = 1.0 / math.sqrt(shots * info) if info > 0.0 else math.inf
+    return PhaseEstimate(
+        phi_hat=counts.theta + delta_hat, stderr=stderr, clamped=abs(raw) > 1.0)

@@ -107,6 +107,11 @@ class TestMlePhase:
         with pytest.raises(ValueError):
             mle_phase(CountRecord(0, 0, 100, theta=0.0, kind=ChannelKind.ERASURE, q=0.0))
 
+    def test_non_finite_counts_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="n_minus must be a non-negative integer"):
+                CountRecord(600, bad, 0, theta=0.0, kind=ChannelKind.DEPOLARIZING, q=0.2)
+
     def test_non_finite_theta_rejected(self):
         for theta in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="theta"):

@@ -1,13 +1,15 @@
 """The stacked ellipse solver, the linear-time Allan jackknife, the cycle
-columns, the closed-form interrogation optimum and the Bloch-form quantum
-Fisher information against the slow paths they replaced (tests/oracles.py),
-on random inputs and on the degenerate windows a batch must survive."""
+columns, the closed-form interrogation optimum, the Bloch-form quantum
+Fisher information and the float paths of the state chain, the Fisher
+information and the count inversion against the slow paths they replaced
+(tests/oracles.py), on random inputs and on the degenerate windows a batch
+must survive."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,12 +21,22 @@ from erasure_sensing.clock import (
     run_comparison,
 )
 from erasure_sensing.estimation import (
+    CountRecord,
     EllipseFitError,
     ellipse_fit,
     ellipse_phase_jackknife,
+    mle_phase,
     phase_series_from_cycles,
 )
-from erasure_sensing.fisher import bloch_density, qfi_depolarized, qfi_pure_generator
+from erasure_sensing.fisher import (
+    SingularFisherError,
+    bloch_density,
+    channel_outcome_model,
+    classical_fisher_numeric,
+    fisher_information,
+    qfi_depolarized,
+    qfi_pure_generator,
+)
 from erasure_sensing.states import ChannelKind, NoiseChannel
 
 RTOL = 1e-10
@@ -34,6 +46,19 @@ RTOL = 1e-10
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 
 seeds = st.integers(0, 2**32 - 1)
+kinds = st.sampled_from(list(ChannelKind))
+# the edges of [0, 1] too: near q = 1 an erasure fringe lies wholly below
+# the numeric oracle's probability floor, where it raises
+strengths = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-15, 0.5, 1.0 - 1e-15, 1.0])
+angles = st.floats(-10.0, 10.0)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
 
 
 def noisy_ellipse(rng, n, noise):
@@ -193,6 +218,52 @@ class TestAgainstOracles:
             oracles.qfi(rho, generator), rel=1e-12, abs=1e-12)
         assert qfi_depolarized(rho, generator, q, method="direct") == pytest.approx(
             oracles.qfi(rho_q, generator), rel=1e-12, abs=1e-12)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(
+        kind=kinds,
+        q=strengths,
+        theta=angles,
+        phi=angles | st.tuples(st.sampled_from([0.0, math.pi]), st.floats(-1e-6, 1e-6)),
+    )
+    @example(kind=ChannelKind.DEPOLARIZING, q=0.0, theta=0.3, phi=(math.pi, 1e-7))
+    @example(kind=ChannelKind.ERASURE, q=1.0 - 1e-15, theta=0.3, phi=(0.0, 1e-7))
+    def test_numeric_fisher(self, kind, q, theta, phi):
+        # Equal bit for bit, or the same error with the same message. A
+        # tuple phi is an offset of at most 1e-6 from a fringe node. The
+        # examples take the quadratic-zero limit and the singular branch.
+        if isinstance(phi, tuple):
+            phi = theta + sum(phi)
+        fast = outcome(classical_fisher_numeric, channel_outcome_model(kind, q, theta), phi)
+        slow = outcome(oracles.classical_fisher_numeric, oracles.outcome_model(kind, q, theta), phi)
+        assert fast == slow
+        assert type(fast) is float or fast[0] is SingularFisherError
+
+    @settings(PROPERTY, max_examples=100)
+    @given(kind=kinds, q=strengths, delta=angles | st.sampled_from([0.0, math.pi]))
+    def test_closed_form(self, kind, q, delta):
+        fast = fisher_information(kind, q, delta)
+        assert type(fast) is float
+        assert fast == oracles.fisher_information(kind, q, delta)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(
+        kind=kinds,
+        q=strengths,
+        counts=st.tuples(*[st.integers(0, 10**6)] * 3),
+        theta=angles,
+    )
+    def test_mle_phase(self, kind, q, counts, theta):
+        n_plus, n_minus, n_erasure = counts
+        if kind is not ChannelKind.ERASURE:
+            n_erasure = 0
+        record = CountRecord(n_plus, n_minus, n_erasure, theta=theta, kind=kind, q=q)
+        fast = outcome(mle_phase, record)
+        slow = outcome(oracles.mle_phase, record)
+        if isinstance(slow, tuple):
+            assert fast[0] is slow[0] is ValueError
+        else:
+            assert fast == slow
 
 
 class TestDegenerateWindows:

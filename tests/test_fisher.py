@@ -90,6 +90,20 @@ class TestClosedForms:
         out = fisher_depolarizing(qs[:, None], np.array([0.4, 1.2])[None, :])
         assert out.shape == (3, 2)
 
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_scalar_calls_equal_array_elements(self, kind):
+        # a float call and the matching element of an array call are equal
+        # bit for bit, nodes and the ends of [0, 1] included
+        rng = np.random.default_rng(11)
+        q = np.concatenate([[0.0, 0.0, 0.5, 1.0, 1.0], rng.uniform(0.0, 1.0, 4000)])
+        delta = np.concatenate([[0.0, math.pi, math.pi / 2, 0.0, math.pi],
+                                rng.uniform(-7.0, 7.0, 4000)])
+        delta[5::7] = rng.choice([0.0, math.pi]) + rng.uniform(-1e-6, 1e-6, delta[5::7].size)
+        array = fisher_information(kind, q, delta)
+        scalar = [fisher_information(kind, a, d) for a, d in zip(q.tolist(), delta.tolist())]
+        assert all(type(v) is float for v in scalar)
+        assert array.tolist() == scalar
+
     def test_q_out_of_range_rejected(self):
         for fn in (fisher_depolarizing, fisher_dephasing, fisher_erasure):
             with pytest.raises(ValueError):
@@ -142,6 +156,11 @@ class TestNumericOracleAgreement:
         # just off the node p ~ 2.5e-15 is below the floor with slope ~5e-8,
         # and p'^2 / p = (5e-8)^2 / 2.5e-15 = 1: the same removable limit
         assert classical_fisher_numeric(model, math.pi - 1e-7) == pytest.approx(1.0, abs=1e-5)
+
+    def test_non_finite_readout_angle_rejected(self):
+        for theta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="theta"):
+                channel_outcome_model(ChannelKind.DEPOLARIZING, 0.2, theta)(0.3)
 
     def test_true_singularity_raises(self):
         # a one-sided zero: p = max(phi, 0) / 2 vanishes at phi = 0 with

@@ -8,6 +8,7 @@ import pytest
 from erasure_sensing.states import (
     ChannelKind,
     NoiseChannel,
+    OutcomeDistribution,
     SensorState,
     accumulate_phase,
     apply_noise,
@@ -47,6 +48,9 @@ class TestStateContainer:
     def test_bloch_norm_above_one_rejected(self):
         with pytest.raises(ValueError):
             SensorState(bloch=np.array([1.2, 0.0, 0.0]), erasure_weight=0.0)
+        # NaN compares false with the norm bound, so it is checked on its own
+        with pytest.raises(ValueError, match="bloch must be finite"):
+            SensorState(bloch=[math.nan, 0.0, 0.0])
 
     def test_erasure_weight_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -147,6 +151,14 @@ class TestMeasurement:
         assert dist.p_plus == pytest.approx(0.7606753299230676, abs=1e-14)
         assert dist.p_minus == pytest.approx(0.08932467007693239, abs=1e-14)
         assert dist.p_erasure == pytest.approx(0.15, abs=1e-15)
+
+    def test_non_finite_probability_rejected(self):
+        # NaN compares false with the sign and sum checks, so it is checked
+        # on its own
+        with pytest.raises(ValueError, match="p_plus must be finite"):
+            OutcomeDistribution(p_plus=math.nan, p_minus=0.5)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            measure_probs(prepare_plus(), math.inf)
 
     def test_probabilities_form_a_simplex_everywhere(self):
         rng = np.random.default_rng(7)
