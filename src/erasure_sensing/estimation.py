@@ -7,7 +7,8 @@ fits the parametric plot of excitation fractions (x_a, x_b) with the
 ellipse-constrained least-squares conic (constraint 4AC - B^2 = 1, solved as
 a generalized eigenproblem on the scatter matrix) and reads the differential
 phase off the cross term, cos(phi_d) = -B / (2 sqrt(AC)). Every fit needs
-at least six points, the degrees of freedom of a conic.
+at least six points, the degrees of freedom of a conic, five of them
+distinct.
 """
 
 from __future__ import annotations
@@ -154,6 +155,11 @@ _CONIC_DOF = 6
 # call has.
 _CHUNK = 256
 
+# Five points in general position fix one conic, and four fix a whole pencil
+# of them, so a fit through fewer distinct points would return whichever
+# conic rounding picks; such a fit is rejected.
+_MIN_DISTINCT = 5
+
 # Points whose x-y correlation r has 1 - r^2 at or below this lie on a line
 # to working precision. Every conic through them fits, so the solve would
 # return whichever one rounding picks; such a fit is rejected instead.
@@ -179,6 +185,17 @@ def _centred_rows(pts: np.ndarray):
     centre = pts.mean(axis=-2)
     centred = pts - centre[..., None, :]
     return _design(centred[..., 0], centred[..., 1]), centre
+
+
+def _distinct_points(pts: np.ndarray):
+    """Sort order of each point set (..., n, 2), and a flag per sorted point
+    that is True where it differs from the point before it. A set's flags
+    sum to its number of distinct points."""
+    order = np.lexsort((pts[..., 1], pts[..., 0]))
+    ranked = np.take_along_axis(pts, order[..., None], axis=-2)
+    new = np.ones(order.shape, dtype=bool)
+    new[..., 1:] = (ranked[..., 1:, :] != ranked[..., :-1, :]).any(axis=-1)
+    return order, new
 
 
 def _scatter(rows: np.ndarray) -> np.ndarray:
@@ -207,21 +224,22 @@ def _phase(coeffs: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(-b / (2.0 * np.sqrt(a * c)), -1.0, 1.0))
 
 
-def _fit_conics(scatter: np.ndarray, centre: np.ndarray):
+def _fit_conics(scatter: np.ndarray, centre: np.ndarray, distinct: np.ndarray):
     """Ellipse-constrained least-squares conics from stacked scatter matrices.
 
     scatter is (k, 6, 6): each fit's D^T D, with D the design rows of its
-    points in coordinates centred on centre ((k, 2), or (2,) shared by all).
+    points in coordinates centred on centre ((k, 2), or (2,) shared by all);
+    distinct (k,) counts each fit's distinct points.
     Returns the conic of each fit in the original frame, shape (k, 6), unit
     norm with A > 0, and a status per fit: 0 where the fit is accepted, else
     its key in _REJECTED, with that row of coefficients NaN. One rejected fit
     never fails the others.
 
-    Fits whose points are collinear or repeated are rejected first. Every
-    other fit is the stabilized partitioned solve of the 4AC - B^2 = 1
-    generalized eigenproblem (Halir & Flusser): the linear part is
-    eliminated through the 3x3 block solve, leaving a 3x3 reduced
-    eigenproblem. The eigenvector of an elliptical eigenpair has arbitrary
+    Fits whose points are collinear, or hold fewer than _MIN_DISTINCT
+    distinct points, are rejected first. Every other fit is the stabilized
+    partitioned solve of the 4AC - B^2 = 1 generalized eigenproblem
+    (Halir & Flusser): the linear part is eliminated through the 3x3 block
+    solve, leaving a 3x3 reduced eigenproblem. The eigenvector of an elliptical eigenpair has arbitrary
     sign while the phase readout is sign-sensitive, so it is canonicalized
     to A > 0; when rounding lets more than one eigenpair satisfy the ellipse
     inequality, the candidate with the smallest algebraic residual a^T S a
@@ -232,7 +250,7 @@ def _fit_conics(scatter: np.ndarray, centre: np.ndarray):
     """
     k = scatter.shape[0]
     rows = np.arange(k)
-    status = np.zeros(k, dtype=int)
+    status = np.where(distinct < _MIN_DISTINCT, 1, 0)
     s1, s2, s3 = scatter[:, :3, :3], scatter[:, :3, 3:], scatter[:, 3:, 3:]
     s2t = np.swapaxes(s2, 1, 2)
     with np.errstate(all="ignore"):
@@ -292,8 +310,8 @@ def _fit_conics(scatter: np.ndarray, centre: np.ndarray):
 
 def _fit_phases(count: int, scatter_of) -> np.ndarray:
     """Phases of `count` fits, NaN where a fit is rejected, solved _CHUNK at
-    a time; scatter_of(lo, hi) returns the scatter matrices and centres of
-    fits lo to hi - 1."""
+    a time; scatter_of(lo, hi) returns the scatter matrices, centres and
+    distinct-point counts of fits lo to hi - 1."""
     phases = np.empty(count)
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
@@ -305,9 +323,10 @@ def _fit_phases(count: int, scatter_of) -> np.ndarray:
 def ellipse_fit(points) -> EllipseFitResult:
     """Fit an ellipse to (x_a, x_b) pairs and extract the differential phase.
 
-    Needs at least 6 non-degenerate points, the degrees of freedom of a
-    conic. The fit is performed on mean-centered coordinates for
-    conditioning and the coefficients are translated back afterwards.
+    Needs at least 6 points, the degrees of freedom of a conic, of which
+    at least 5 are distinct and not all on one line. The fit is performed
+    on mean-centered coordinates for conditioning and the coefficients are
+    translated back afterwards.
     The phase comes from cos(phi_d) = -B / (2 sqrt(AC)) and is a magnitude
     in [0, pi]: a single ellipse cannot distinguish +phi_d from -phi_d.
     This is the one-fit case of the stacked solver behind
@@ -327,7 +346,8 @@ def ellipse_fit(points) -> EllipseFitResult:
         raise ValueError("points contain non-finite values")
 
     rows, centre = _centred_rows(pts)
-    fits, status = _fit_conics(_scatter(rows)[None], centre)
+    distinct = _distinct_points(pts)[1].sum(keepdims=True)
+    fits, status = _fit_conics(_scatter(rows)[None], centre, distinct)
     if status[0]:
         raise EllipseFitError(_REJECTED[int(status[0])])
     coeffs = fits[0]
@@ -364,8 +384,18 @@ def ellipse_phase_jackknife(points) -> tuple[float, float]:
         raise ValueError(f"jackknife needs at least {_CONIC_DOF + 1} points, got {n}")
     rows, centre = _centred_rows(pts)
     total = _scatter(rows)
+    order, new = _distinct_points(pts)
+    # a deletion loses a distinct point only when the deleted point is unique
+    unique = np.empty(n, dtype=bool)
+    unique[order] = new & np.append(new[1:], True)
+    distinct = np.count_nonzero(new) - unique
     loo = _fit_phases(
-        n, lambda lo, hi: (total - rows[lo:hi, :, None] * rows[lo:hi, None, :], centre)
+        n,
+        lambda lo, hi: (
+            total - rows[lo:hi, :, None] * rows[lo:hi, None, :],
+            centre,
+            distinct[lo:hi],
+        ),
     )
     good = loo[np.isfinite(loo)]
     m = good.size
@@ -405,7 +435,7 @@ def phase_series_from_cycles(cycles, window: int) -> np.ndarray:
 
     def scatter_of(lo, hi):
         rows, centre = _centred_rows(windows[lo:hi])
-        return _scatter(rows), centre
+        return _scatter(rows), centre, _distinct_points(windows[lo:hi])[1].sum(axis=-1)
 
     return _fit_phases(n_windows, scatter_of)
 

@@ -99,47 +99,33 @@ def classical_fisher_numeric(
     return total
 
 
-def _checked_q(q):
-    """q as a float when it is a Python int or float (numpy's float64
-    included), else as an array; raises ValueError outside [0, 1]. The
-    estimators evaluate one point per call, and float arithmetic costs a
-    fraction of numpy's."""
-    if isinstance(q, (float, int)):
-        q = float(q)
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-        return q
-    q = np.asarray(q, dtype=float)
-    if not ((q >= 0.0) & (q <= 1.0)).all():
-        raise ValueError("q must lie in [0, 1]")
-    return q
-
-
-def _fringe_fisher(amplitude, delta):
+def _fringe_fisher(amplitude: float, delta: float) -> float:
     """Fisher information of a two-outcome fringe p = (1 +/- A cos d)/2.
 
     F = A^2 sin^2 d / (1 - A^2 cos^2 d), with the removable 0/0 at |A| = 1,
-    cos d = +/-1 evaluated as its limit value 1. Floats in give a float;
-    arrays in give an array whose every element equals the float call.
+    cos d = +/-1 evaluated as its limit value 1.
     """
-    if isinstance(amplitude, float) and isinstance(delta, (float, int)):
-        s2 = math.sin(delta) ** 2
-        c2 = math.cos(delta) ** 2
-        a2 = amplitude**2
-    else:
-        # a float's ** 2 is libm's pow, an array's ** 2 a multiply, and the
-        # two round apart on ~0.1% of inputs: float_power squares each
-        # element with pow, so an element equals the float call bit for bit
-        s2, c2, a2 = (np.float_power(v, 2) for v in (np.sin(delta), np.cos(delta), amplitude))
-    num = a2 * s2
+    s2 = math.sin(delta) ** 2
+    c2 = math.cos(delta) ** 2
     # 1 - A^2 cos^2 d rewritten as s^2 + (1-A^2) c^2: every term is
     # non-negative, so the node region |A| -> 1, sin d -> 0 keeps full
     # precision instead of cancelling two near-unit quantities
     den = s2 + (1.0 - amplitude) * (1.0 + amplitude) * c2
-    # den vanishes only at that 0/0, where num vanishes too; adding 1 to
-    # both there gives the limit value and leaves every other point exact
-    node = den == 0.0
-    return (num + node) / (den + node)
+    # den vanishes only at that 0/0, where the numerator vanishes too
+    if den == 0.0:
+        return 1.0
+    return amplitude**2 * s2 / den
+
+
+def _fisher_point(kind: ChannelKind, q: float, delta: float) -> float:
+    """fisher_information at one point, q and delta plain numbers."""
+    q = float(q)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+    return kind.survival(q) * _fringe_fisher(kind.amplitude(q), delta)
+
+
+_fisher_points = np.vectorize(_fisher_point, otypes=[float], excluded={0})
 
 
 def fisher_information(kind: ChannelKind, q, delta):
@@ -149,14 +135,18 @@ def fisher_information(kind: ChannelKind, q, delta):
     The surviving fraction kind.survival(q) of the atoms reads a fringe of
     amplitude kind.amplitude(q). For erasure that fringe has amplitude 1,
     whose information is 1 at every delta, so the result is the constant
-    1 - q; depolarizing gives (1-q)^2 at quadrature. Accepts scalars or
-    arrays.
+    1 - q; depolarizing gives (1-q)^2 at quadrature. Array-like q or delta
+    give an array whose every element is the float call at that point;
+    numpy scalars and 0-d arrays give a float.
     """
-    q = _checked_q(q)
-    out = kind.survival(q) * _fringe_fisher(kind.amplitude(q), delta)
-    if isinstance(out, np.ndarray) and out.ndim:
-        return out
-    return float(out)
+    if isinstance(q, (int, float)) and isinstance(delta, (int, float)):
+        return _fisher_point(kind, q, delta)
+    # numpy reports the FPU's invalid flag after the loop, and CPython's
+    # specialized float comparison sets it on a NaN that the float call
+    # passes through quietly
+    with np.errstate(invalid="ignore"):
+        out = _fisher_points(kind, q, delta)
+    return out if out.ndim else float(out)
 
 
 def fisher_depolarizing(q, delta):

@@ -219,6 +219,14 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "s")]) == 5
         assert list((tmp_path / "run").iterdir()) == []
         assert list((tmp_path / "s").iterdir()) == []
+        # with one atom per ensemble every pair is a corner of the unit
+        # square: four distinct points, through which any conic of a pencil
+        # passes, so no window gives a phase
+        cfg = small_config(tmp_path, N0=1, cycles=3000, seed=3,
+                           noise={"kind": "erasure", "q": 0.04})
+        assert main(["simulate", cfg, "--window", "100", "--out", str(tmp_path / "one")]) == 5
+        assert "0 of 27 fit windows" in capsys.readouterr().err
+        assert not (tmp_path / "one" / "simulate_manifest.json").exists()
 
     def test_mistyped_noise_field_is_a_usage_error(self, tmp_path, capsys):
         cfg = small_config(tmp_path, noise={"kind": "erasure", "q": None})

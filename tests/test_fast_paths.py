@@ -240,11 +240,20 @@ class TestAgainstOracles:
         assert type(fast) is float or fast[0] is SingularFisherError
 
     @settings(PROPERTY, max_examples=100)
-    @given(kind=kinds, q=strengths, delta=angles | st.sampled_from([0.0, math.pi]))
-    def test_closed_form(self, kind, q, delta):
+    @given(
+        kind=kinds,
+        q=strengths,
+        delta=angles | st.sampled_from([0.0, math.pi]),
+        points=st.lists(st.tuples(strengths, angles | st.sampled_from([0.0, math.pi])),
+                        max_size=5),
+    )
+    def test_closed_form(self, kind, q, delta, points):
         fast = fisher_information(kind, q, delta)
         assert type(fast) is float
         assert fast == oracles.fisher_information(kind, q, delta)
+        qs, deltas = np.array(points).reshape(-1, 2).T
+        array = fisher_information(kind, qs, deltas)
+        assert array.tolist() == [oracles.fisher_information(kind, a, d) for a, d in points]
 
     @settings(PROPERTY, max_examples=100)
     @given(
@@ -311,6 +320,14 @@ class TestDegenerateWindows:
         assert_close(fast, slow)
         assert np.isfinite(fast)
 
+    def test_four_distinct_points_window(self):
+        # four points fix a pencil of conics, so the phase is arbitrary
+        corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        on_ellipse = noisy_ellipse(np.random.default_rng(8), 4, 0.0)
+        for four in (corners, on_ellipse):
+            fast, _ = self.series_of(np.tile(four, (5, 1)))
+            assert np.isnan(fast)
+
     def test_windows_of_exactly_min_points(self):
         rng = np.random.default_rng(7)
         cycles = noisy_ellipse(rng, 6 * 50, 0.01)
@@ -324,6 +341,8 @@ class TestDegenerateWindows:
             np.column_stack([t, 3.0 * t - 0.2]),
             np.column_stack([t, 2.0 * t + 0.1]),
             np.tile([[0.3, 0.7]], (20, 1)),
+            np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (5, 1)),
+            np.tile(noisy_ellipse(np.random.default_rng(8), 4, 0.0), (5, 1)),
         ):
             with pytest.raises(EllipseFitError, match="collinear or repeated"):
                 ellipse_fit(pts)

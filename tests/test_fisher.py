@@ -89,6 +89,15 @@ class TestClosedForms:
         qs = np.array([0.0, 0.1, 0.5])
         out = fisher_depolarizing(qs[:, None], np.array([0.4, 1.2])[None, :])
         assert out.shape == (3, 2)
+        # lists broadcast like arrays; empty arrays keep their shape; integer
+        # arrays give float elements
+        assert fisher_depolarizing([0.0, 0.1, 0.5], [[0.4], [1.2]]).tolist() == out.T.tolist()
+        for empty in (np.array([]), np.zeros((2, 0)), []):
+            got = fisher_depolarizing(empty, 0.4)
+            assert got.dtype == float and got.shape == np.shape(empty)
+        got = fisher_depolarizing(np.array([0, 1]), np.array([1, 2]))
+        assert got.dtype == float
+        assert got.tolist() == [fisher_depolarizing(0.0, 1.0), fisher_depolarizing(1.0, 2.0)]
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
     def test_scalar_calls_equal_array_elements(self, kind):
@@ -103,6 +112,25 @@ class TestClosedForms:
         scalar = [fisher_information(kind, a, d) for a, d in zip(q.tolist(), delta.tolist())]
         assert all(type(v) is float for v in scalar)
         assert array.tolist() == scalar
+        # numpy scalars and 0-d arrays are one point, and give a float
+        for q0, d0 in ((np.int64(0), 0.4), (np.int64(1), 2.0), (np.float32(0.25), 1.0),
+                       (np.array(0.3), 0.4), (0.3, np.array(0.4)),
+                       (np.array(0.3), np.int64(2)), (np.bool_(True), 0.3)):
+            value = fisher_information(kind, q0, d0)
+            assert type(value) is float
+            assert value == fisher_information(kind, float(q0), float(d0))
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_non_finite_delta_inside_an_array_acts_as_the_float_call(self, kind):
+        with pytest.raises(ValueError):
+            fisher_information(kind, 0.2, math.inf)
+        with pytest.raises(ValueError):
+            fisher_information(kind, np.array([0.2, 0.3]), np.array([0.1, math.inf]))
+        assert math.isnan(fisher_information(kind, 0.2, math.nan))
+        # repeated, so the interpreter's specialized float comparison runs
+        for _ in range(50):
+            got = fisher_information(kind, np.array([0.2, 0.3]), np.array([0.1, math.nan]))
+            assert got[0] == fisher_information(kind, 0.2, 0.1) and math.isnan(got[1])
 
     def test_q_out_of_range_rejected(self):
         for fn in (fisher_depolarizing, fisher_dephasing, fisher_erasure):
@@ -110,6 +138,11 @@ class TestClosedForms:
                 fn(-0.05, 0.5)
             with pytest.raises(ValueError):
                 fn(1.05, 0.5)
+            # one bad element rejects the whole array, whatever its type
+            for q in (math.nan, np.float32(-0.5), np.array(1.5), [0.2, -0.1],
+                      np.array([0.1, 1.2]), np.array([0.1, np.nan]), np.array([0, 2])):
+                with pytest.raises(ValueError):
+                    fn(q, 0.5)
 
 
 class TestNumericOracleAgreement:
