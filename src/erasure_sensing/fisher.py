@@ -76,20 +76,23 @@ def classical_fisher_numeric(
 ) -> float:
     """Central-difference Fisher information sum_x (d_phi p_x)^2 / p_x.
 
-    An outcome with p below _PROB_FLOOR contributes the quadratic-zero limit
-    2 p'' of p'^2 / p: near such a zero p'^2 = 2 p'' p <= 2 p'' _PROB_FLOOR,
-    so a slope with p'^2 > 4 max(p'', 0) _PROB_FLOOR (a factor 2 of slack)
-    raises SingularFisherError. The differences are taken at phi +/- 1e-5.
+    The floor is _PROB_FLOOR times the weight 1 - p_erasure left to the
+    fringe outcomes, so a fringe scaled down by erasure keeps its regular
+    points. An outcome with p below the floor contributes the quadratic-zero
+    limit 2 p'' of p'^2 / p: near such a zero p'^2 = 2 p'' p <= 2 p'' floor,
+    so a slope with p'^2 > 4 max(p'', 0) floor (a factor 2 of slack) raises
+    SingularFisherError. The differences are taken at phi +/- 1e-5.
     """
     at, above, below = model(phi), model(phi + _STEP), model(phi - _STEP)
+    floor = _PROB_FLOOR * (1.0 - at.p_erasure)
     total = 0.0
     for x, name in enumerate(_OUTCOMES):
         p0, pp, pm = getattr(at, name), getattr(above, name), getattr(below, name)
         deriv = (pp - pm) / (2.0 * _STEP)
         second = (pp - 2.0 * p0 + pm) / _STEP**2
-        if p0 > _PROB_FLOOR:
+        if p0 > floor:
             total += deriv**2 / p0
-        elif deriv**2 <= 4.0 * max(second, 0.0) * _PROB_FLOOR:
+        elif deriv**2 <= 4.0 * max(second, 0.0) * floor:
             total += max(2.0 * second, 0.0)
         else:
             raise SingularFisherError(
@@ -125,9 +128,6 @@ def _fisher_point(kind: ChannelKind, q: float, delta: float) -> float:
     return kind.survival(q) * _fringe_fisher(kind.amplitude(q), delta)
 
 
-_fisher_points = np.vectorize(_fisher_point, otypes=[float], excluded={0})
-
-
 def fisher_information(kind: ChannelKind, q, delta):
     """Classical Fisher information of a strength-q channel at fringe
     offset delta = phi - theta, with erasure detection on.
@@ -141,12 +141,10 @@ def fisher_information(kind: ChannelKind, q, delta):
     """
     if isinstance(q, (int, float)) and isinstance(delta, (int, float)):
         return _fisher_point(kind, q, delta)
-    # numpy reports the FPU's invalid flag after the loop, and CPython's
-    # specialized float comparison sets it on a NaN that the float call
-    # passes through quietly
-    with np.errstate(invalid="ignore"):
-        out = _fisher_points(kind, q, delta)
-    return out if out.ndim else float(out)
+    q, delta = np.broadcast_arrays(q, delta)
+    pairs = zip(q.ravel().tolist(), delta.ravel().tolist())
+    out = [_fisher_point(kind, a, d) for a, d in pairs]
+    return np.array(out, dtype=float).reshape(q.shape) if q.ndim else out[0]
 
 
 def fisher_depolarizing(q, delta):
@@ -178,18 +176,15 @@ def fisher_erasure(q, delta=0.0):
 
 # Quantum Fisher information
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 def bloch_density(r) -> np.ndarray:
     """Density matrix (I + r . sigma) / 2 of a Bloch vector r, |r| <= 1."""
     r = np.asarray(r, dtype=float).reshape(3)
     if np.linalg.norm(r) > 1.0 + 1e-12:
         raise ValueError("Bloch vector norm exceeds 1")
-    eye = np.eye(2, dtype=complex)
-    return (eye + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2.0
+    # + 0.0 turns a -0.0 component into 0.0, so no entry is a negative zero
+    x, y, z = (r + 0.0).tolist()
+    return np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2
 
 
 def _bloch(m: np.ndarray) -> np.ndarray:

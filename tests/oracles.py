@@ -316,7 +316,8 @@ def outcome_model(kind, q, theta):
 
 def classical_fisher_numeric(model, phi):
     """Central-difference Fisher information on the three outcome
-    probabilities as arrays, with the quadratic-zero limit below 1e-14."""
+    probabilities as arrays, with the quadratic-zero limit below 1e-14
+    times the fringe weight 1 - p_erasure."""
     step, floor = 1e-5, 1e-14
 
     def probs(at):
@@ -324,6 +325,7 @@ def classical_fisher_numeric(model, phi):
         return np.array([d.p_plus, d.p_minus, d.p_erasure])
 
     p0, pp, pm = probs(phi), probs(phi + step), probs(phi - step)
+    floor *= 1.0 - p0[2]
     deriv = (pp - pm) / (2.0 * step)
     second = (pp - 2.0 * p0 + pm) / step**2
     total = 0.0

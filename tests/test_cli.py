@@ -4,6 +4,9 @@ exit codes, and byte-level reproducibility."""
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +73,15 @@ class TestFisherCommand:
 
     def test_invalid_q_is_a_usage_error(self, capsys):
         assert main(["fisher", "erasure", "-q", "1.5"]) == 2
+
+    def test_numeric_erasure_near_full_loss(self, capsys):
+        # both fringe outcomes lie below 1e-14, yet the information 1 - q
+        # is finite: the probability floor scales with the fringe weight
+        assert main(["fisher", "erasure", "-q", "0.999999999999999",
+                     "--phi", "1.0", "--numeric"]) == 0
+        fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert float(fields["analytic"]) == 1.0 - 0.999999999999999
+        assert float(fields["numeric"]) == pytest.approx(float(fields["analytic"]), rel=1e-9)
 
     def test_singular_evaluation_exit_code(self, tmp_path, capsys, monkeypatch):
         # no channel model has a slope at a zero of its probabilities, so
@@ -227,6 +239,15 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "--window", "100", "--out", str(tmp_path / "one")]) == 5
         assert "0 of 27 fit windows" in capsys.readouterr().err
         assert not (tmp_path / "one" / "simulate_manifest.json").exists()
+        # with two atoms the fractions take three values, and 15 of the 100
+        # windows of ten pairs give no phase: more than 10% fail
+        with open(EXAMPLE_CONFIG) as fh:
+            shipped = json.load(fh)
+        cfg = small_config(tmp_path, **dict(shipped, N0=2, cycles=1000, seed=0,
+                                            noise={"kind": "depolarizing", "q": 0.0}))
+        assert main(["simulate", cfg, "--window", "10", "--out", str(tmp_path / "two")]) == 5
+        assert "only 85 of 100 fit windows" in capsys.readouterr().err
+        assert not (tmp_path / "two" / "simulate_manifest.json").exists()
 
     def test_mistyped_noise_field_is_a_usage_error(self, tmp_path, capsys):
         cfg = small_config(tmp_path, noise={"kind": "erasure", "q": None})
@@ -355,6 +376,8 @@ def exit_code(argv):
 class TestNonFiniteAndNonPositiveNumbers:
     @pytest.mark.parametrize("argv", [
         ["optimize", "--gamma", "nan"],
+        ["optimize", "--gamma", "abc"],
+        ["simulate", EXAMPLE_CONFIG, "--window", "x"],
         ["optimize", "--gamma", "1.0", "--dead-time-grid", "0,nan"],
         ["optimize", "--gamma", "1.0", "--dead-time-grid", "0,inf"],
         ["fisher", "depolarizing", "-q", "0.1", "--phi", "nan"],
@@ -374,7 +397,8 @@ class TestNonFiniteAndNonPositiveNumbers:
         ["ellipse", "header_only.csv"],
         ["ellipse", "three_columns.csv"],
         ["ellipse", "non_numeric.csv"],
-    ], ids=["gamma-nan", "dead-time-nan", "dead-time-inf", "phi-nan",
+    ], ids=["gamma-nan", "gamma-not-a-number", "window-not-an-integer",
+            "dead-time-nan", "dead-time-inf", "phi-nan",
             "threads-zero", "threads-negative", "gamma-subnormal",
             "sigma-overflow", "scaling-dephasing", "config-unreadable",
             "config-not-json", "q-grid-not-numbers", "q-grid-empty",
@@ -410,6 +434,21 @@ class TestCommonBehavior:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module", ["erasure_sensing", "erasure_sensing.cli"])
+    def test_module_entry_points(self, module, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "--version"],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"erasure-sensing {__version__}\n"
 
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

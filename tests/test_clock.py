@@ -3,7 +3,7 @@ determinism, Allan deviation, scaling fits, and interrogation-time optimization.
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +86,11 @@ class TestConfigParsing:
             ComparisonConfig.from_dict(dict(BASE, laser_phase_model=["FixedSweep"]))
         with pytest.raises(ValueError, match="shot_noise"):
             ComparisonConfig.from_dict(dict(BASE, shot_noise="yes"))
+        # built directly, the fields must already be the parsed types
+        with pytest.raises(ValueError, match="noise"):
+            replace(config(), noise={"kind": "erasure", "q": 0.0})
+        with pytest.raises(ValueError, match="laser_phase_model"):
+            replace(config(), laser_phase_model="UniformRandomPerCycle")
 
     def test_noise_subobject_validated(self):
         with pytest.raises(ValueError):
@@ -379,6 +384,8 @@ class TestFloorsAndFits:
         # two distinct q among three points still fix it
         with pytest.raises(ValueError, match="distinct"):
             fit_loglog_exponent([0.1] * 3, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="at least 3"):
+            fit_loglog_exponent([0.0, 0.5], [1.0, 2.0])
         assert fit_loglog_exponent([0.0, 0.0, 0.75], [2.0, 2.0, 4.0])[0] == pytest.approx(
             -0.5, abs=1e-12)
 

@@ -111,6 +111,12 @@ class TestMlePhase:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="n_minus must be a non-negative integer"):
                 CountRecord(600, bad, 0, theta=0.0, kind=ChannelKind.DEPOLARIZING, q=0.2)
+        with pytest.raises(ValueError, match="non-erasure channel"):
+            CountRecord(600, 400, 5, theta=0.0, kind=ChannelKind.DEPOLARIZING, q=0.2)
+        with pytest.raises(ValueError, match="q must be given"):
+            CountRecord(600, 400, 0, theta=0.0, kind=ChannelKind.DEPHASING)
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            CountRecord(600, 400, 0, theta=0.0, kind=ChannelKind.DEPOLARIZING, q=1.5)
 
     def test_non_finite_theta_rejected(self):
         for theta in (math.nan, math.inf, -math.inf):
@@ -167,6 +173,9 @@ class TestEllipseFit:
     def test_too_few_points_is_a_usage_error(self):
         with pytest.raises(ValueError):
             ellipse_fit(ellipse_points(1.0, n=5))
+        # six points fit, but a deletion would leave five
+        with pytest.raises(ValueError, match="jackknife needs at least 7"):
+            ellipse_phase_jackknife(ellipse_points(1.0, n=6))
 
     def test_bad_shapes_and_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -250,6 +259,10 @@ class TestSeriesAndCsv:
     def test_requires_two_full_windows(self):
         with pytest.raises(ValueError):
             phase_series_from_cycles(ellipse_points(0.7, n=80), window=50)
+        with pytest.raises(ValueError, match=r"\(n, 2\) array"):
+            phase_series_from_cycles(np.zeros((100, 3)), window=50)
+        with pytest.raises(ValueError, match="conic degrees of freedom"):
+            phase_series_from_cycles(ellipse_points(0.7, n=80), window=5)
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         pts = ellipse_points(1.9, n=23, c_a=0.61, c_b=0.43)
@@ -265,3 +278,8 @@ class TestSeriesAndCsv:
         path.write_text("a,b\n0.1,0.2\n")
         with pytest.raises(ValueError):
             load_pairs_csv(path)
+
+    def test_load_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("x_a,x_b\n0.1,0.2\n\n0.3,0.4\n")
+        assert load_pairs_csv(path).tolist() == [[0.1, 0.2], [0.3, 0.4]]

@@ -37,7 +37,7 @@ from erasure_sensing.fisher import (
     qfi_depolarized,
     qfi_pure_generator,
 )
-from erasure_sensing.states import ChannelKind, NoiseChannel
+from erasure_sensing.states import ChannelKind, NoiseChannel, OutcomeDistribution
 
 RTOL = 1e-10
 
@@ -47,8 +47,8 @@ PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=T
 
 seeds = st.integers(0, 2**32 - 1)
 kinds = st.sampled_from(list(ChannelKind))
-# the edges of [0, 1] too: near q = 1 an erasure fringe lies wholly below
-# the numeric oracle's probability floor, where it raises
+# the edges of [0, 1] too: near q = 1 an erasure fringe carries the weight
+# 1 - q, and the numeric oracle's probability floor scales with it
 strengths = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-15, 0.5, 1.0 - 1e-15, 1.0])
 angles = st.floats(-10.0, 10.0)
 
@@ -231,13 +231,25 @@ class TestAgainstOracles:
     def test_numeric_fisher(self, kind, q, theta, phi):
         # Equal bit for bit, or the same error with the same message. A
         # tuple phi is an offset of at most 1e-6 from a fringe node. The
-        # examples take the quadratic-zero limit and the singular branch.
+        # examples take the quadratic-zero limit, the second on a fringe
+        # of weight 1e-15 under the scaled floor.
         if isinstance(phi, tuple):
             phi = theta + sum(phi)
         fast = outcome(classical_fisher_numeric, channel_outcome_model(kind, q, theta), phi)
         slow = outcome(oracles.classical_fisher_numeric, oracles.outcome_model(kind, q, theta), phi)
         assert fast == slow
         assert type(fast) is float or fast[0] is SingularFisherError
+
+    def test_numeric_fisher_singular_branch(self):
+        # p = max(phi, 0) / 2 has slope 1/2 at its zero from one side only,
+        # so both evaluators raise the same error
+        def model(phi):
+            p = max(phi, 0.0) / 2.0
+            return OutcomeDistribution(p_plus=p, p_minus=1.0 - p)
+
+        fast = outcome(classical_fisher_numeric, model, 0.0)
+        assert fast == outcome(oracles.classical_fisher_numeric, model, 0.0)
+        assert fast[0] is SingularFisherError
 
     @settings(PROPERTY, max_examples=100)
     @given(

@@ -272,9 +272,22 @@ class TestQuantumFisher:
         rho = bloch_density([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             qfi_depolarized(rho, HALF_SIGMA_Z, 1.0, method="direct")
+        with pytest.raises(ValueError, match="method"):
+            qfi_depolarized(rho, HALF_SIGMA_Z, 0.5, method="exact")
 
     def test_invalid_density_matrix_rejected(self):
         with pytest.raises(ValueError):
             qfi_pure_generator(np.array([[1.0, 0.5], [0.4, 0.0]]), HALF_SIGMA_Z)  # not Hermitian
         with pytest.raises(ValueError):
             qfi_pure_generator(np.array([[1.5, 0.0], [0.0, -0.5]]), HALF_SIGMA_Z)  # not PSD
+        rho = bloch_density([1.0, 0.0, 0.0])
+        for state, generator, named in (
+            (np.eye(3) / 3.0, HALF_SIGMA_Z, "density matrix must be 2x2"),
+            (0.9 * rho, HALF_SIGMA_Z, "trace"),
+            (rho, np.eye(3), "generator must be 2x2"),
+            (rho, np.array([[0.0, 1.0], [0.0, 0.0]]), "generator is not Hermitian"),
+        ):
+            with pytest.raises(ValueError, match=named):
+                qfi_pure_generator(state, generator)
+        with pytest.raises(ValueError, match="norm exceeds 1"):
+            bloch_density([1.1, 0.0, 0.0])

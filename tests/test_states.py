@@ -51,6 +51,8 @@ class TestStateContainer:
         # NaN compares false with the norm bound, so it is checked on its own
         with pytest.raises(ValueError, match="bloch must be finite"):
             SensorState(bloch=[math.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="real 3-vector"):
+            SensorState(bloch=[1.0, 0.0])
 
     def test_erasure_weight_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -108,6 +110,10 @@ class TestChannels:
             NoiseChannel(ChannelKind.DEPOLARIZING, q=1.5)
         with pytest.raises(ValueError):
             apply_noise(prepare_plus(), ChannelKind.DEPOLARIZING, q=-0.2)
+        with pytest.raises(ValueError, match="interrogation time"):
+            NoiseChannel(ChannelKind.ERASURE, gamma=1.0).strength(-1.0)
+        with pytest.raises(ValueError, match="unknown channel kind"):
+            apply_noise(prepare_plus(), "erasure", q=0.2)
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
     def test_channel_contract_matches_state_model(self, kind):
@@ -157,6 +163,10 @@ class TestMeasurement:
         # on its own
         with pytest.raises(ValueError, match="p_plus must be finite"):
             OutcomeDistribution(p_plus=math.nan, p_minus=0.5)
+        with pytest.raises(ValueError, match="negative"):
+            OutcomeDistribution(p_plus=-0.1, p_minus=1.1)
+        with pytest.raises(ValueError, match="sum to"):
+            OutcomeDistribution(p_plus=0.5, p_minus=0.6)
         with pytest.raises(ValueError, match="theta must be finite"):
             measure_probs(prepare_plus(), math.inf)
 
