@@ -7,8 +7,8 @@ fits the parametric plot of excitation fractions (x_a, x_b) with the
 ellipse-constrained least-squares conic (constraint 4AC - B^2 = 1, solved as
 a generalized eigenproblem on the scatter matrix) and reads the differential
 phase off the cross term, cos(phi_d) = -B / (2 sqrt(AC)). Every fit needs
-at least six points, the degrees of freedom of a conic, five of them
-distinct.
+at least six points, the degrees of freedom of a conic, not on a line and
+not all on every conic of a pencil.
 """
 
 from __future__ import annotations
@@ -155,10 +155,11 @@ _CONIC_DOF = 6
 # call has.
 _CHUNK = 256
 
-# Five points in general position fix one conic, and four fix a whole pencil
-# of them, so a fit through fewer distinct points would return whichever
-# conic rounding picks; such a fit is rejected.
-_MIN_DISTINCT = 5
+# A fit whose reduced scatter matrix has a middle eigenvalue per point (to a
+# factor of 3) at most this is rejected: a whole pencil of conics passes
+# through its points, as through four distinct points or four on a line plus
+# one, and the solve would return whichever one rounding picks.
+_PENCIL = 1e-9
 
 # Points whose x-y correlation r has 1 - r^2 at or below this lie on a line
 # to working precision. Every conic through them fits, so the solve would
@@ -167,7 +168,7 @@ _COLLINEAR = 1e-12
 
 # Why a fit is rejected, by the status code _fit_conics gives it.
 _REJECTED = {
-    1: "no ellipse: degenerate point configuration (collinear or repeated)",
+    1: "no ellipse: degenerate point configuration (collinear or repeated, or a pencil)",
     2: "no ellipse: fit produced no elliptical solution",
     3: "no ellipse: fitted conic is degenerate or not elliptical",
     4: "no ellipse: fitted conic has no real points",
@@ -185,17 +186,6 @@ def _centred_rows(pts: np.ndarray):
     centre = pts.mean(axis=-2)
     centred = pts - centre[..., None, :]
     return _design(centred[..., 0], centred[..., 1]), centre
-
-
-def _distinct_points(pts: np.ndarray):
-    """Sort order of each point set (..., n, 2), and a flag per sorted point
-    that is True where it differs from the point before it. A set's flags
-    sum to its number of distinct points."""
-    order = np.lexsort((pts[..., 1], pts[..., 0]))
-    ranked = np.take_along_axis(pts, order[..., None], axis=-2)
-    new = np.ones(order.shape, dtype=bool)
-    new[..., 1:] = (ranked[..., 1:, :] != ranked[..., :-1, :]).any(axis=-1)
-    return order, new
 
 
 def _scatter(rows: np.ndarray) -> np.ndarray:
@@ -224,35 +214,34 @@ def _phase(coeffs: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(-b / (2.0 * np.sqrt(a * c)), -1.0, 1.0))
 
 
-def _fit_conics(scatter: np.ndarray, centre: np.ndarray, distinct: np.ndarray):
+def _fit_conics(scatter: np.ndarray, centre: np.ndarray):
     """Ellipse-constrained least-squares conics from stacked scatter matrices.
 
     scatter is (k, 6, 6): each fit's D^T D, with D the design rows of its
-    points in coordinates centred on centre ((k, 2), or (2,) shared by all);
-    distinct (k,) counts each fit's distinct points.
+    points in coordinates centred on centre ((k, 2), or (2,) shared by all).
     Returns the conic of each fit in the original frame, shape (k, 6), unit
     norm with A > 0, and a status per fit: 0 where the fit is accepted, else
     its key in _REJECTED, with that row of coefficients NaN. One rejected fit
     never fails the others.
 
-    Fits whose points are collinear, or hold fewer than _MIN_DISTINCT
-    distinct points, are rejected first. Every other fit is the stabilized
-    partitioned solve of the 4AC - B^2 = 1 generalized eigenproblem
-    (Halir & Flusser): the linear part is eliminated through the 3x3 block
-    solve, leaving a 3x3 reduced eigenproblem. The eigenvector of an elliptical eigenpair has arbitrary
-    sign while the phase readout is sign-sensitive, so it is canonicalized
-    to A > 0; when rounding lets more than one eigenpair satisfy the ellipse
-    inequality, the candidate with the smallest algebraic residual a^T S a
-    is kept. After translating back, a conic whose unit-norm discriminant is
-    within 1e-10 of zero (a degenerate conic from nearly collinear points
-    that rounding tipped into ellipse form) or that has no real points is
-    rejected.
+    Fits whose points are collinear, or lie on every conic of a pencil, are
+    rejected first, both read off the scatter matrix alone. Every other fit
+    is the stabilized partitioned solve of the 4AC - B^2 = 1 generalized
+    eigenproblem (Halir & Flusser): the linear part is eliminated through
+    the 3x3 block solve, leaving a 3x3 reduced eigenproblem. The eigenvector
+    of an elliptical eigenpair has arbitrary sign while the phase readout is
+    sign-sensitive, so it is canonicalized to A > 0; when rounding lets more
+    than one eigenpair satisfy the ellipse inequality, the candidate with
+    the smallest algebraic residual a^T S a is kept. After translating back,
+    a conic whose unit-norm discriminant is within 1e-10 of zero (a
+    degenerate conic from nearly collinear points that rounding tipped into
+    ellipse form) or that has no real points is rejected.
     """
     k = scatter.shape[0]
     rows = np.arange(k)
-    status = np.where(distinct < _MIN_DISTINCT, 1, 0)
+    status = np.zeros(k, dtype=int)
+    n = scatter[:, 5, 5]
     s1, s2, s3 = scatter[:, :3, :3], scatter[:, :3, 3:], scatter[:, 3:, 3:]
-    s2t = np.swapaxes(s2, 1, 2)
     with np.errstate(all="ignore"):
         # second moments about the points' own mean, whatever the centring
         cov = s3[:, :2, :2] - s3[:, :2, 2:] * s3[:, 2:, :2] / s3[:, 2:, 2:]
@@ -261,9 +250,16 @@ def _fit_conics(scatter: np.ndarray, centre: np.ndarray, distinct: np.ndarray):
         # their linear block is singular, and one singular matrix would fail
         # the whole stacked solve: solve a placeholder in their place
         s3 = np.where(status[:, None, None] == 1, np.eye(3), s3)
-        t = -np.linalg.solve(s3, s2t)
+        t = -np.linalg.solve(s3, np.swapaxes(s2, 1, 2))
         m = s1 + s2 @ t
-        status[~np.isfinite(m).all(axis=(1, 2))] = 1
+        # u is the reduced scatter m with x and y in units of their spread;
+        # e2 sums its principal 2x2 minors, so e2 / tr is within a factor of 3
+        # of its middle eigenvalue. A non-finite m fails this test too.
+        w = n[:, None] / np.stack([xx, np.sqrt(xx * yy), yy], axis=1)
+        u = m * w[:, :, None] * w[:, None, :]
+        tr = np.trace(u, axis1=1, axis2=2)
+        e2 = (tr * tr - np.einsum("kij,kji->k", u, u)) / 2.0
+        status[~((tr > 0.0) & (e2 > _PENCIL * n * tr))] = 1
         m[status == 1] = np.eye(3)
         reduced = np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1)
         eigvals, eigvecs = np.linalg.eig(reduced)
@@ -273,7 +269,7 @@ def _fit_conics(scatter: np.ndarray, centre: np.ndarray, distinct: np.ndarray):
         a6 = np.concatenate([a1, a1 @ np.swapaxes(t, 1, 2)], axis=-1)
         a6 /= np.linalg.norm(a6, axis=-1, keepdims=True)
         a6 = np.where(a6[..., :1] < 0.0, -a6, a6)
-        cost = np.einsum("kji,kil,kjl->kj", a6, scatter, a6)
+        cost = np.einsum("kjl,kjl->kj", a6 @ scatter, a6)
         real = np.abs(np.imag(eigvals)) <= 1e-8 * np.maximum(1.0, np.abs(np.real(eigvals)))
         elliptic = 4.0 * a1[..., 0] * a1[..., 2] - a1[..., 1] ** 2 > 0.0
         cost = np.where(real & elliptic & (cost < np.inf), cost, np.inf)
@@ -310,8 +306,8 @@ def _fit_conics(scatter: np.ndarray, centre: np.ndarray, distinct: np.ndarray):
 
 def _fit_phases(count: int, scatter_of) -> np.ndarray:
     """Phases of `count` fits, NaN where a fit is rejected, solved _CHUNK at
-    a time; scatter_of(lo, hi) returns the scatter matrices, centres and
-    distinct-point counts of fits lo to hi - 1."""
+    a time; scatter_of(lo, hi) returns the scatter matrices and centres of
+    fits lo to hi - 1."""
     phases = np.empty(count)
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
@@ -323,8 +319,9 @@ def _fit_phases(count: int, scatter_of) -> np.ndarray:
 def ellipse_fit(points) -> EllipseFitResult:
     """Fit an ellipse to (x_a, x_b) pairs and extract the differential phase.
 
-    Needs at least 6 points, the degrees of freedom of a conic, of which
-    at least 5 are distinct and not all on one line. The fit is performed
+    Needs at least 6 points, the degrees of freedom of a conic, not all on
+    one line and not all on every conic of a pencil (four distinct points,
+    or four on a line plus one, fix no single conic). The fit is performed
     on mean-centered coordinates for conditioning and the coefficients are
     translated back afterwards.
     The phase comes from cos(phi_d) = -B / (2 sqrt(AC)) and is a magnitude
@@ -346,8 +343,7 @@ def ellipse_fit(points) -> EllipseFitResult:
         raise ValueError("points contain non-finite values")
 
     rows, centre = _centred_rows(pts)
-    distinct = _distinct_points(pts)[1].sum(keepdims=True)
-    fits, status = _fit_conics(_scatter(rows)[None], centre, distinct)
+    fits, status = _fit_conics(_scatter(rows)[None], centre)
     if status[0]:
         raise EllipseFitError(_REJECTED[int(status[0])])
     coeffs = fits[0]
@@ -374,8 +370,9 @@ def ellipse_phase_jackknife(points) -> tuple[float, float]:
     downdated by that point's design row, S - d_i d_i^T, so no refit
     rebuilds a scatter matrix. Because the phase does not depend on
     translation, this agrees with refitting each subset centred on its own
-    mean to rounding, not bit for bit. Deletions whose fit is rejected are
-    dropped from the resampling sum.
+    mean to rounding, not bit for bit. Each deletion is judged on its own
+    downdated scatter matrix, and those whose fit is rejected are dropped
+    from the resampling sum.
     """
     pts = np.asarray(points, dtype=float)
     full = ellipse_fit(pts).phi_d
@@ -384,18 +381,8 @@ def ellipse_phase_jackknife(points) -> tuple[float, float]:
         raise ValueError(f"jackknife needs at least {_CONIC_DOF + 1} points, got {n}")
     rows, centre = _centred_rows(pts)
     total = _scatter(rows)
-    order, new = _distinct_points(pts)
-    # a deletion loses a distinct point only when the deleted point is unique
-    unique = np.empty(n, dtype=bool)
-    unique[order] = new & np.append(new[1:], True)
-    distinct = np.count_nonzero(new) - unique
     loo = _fit_phases(
-        n,
-        lambda lo, hi: (
-            total - rows[lo:hi, :, None] * rows[lo:hi, None, :],
-            centre,
-            distinct[lo:hi],
-        ),
+        n, lambda lo, hi: (total - rows[lo:hi, :, None] * rows[lo:hi, None, :], centre)
     )
     good = loo[np.isfinite(loo)]
     m = good.size
@@ -435,7 +422,7 @@ def phase_series_from_cycles(cycles, window: int) -> np.ndarray:
 
     def scatter_of(lo, hi):
         rows, centre = _centred_rows(windows[lo:hi])
-        return _scatter(rows), centre, _distinct_points(windows[lo:hi])[1].sum(axis=-1)
+        return _scatter(rows), centre
 
     return _fit_phases(n_windows, scatter_of)
 

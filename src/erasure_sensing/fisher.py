@@ -82,6 +82,11 @@ def classical_fisher_numeric(
     limit 2 p'' of p'^2 / p: near such a zero p'^2 = 2 p'' p <= 2 p'' floor,
     so a slope with p'^2 > 4 max(p'', 0) floor (a factor 2 of slack) raises
     SingularFisherError. The differences are taken at phi +/- 1e-5.
+
+    Near fringe nodes it is no oracle: within ~2.3e-7 rad of a full-contrast
+    node measure_probs forms p by cancellation, so it is off by up to ~7e-3;
+    within ~1e-7 rad of a depolarizing or dephasing node at q <= 1e-14 it
+    returns the quadratic-zero limit ~1 where the information falls to 0.
     """
     at, above, below = model(phi), model(phi + _STEP), model(phi - _STEP)
     floor = _PROB_FLOOR * (1.0 - at.p_erasure)
@@ -180,6 +185,8 @@ def fisher_erasure(q, delta=0.0):
 def bloch_density(r) -> np.ndarray:
     """Density matrix (I + r . sigma) / 2 of a Bloch vector r, |r| <= 1."""
     r = np.asarray(r, dtype=float).reshape(3)
+    if not np.isfinite(r).all():
+        raise ValueError("Bloch vector must be finite")
     if np.linalg.norm(r) > 1.0 + 1e-12:
         raise ValueError("Bloch vector norm exceeds 1")
     # + 0.0 turns a -0.0 component into 0.0, so no entry is a negative zero
@@ -209,6 +216,8 @@ def qfi_pure_generator(rho0: np.ndarray, generator: np.ndarray) -> float:
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise ValueError("density matrix must be 2x2")
+    if not np.isfinite(rho0).all():
+        raise ValueError("density matrix must be finite")
     if np.max(np.abs(rho0 - rho0.conj().T)) > _HERMITIAN_TOL:
         raise ValueError("density matrix is not Hermitian")
     tr = complex(np.trace(rho0))
@@ -222,6 +231,8 @@ def qfi_pure_generator(rho0: np.ndarray, generator: np.ndarray) -> float:
     generator = np.asarray(generator, dtype=complex)
     if generator.shape != (2, 2):
         raise ValueError("generator must be 2x2")
+    if not np.isfinite(generator).all():
+        raise ValueError("generator must be finite")
     if np.max(np.abs(generator - generator.conj().T)) > _HERMITIAN_TOL:
         raise ValueError("generator is not Hermitian")
     # tested as the eigenvalues' difference, which can round away from |r|

@@ -140,6 +140,17 @@ class TestEllipseFit:
                 res = ellipse_fit(ellipse_points(phi_d, c_a=c, c_b=c, t0=0.37))
                 assert abs(res.phi_d - phi_d) <= 1e-6, (phi_d, c)
 
+    def test_short_noiseless_arc_still_fits(self):
+        # an arc of 0.1 rad still fixes one ellipse, not a pencil; its fit is
+        # ill-conditioned, and rounding costs it phase digits (up to ~5e-5
+        # over random shapes)
+        t = 0.37 + np.linspace(0.0, 0.1, 20)
+        for phi_d in np.linspace(0.3, math.pi - 0.3, 5):
+            for c in (0.5, 1.0):
+                pts = np.column_stack([(1.0 + c * np.cos(t)) / 2.0,
+                                       (1.0 + c * np.cos(t + phi_d)) / 2.0])
+                assert abs(ellipse_fit(pts).phi_d - phi_d) <= 1e-5, (phi_d, c)
+
     def test_generic_center_and_amplitudes(self):
         t = np.linspace(0.0, 2.0 * math.pi, 80, endpoint=False)
         phi_d = 1.1

@@ -20,6 +20,7 @@ from erasure_sensing.clock import (
     optimize_interrogation,
     run_comparison,
 )
+from erasure_sensing import estimation
 from erasure_sensing.estimation import (
     CountRecord,
     EllipseFitError,
@@ -77,6 +78,16 @@ def collinear(rng, n):
     """n points on a line: the fit must be rejected."""
     t = rng.uniform(0.0, 1.0, size=n)
     return np.column_stack([t, 2.0 * t])
+
+
+def four_on_a_line_plus_one(seed, n=20):
+    """n pairs drawn from five points, four of them on one line: every conic
+    of a pencil (the line times any line through the fifth point) passes
+    through them, so the fit must be rejected."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(size=4)
+    five = np.vstack([np.column_stack([t, 2.0 * t + 0.1]), rng.uniform(size=(1, 2))])
+    return five[np.concatenate([np.arange(5), rng.integers(0, 5, size=n - 5)])]
 
 
 def assert_close(fast, slow):
@@ -340,6 +351,11 @@ class TestDegenerateWindows:
             fast, _ = self.series_of(np.tile(four, (5, 1)))
             assert np.isnan(fast)
 
+    def test_four_on_a_line_plus_one_window(self):
+        for seed in (0, 4, 6):
+            fast, _ = self.series_of(four_on_a_line_plus_one(seed))
+            assert np.isnan(fast)
+
     def test_windows_of_exactly_min_points(self):
         rng = np.random.default_rng(7)
         cycles = noisy_ellipse(rng, 6 * 50, 0.01)
@@ -355,7 +371,53 @@ class TestDegenerateWindows:
             np.tile([[0.3, 0.7]], (20, 1)),
             np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (5, 1)),
             np.tile(noisy_ellipse(np.random.default_rng(8), 4, 0.0), (5, 1)),
+            *(four_on_a_line_plus_one(seed) for seed in (0, 4, 6)),
+            np.tile(noisy_ellipse(np.random.default_rng(8), 4, 0.0), (25_000, 1)),
+            np.tile(noisy_ellipse(np.random.default_rng(9), 3, 0.0), (33_334, 1)),
         ):
+            with pytest.raises(EllipseFitError, match="collinear or repeated"):
+                ellipse_fit(pts)
+
+    def test_jackknife_drops_a_deletion_that_leaves_a_pencil(self):
+        # five distinct points on an ellipse fix it; the fifth occurs once,
+        # and deleting it leaves four, through which a pencil of conics passes
+        rng = np.random.default_rng(10)
+        five = noisy_ellipse(rng, 5, 0.0)
+        pts = np.vstack([np.tile(five[:4], (5, 1)), five[4:]])
+        with pytest.raises(EllipseFitError):
+            ellipse_fit(pts[:-1])
+        phi, err = ellipse_phase_jackknife(pts)
+        # every other deletion leaves the same five points and so the same
+        # ellipse: a pencil's arbitrary phase in the sum would show here
+        assert math.isfinite(phi) and err < 1e-6
+
+    def test_pencil_threshold_margins(self, monkeypatch):
+        # _PENCIL sits at least a factor of 10 inside both margins: shot-noise
+        # windows fit the same at ten times it, and built pencils of up to
+        # 10^5 pairs stay rejected at a tenth of it
+        rng = np.random.default_rng(11)
+        windows = []
+        for n0 in (100, 10_000, 1_000_000):
+            for contrast in (0.01, 0.1, 1.0):
+                for window in (6, 10, 100):
+                    theta = rng.uniform(0.0, 2.0 * math.pi, size=4 * window)
+                    p = 0.5 + 0.5 * contrast * np.column_stack(
+                        [np.cos(theta), np.cos(theta + rng.uniform(0.2, math.pi - 0.2))]
+                    )
+                    windows.append((rng.binomial(n0, p) / n0, window))
+        pencils = [four_on_a_line_plus_one(seed, n) for seed in range(6)
+                   for n in (20, 1000, 100_000)]
+        pencils += [np.tile(rng.uniform(size=(k, 2)), (reps, 1))
+                    for k in (3, 4) for reps in (2, 100, 25_000)]
+        at = [phase_series_from_cycles(cycles, window) for cycles, window in windows]
+        assert np.mean(np.isfinite(np.concatenate(at))) > 0.9
+        pencil = estimation._PENCIL
+        monkeypatch.setattr(estimation, "_PENCIL", 10.0 * pencil)
+        for (cycles, window), phases in zip(windows, at):
+            assert np.array_equal(phase_series_from_cycles(cycles, window), phases,
+                                  equal_nan=True)
+        monkeypatch.setattr(estimation, "_PENCIL", pencil / 10.0)
+        for pts in pencils:
             with pytest.raises(EllipseFitError, match="collinear or repeated"):
                 ellipse_fit(pts)
 

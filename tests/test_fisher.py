@@ -286,8 +286,12 @@ class TestQuantumFisher:
             (0.9 * rho, HALF_SIGMA_Z, "trace"),
             (rho, np.eye(3), "generator must be 2x2"),
             (rho, np.array([[0.0, 1.0], [0.0, 0.0]]), "generator is not Hermitian"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), HALF_SIGMA_Z, "density matrix must be finite"),
+            (rho, np.array([[np.nan, 0.0], [0.0, 0.0]]), "generator must be finite"),
         ):
             with pytest.raises(ValueError, match=named):
                 qfi_pure_generator(state, generator)
         with pytest.raises(ValueError, match="norm exceeds 1"):
             bloch_density([1.1, 0.0, 0.0])
+        with pytest.raises(ValueError, match="Bloch vector must be finite"):
+            bloch_density([np.nan, 0.0, 0.0])
