@@ -370,44 +370,40 @@ class AllanResult:
         }
 
 
-def _block_jackknife(cs: np.ndarray, d: np.ndarray, m: int) -> float:
+def _block_jackknife(y: np.ndarray, d: np.ndarray, m: int) -> float:
     """Leave-one-block-out jackknife standard error of the overlapping ADEV
-    at averaging factor m, in O(n), from the series' prefix sum cs (cs[0] =
-    0) and its differences d of adjacent overlapping m-sample means.
+    at averaging factor m, in O(n), from the series y and its differences d
+    of adjacent overlapping m-sample means.
 
-    Deleting block b, y[bm : bm + m], leaves every m-difference that lies
-    wholly left or right of it as it was. Each deletion's sum of squared
-    differences is therefore the full sum, minus the 3m - 1 differences
-    that touch the block, plus the at most 2m - 1 differences of the
-    shortened series that straddle its seam. Those come from the full prefix
-    sum: the shortened series' prefix sum is cs[i] up to the seam and
-    cs[i + m] minus the block's sum after it. Blocks are handled a chunk at
-    a time so the temporaries stay small for any series length.
+    Deleting block b, y[s : s + m] with s = bm, keeps the m-differences that
+    lie wholly left of it, d[:s - 2m + 1], and wholly right, d[s + m:], as
+    they were: their squares are two lookups in a prefix sum of d * d. The
+    shortened series adds the 2m - 1 differences that straddle its seam, and
+    these read only the 2m - 1 samples on each side of the block: they are
+    second differences of one prefix sum over those samples. Indices past
+    either end of the series are clipped, and the seam differences that
+    would read them are masked out. Blocks are handled a chunk at a time so
+    the temporaries stay small for any series length.
     """
-    n = cs.size - 1
-    d2 = d * d
-    total = float(np.sum(d2))
+    n = y.size
+    squares = np.concatenate([[0.0], np.cumsum(d * d)])
     kept = n - 3 * m + 1  # differences in a series shortened by m samples
     blocks = n // m
     deleted = np.empty(blocks)
     step = max(1, _JACKKNIFE_SPAN // m)
+    left = np.arange(1 - 2 * m, 0)  # sample offsets from the block start
+    beside = np.concatenate([left, left + 3 * m - 1])
     for lo in range(0, blocks, step):
-        hi = min(lo + step, blocks)
-        start = m * np.arange(lo, hi)[:, None]
-        j = start + np.arange(1 - 2 * m, m)
-        touching = np.where((j >= 0) & (j < d.size), d2[np.clip(j, 0, d.size - 1)], 0.0)
-
-        j = start + np.arange(1 - 2 * m, 0)
-        block_sum = cs[start + m] - cs[start]
-
-        def prefix(i):
-            return np.where(i <= start, cs[np.clip(i, 0, n)], cs[np.clip(i + m, 0, n)] - block_sum)
-
-        c0, c1, c2 = prefix(j), prefix(j + m), prefix(j + 2 * m)
-        seam = (c2 - c1) / m - (c1 - c0) / m
-        straddling = np.where((j >= 0) & (j <= n - 3 * m), seam * seam, 0.0)
-        sums = total - touching.sum(axis=1) + straddling.sum(axis=1)
-        deleted[lo:hi] = np.sqrt(0.5 * np.maximum(sums, 0.0) / kept)
+        start = m * np.arange(lo, min(lo + step, blocks))[:, None]
+        local = np.zeros((start.shape[0], 4 * m - 1))
+        np.cumsum(y[np.clip(start + beside, 0, n - 1)], axis=1, out=local[:, 1:])
+        seam = (local[:, 2 * m:] - 2.0 * local[:, m:-m] + local[:, :2 * m - 1]) / m
+        j = start + left  # each seam difference's first sample
+        straddling = np.where((j >= 0) & (j <= n - 3 * m), seam * seam, 0.0).sum(axis=1)
+        start = start[:, 0]
+        outside = squares[np.maximum(start - 2 * m + 1, 0)] + (
+            squares[-1] - squares[np.minimum(start + m, d.size)])
+        deleted[lo:lo + start.size] = np.sqrt(0.5 * (outside + straddling) / kept)
     mean = deleted.mean()
     return math.sqrt((blocks - 1) / blocks * float(np.sum((deleted - mean) ** 2)))
 
@@ -443,7 +439,7 @@ def allan_deviation(series, cycle_time: float) -> AllanResult:
         means = (cs[m:] - cs[:-m]) / m
         d = means[m:] - means[:-m]
         sigmas.append(math.sqrt(0.5 * float(np.mean(d * d))))
-        errors.append(_block_jackknife(cs, d, m))
+        errors.append(_block_jackknife(y, d, m))
         taus.append(m * cycle_time)
         factors.append(m)
         m *= 2
