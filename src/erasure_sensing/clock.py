@@ -394,13 +394,12 @@ def _block_jackknife(y: np.ndarray, d: np.ndarray, m: int) -> float:
     left = np.arange(1 - 2 * m, 0)  # sample offsets from the block start
     beside = np.concatenate([left, left + 3 * m - 1])
     for lo in range(0, blocks, step):
-        start = m * np.arange(lo, min(lo + step, blocks))[:, None]
-        local = np.zeros((start.shape[0], 4 * m - 1))
-        np.cumsum(y[np.clip(start + beside, 0, n - 1)], axis=1, out=local[:, 1:])
+        start = m * np.arange(lo, min(lo + step, blocks))
+        local = np.zeros((start.size, 4 * m - 1))
+        np.cumsum(y[np.clip(start[:, None] + beside, 0, n - 1)], axis=1, out=local[:, 1:])
         seam = (local[:, 2 * m:] - 2.0 * local[:, m:-m] + local[:, :2 * m - 1]) / m
-        j = start + left  # each seam difference's first sample
+        j = start[:, None] + left  # each seam difference's first sample
         straddling = np.where((j >= 0) & (j <= n - 3 * m), seam * seam, 0.0).sum(axis=1)
-        start = start[:, 0]
         outside = squares[np.maximum(start - 2 * m + 1, 0)] + (
             squares[-1] - squares[np.minimum(start + m, d.size)])
         deleted[lo:lo + start.size] = np.sqrt(0.5 * (outside + straddling) / kept)
@@ -409,18 +408,20 @@ def _block_jackknife(y: np.ndarray, d: np.ndarray, m: int) -> float:
 
 
 def allan_deviation(series, cycle_time: float) -> AllanResult:
-    """Overlapping Allan deviation of a fractional-frequency series.
+    """Overlapping Allan deviation of a series.
 
     Averaging factors run over octaves m = 1, 2, 4, ... as long as the
     series still supports the estimate after one jackknife block of length
     m is removed (n - m >= 2m + 1); longer averaging times are omitted.
     The error bar at each m is the leave-one-block-out jackknife standard
-    error with block length m (Riley, NIST SP 1065). Every octave, estimate
-    and jackknife alike, reads one prefix sum of the series, and each
-    deletion only corrects the differences near its block, so an octave
-    costs O(n) and the whole result O(n log n). NaN entries (gap markers
-    from failed fit windows) are dropped before analysis; an infinite
-    entry raises ValueError.
+    error with block length m (Riley, NIST SP 1065). The estimate reads one
+    prefix sum of the series, and each deletion only local sums beside its
+    block (_block_jackknife), so an octave costs O(n) and the whole result
+    O(n log n). NaN entries (gap markers from failed fit windows) are
+    dropped before analysis. Any offset and any scale of the series keep
+    their digits: the sums read it scaled by a power of two and centred on
+    one sample. Raises ValueError for an infinite entry, and for a
+    deviation, error or averaging time outside the float range.
     """
     if not 0.0 < cycle_time < math.inf:
         raise ValueError("cycle_time must be positive and finite")
@@ -432,6 +433,14 @@ def allan_deviation(series, cycle_time: float) -> AllanResult:
     if n < _ALLAN_MIN:
         raise ValueError(f"series must hold at least {_ALLAN_MIN} finite samples, got {n}")
 
+    # The deviation ignores an offset, and a power-of-two scale is exact:
+    # the series is scaled below 1 in magnitude, so that centring it cannot
+    # overflow, and centred on its first sample, so that the prefix sums
+    # carry its fluctuations rather than its offset. The results are scaled
+    # back at the end.
+    exponent = math.frexp(float(np.max(np.abs(y))))[1]
+    y = np.ldexp(y, -exponent)
+    y -= y[0]
     cs = np.concatenate([[0.0], np.cumsum(y)])
     taus, sigmas, errors, factors = [], [], [], []
     m = 1
@@ -444,25 +453,23 @@ def allan_deviation(series, cycle_time: float) -> AllanResult:
         factors.append(m)
         m *= 2
 
+    with np.errstate(over="ignore"):
+        sigmas, errors = np.ldexp([sigmas, errors], exponent)
+    if not np.isfinite([sigmas, errors, taus]).all():
+        raise ValueError("the Allan deviation or an averaging time lies outside the float range")
     return AllanResult(
         taus=np.array(taus),
-        sigmas=np.array(sigmas),
-        errors=np.array(errors),
+        sigmas=sigmas,
+        errors=errors,
         averaging_factors=np.array(factors, dtype=int),
     )
-
-
-def phase_series_to_fractional_frequency(series, t_c: float, f0: float) -> np.ndarray:
-    """Convert phase estimates to fractional frequency, y = phi / (2 pi T_c f0)."""
-    if not (0.0 < t_c < math.inf and 0.0 < f0 < math.inf):
-        raise ValueError("T_c and f0 must be positive and finite")
-    return np.asarray(series, dtype=float) / (TWO_PI * t_c * f0)
 
 
 @dataclass(frozen=True, eq=False)
 class ComparisonAnalysis:
     """One simulated run: its cycle columns and their summary statistics,
-    the per-window phi_d series and its fractional-frequency Allan deviation."""
+    the per-window phi_d series (radians) and the fractional-frequency Allan
+    deviation of phi_d / (2 pi T_c f0)."""
 
     cycles: CycleRecord
     stats: dict
@@ -473,11 +480,13 @@ class ComparisonAnalysis:
 def analyze_comparison(config: ComparisonConfig, window: int) -> ComparisonAnalysis:
     """Simulate a comparison and analyze it end to end.
 
-    The valid pairs are fitted window by window of `window` cycles, the
-    phi_d series is converted to fractional frequency, and its Allan
-    deviation is taken with one window as the sample spacing. Raises
-    SimulationDegeneracyError if more than 10% of cycles are invalid, and
-    EllipseFitError if more than 10% of the fit windows fail.
+    The valid pairs are fitted window by window of `window` cycles, and
+    the Allan deviation of the phi_d series is taken with one window as the
+    sample spacing; its sigmas and errors are then divided once by
+    2 pi T_c f0, to fractional frequency. Raises SimulationDegeneracyError
+    if more than 10% of cycles are invalid, EllipseFitError if more than
+    10% of the fit windows fail, and ValueError if a quotient overflows or
+    a nonzero one falls below the normal float range.
     """
     cycles = run_comparison(config)
     stats = comparison_stats(cycles, config.n0)
@@ -491,8 +500,21 @@ def analyze_comparison(config: ComparisonConfig, window: int) -> ComparisonAnaly
     fitted = int(np.count_nonzero(~np.isnan(series)))
     if (series.size - fitted) / series.size > 0.10:
         raise EllipseFitError(f"only {fitted} of {series.size} fit windows gave a phase")
-    y = phase_series_to_fractional_frequency(series, config.t_c, config.f0)
-    allan = allan_deviation(y, cycle_time=window * config.cycle_time)
+    allan = allan_deviation(series, cycle_time=window * config.cycle_time)
+    # T_c f0 can leave the float range where the quotient does not, so the
+    # division takes their mantissas and their binary exponents apart; the
+    # exponents divide exactly.
+    (t_mant, t_exp), (f_mant, f_exp) = math.frexp(config.t_c), math.frexp(config.f0)
+    phase = np.array([allan.sigmas, allan.errors])
+    with np.errstate(over="ignore"):
+        frequency = np.ldexp(phase / (TWO_PI * t_mant * f_mant), -(t_exp + f_exp))
+    normal = (np.finfo(float).tiny <= frequency) & (frequency < math.inf)
+    if not np.all(normal | (phase == 0.0)):
+        raise ValueError(
+            "the Allan deviation over 2 pi T_c f0 lies outside the float range "
+            f"(T_c*f0 = {config.t_c!r}*{config.f0!r})"
+        )
+    allan = replace(allan, sigmas=frequency[0], errors=frequency[1])
     return ComparisonAnalysis(cycles=cycles, stats=stats, series=series, allan=allan)
 
 
@@ -522,10 +544,13 @@ def instability_vs_error_rate(
     compatibility and changes nothing (see run_comparison).
 
     Raises ValueError, before any simulation, if a grid entry lies outside
-    [0, 0.95] or repeats another, SimulationDegeneracyError if more than
-    10% of cycles are invalid, and EllipseFitError if more than 10% of the
-    fit windows fail.
+    [0, 0.95] or repeats another, or if the base config has no shot noise
+    (every window phase is then exact, so each sigma is fit rounding);
+    SimulationDegeneracyError if more than 10% of cycles are invalid, and
+    EllipseFitError if more than 10% of the fit windows fail.
     """
+    if not base.shot_noise:
+        raise ValueError("a scaling curve needs shot_noise: without it each sigma is fit rounding")
     qs = [float(q) for q in q_grid]
     for q in qs:
         if not 0.0 <= q <= 0.95:
@@ -540,16 +565,26 @@ def instability_vs_error_rate(
     return points
 
 
+def _positive_sigmas(sigmas) -> np.ndarray:
+    """sigmas as a float array; ValueError unless each is positive, so
+    that it has a log."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    if not np.all(sigmas > 0.0):
+        raise ValueError(f"a power-law fit needs positive sigmas, got {sigmas.tolist()}")
+    return sigmas
+
+
 def fit_loglog_exponent(qs, sigmas) -> tuple[float, float, float]:
     """Free log-log regression of sigma against (1 - q).
 
     Fits log(sigma) = log(sigma0) + b * log(1 - q) by ordinary least
     squares and returns (b, stderr_b, sigma0). The erasure channel should
     give b near -1/2 and depolarizing near -1. Needs at least 3 points at
-    two or more distinct q, since the slope is undefined at one q.
+    two or more distinct q, since the slope is undefined at one q, and
+    positive sigmas (_positive_sigmas).
     """
     qs = np.asarray(qs, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
+    sigmas = _positive_sigmas(sigmas)
     if qs.size != sigmas.size or qs.size < 3:
         raise ValueError("need at least 3 (q, sigma) points")
     if qs.min() == qs.max():
@@ -568,10 +603,11 @@ def fit_fixed_form_intercept(qs, sigmas, exponent: float) -> float:
 
     The exponent is pinned (-kind.decay_exponent(): -1/2 for erasure, -1
     for depolarizing) and the instability at q = 0 is the only free
-    parameter, fitted by least squares in log space.
+    parameter, fitted by least squares in log space. Raises ValueError
+    unless every sigma is positive.
     """
     qs = np.asarray(qs, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
+    sigmas = _positive_sigmas(sigmas)
     return float(np.exp(np.mean(np.log(sigmas) - exponent * np.log1p(-qs))))
 
 

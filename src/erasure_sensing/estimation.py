@@ -158,8 +158,12 @@ _CHUNK = 256
 # A fit whose reduced scatter matrix has a middle eigenvalue per point (to a
 # factor of 3) at most this is rejected: a whole pencil of conics passes
 # through its points, as through four distinct points or four on a line plus
-# one, and the solve would return whichever one rounding picks.
+# one, and the solve would return whichever one rounding picks. Rounding in
+# the scatter sums lifts a built pencil's statistic in proportion to its
+# number of points (up to ~1e-10 at 10^6), while real shapes read the same
+# at any number, so above _PENCIL_POINTS points the threshold grows with it.
 _PENCIL = 1e-9
+_PENCIL_POINTS = 5e5
 
 # Points whose x-y correlation r has 1 - r^2 at or below this lie on a line
 # to working precision. Every conic through them fits, so the solve would
@@ -259,7 +263,8 @@ def _fit_conics(scatter: np.ndarray, centre: np.ndarray):
         u = m * w[:, :, None] * w[:, None, :]
         tr = np.trace(u, axis1=1, axis2=2)
         e2 = (tr * tr - np.einsum("kij,kji->k", u, u)) / 2.0
-        status[~((tr > 0.0) & (e2 > _PENCIL * n * tr))] = 1
+        pencil = _PENCIL * np.maximum(1.0, n / _PENCIL_POINTS)
+        status[~((tr > 0.0) & (e2 > pencil * n * tr))] = 1
         m[status == 1] = np.eye(3)
         reduced = np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1)
         eigvals, eigvecs = np.linalg.eig(reduced)

@@ -5,8 +5,9 @@ solvers, its cycle columns and its closed-form interrogation optimum: one
 full ellipse refit per fit window and per jackknife deletion, one full
 overlapping-ADEV evaluation per deleted Allan block, one record object per
 simulated cycle, and a golden-section search for the optimal interrogation
-time; plus the paper's eigenvector form of the qubit quantum Fisher
-information, which the library evaluates in Bloch form; and the
+time; plus a two-pass overlapping ADEV that reads no prefix sum, the
+paper's eigenvector form of the qubit quantum Fisher information, which
+the library evaluates in Bloch form; and the
 array-form state chain, numeric Fisher information, closed-form
 information and count inversion, which the library evaluates in floats.
 They are kept here, independent of the library code, only as test
@@ -132,13 +133,33 @@ def jackknife(points):
 
 
 def overlapping_adev(y, m):
-    cs = np.concatenate([[0.0], np.cumsum(y)])
+    """Overlapping ADEV through one prefix sum of the series, read scaled
+    below 1 in magnitude by a power of two and centred on its first sample,
+    as the library reads it."""
+    exponent = math.frexp(float(np.max(np.abs(y))))[1]
+    z = np.ldexp(y, -exponent)
+    cs = np.concatenate([[0.0], np.cumsum(z - z[0])])
     means = (cs[m:] - cs[:-m]) / m
     d = means[m:] - means[:-m]
-    return math.sqrt(0.5 * float(np.mean(d * d)))
+    return math.ldexp(math.sqrt(0.5 * float(np.mean(d * d))), exponent)
 
 
-def allan(series):
+def rms(v):
+    """Root mean square, taken relative to the largest magnitude so that
+    squaring neither overflows nor underflows."""
+    peak = float(np.max(np.abs(v)))
+    return peak * math.sqrt(float(np.mean((v / peak) ** 2))) if peak > 0.0 else 0.0
+
+
+def overlapping_adev_direct(y, m):
+    """Overlapping ADEV in two passes and no prefix sum: the series' mean is
+    subtracted first, then each m-sample mean is summed from the centred
+    samples directly."""
+    means = np.lib.stride_tricks.sliding_window_view(y - np.mean(y), m).mean(axis=1)
+    return rms(means[m:] - means[:-m]) / math.sqrt(2.0)
+
+
+def allan(series, adev=overlapping_adev):
     """(averaging factors, sigmas, block-jackknife errors), recomputing the
     whole overlapping ADEV for every deleted block."""
     y = np.asarray(series, dtype=float).ravel()
@@ -148,14 +169,12 @@ def allan(series):
     m = 1
     while n - m >= 2 * m + 1:
         factors.append(m)
-        sigmas.append(overlapping_adev(y, m))
+        sigmas.append(adev(y, m))
         blocks = n // m
         deleted = np.array(
-            [overlapping_adev(np.delete(y, slice(b * m, (b + 1) * m)), m) for b in range(blocks)]
+            [adev(np.delete(y, slice(b * m, (b + 1) * m)), m) for b in range(blocks)]
         )
-        errors.append(
-            math.sqrt((blocks - 1) / blocks * float(np.sum((deleted - deleted.mean()) ** 2)))
-        )
+        errors.append(math.sqrt(blocks - 1) * rms(deleted - deleted.mean()))
         m *= 2
     return np.array(factors), np.array(sigmas), np.array(errors)
 

@@ -1,15 +1,20 @@
 """Command-line interface: stdout contracts, output files, manifests,
 exit codes, and byte-level reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erasure_sensing import __version__, cli
 from erasure_sensing.cli import main
@@ -227,10 +232,7 @@ class TestSimulateCommand:
         cfg = small_config(tmp_path, phi_d=0.0, shot_noise=False)
         assert main(["simulate", cfg, "--out", str(tmp_path / "run")]) == 5
         assert "0 of 6 fit windows" in capsys.readouterr().err
-        assert main(["scaling", cfg, "--q-grid", "0", "--kind", "erasure",
-                     "--out", str(tmp_path / "s")]) == 5
         assert list((tmp_path / "run").iterdir()) == []
-        assert list((tmp_path / "s").iterdir()) == []
         # with one atom per ensemble every pair is a corner of the unit
         # square: four distinct points, through which any conic of a pencil
         # passes, so no window gives a phase
@@ -239,6 +241,9 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "--window", "100", "--out", str(tmp_path / "one")]) == 5
         assert "0 of 27 fit windows" in capsys.readouterr().err
         assert not (tmp_path / "one" / "simulate_manifest.json").exists()
+        assert main(["scaling", cfg, "--q-grid", "0", "--kind", "erasure",
+                     "--window", "100", "--out", str(tmp_path / "s")]) == 5
+        assert list((tmp_path / "s").iterdir()) == []
         # with two atoms the fractions take three values, and 15 of the 100
         # windows of ten pairs give no phase: more than 10% fail
         with open(EXAMPLE_CONFIG) as fh:
@@ -412,6 +417,21 @@ class TestNonFiniteAndNonPositiveNumbers:
         assert "error" in capsys.readouterr().err
         assert list(tmp_path.glob("*_manifest.json")) == []
 
+    @pytest.mark.parametrize("argv, overrides, named", [
+        (["simulate"], {"T_c": 1e200, "f0": 1e200}, "T_c*f0"),
+        (["simulate"], {"T_c": 5e-324, "f0": 1e-300}, "T_c*f0"),
+        (["simulate", "--window", "10"], {"T_d": 1e307}, "float range"),
+        (["scaling", "--q-grid", "0,0.3,0.6"], {"shot_noise": False}, "shot_noise"),
+    ], ids=["frequency-underflow", "frequency-overflow", "tau-overflow", "scaling-noiseless"])
+    def test_results_past_the_float_range(self, argv, overrides, named, tmp_path, capsys):
+        # a deviation or averaging time that no float holds, or a scaling
+        # curve of rounding, is a usage error and writes nothing
+        out = tmp_path / "run"
+        cfg = small_config(tmp_path, **overrides)
+        assert main([argv[0], cfg, *argv[1:], "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_nan_dead_time_in_config(self, tmp_path, capsys):
         # JSON's NaN and Infinity literals parse; the run must stop before
         # simulating, as it must for an N0 past the survivor draw's int64,
@@ -475,3 +495,101 @@ class TestCommonBehavior:
         assert manifest["version"] == __version__
         assert manifest["seed"] is None
         assert manifest["duration_seconds"] >= 0.0
+
+
+# Every legal input to the config commands, with runs kept small (at most
+# 200 atoms and 1200 cycles). Each number is drawn from an ordinary range or
+# from its whole legal range, extremes included, so that both reach the
+# analysis.
+POSITIVE = st.floats(1e-3, 1e3) | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NON_NEGATIVE = st.floats(0.0, 1e3) | st.floats(min_value=0.0, allow_infinity=False)
+CONTRAST = st.floats(0.3, 1.0) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def cli_runs(draw):
+    """(input files, argv) of one `simulate`, `scaling` or `allan` run."""
+    noise = {"kind": draw(st.sampled_from(["erasure", "depolarizing", "dephasing"]))}
+    if draw(st.booleans()):
+        noise["q"] = draw(st.floats(0.0, 0.4) | st.floats(0.0, 1.0))
+    else:
+        noise["gamma"] = draw(NON_NEGATIVE)
+    config = {
+        "phi_d": draw(st.floats(0.3, 2.8) | st.floats(0.0, math.pi)),
+        "N0": draw(st.integers(50, 200) | st.integers(1, 200)),
+        "T_c": draw(POSITIVE),
+        "T_d": draw(NON_NEGATIVE),
+        "f0": draw(POSITIVE),
+        "cycles": draw(st.integers(300, 1200) | st.integers(1, 1200)),
+        "noise": noise,
+        "c_a": draw(CONTRAST),
+        "c_b": draw(CONTRAST),
+        "laser_phase_model": draw(st.sampled_from(["UniformRandomPerCycle", "FixedSweep"])),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        # True first: Hypothesis draws the first value more often
+        "shot_noise": draw(st.sampled_from([True, False])),
+    }
+    ordinary = st.integers(6, max(6, config["cycles"] // 4))
+    window = ["--window", str(draw(ordinary | st.integers(1, 1200)))]
+    command = draw(st.sampled_from(["simulate", "scaling", "allan"]))
+    if command == "simulate":
+        return {"config.json": json.dumps(config)}, ["simulate", "config.json"] + window
+    if command == "scaling":
+        grid = draw(st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3, unique=True))
+        kind = draw(st.sampled_from(["both", "erasure", "depolarizing"]))
+        return {"config.json": json.dumps(config)}, [
+            "scaling", "config.json", "--q-grid", ",".join(map(repr, grid)), "--kind", kind
+        ] + window
+    sample = st.floats(-1e3, 1e3) | st.floats()
+    series = draw(st.lists(sample, min_size=4, max_size=60) | st.lists(sample, max_size=6))
+    return {"series.txt": "".join(f"{v!r}\n" for v in series)}, [
+        "allan", "series.txt", "--cycle-time", repr(draw(POSITIVE))
+    ]
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON number {name}")
+
+
+def check_exit_contract(files, argv, workdir: Path):
+    """Run main in process. It must return, not raise: 0 with only finite
+    numbers on stdout and in the output files (NaN only as a phases.csv
+    gap), or 2, 3, 4 or 5 with `error:` on stderr and no output file."""
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    argv = [str(workdir / arg) if arg in files else arg for arg in argv]
+    out = workdir / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", str(out)])
+    written = sorted(out.iterdir())
+    if code != 0:
+        assert code in (2, 3, 4, 5)
+        assert stderr.getvalue().startswith("error:")
+        assert written == []
+        return
+    for token in stdout.getvalue().translate(str.maketrans(",[]{}:", "      ")).split():
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), token
+    for path in written:
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_reject_constant)
+            continue
+        for row in text.splitlines()[1:]:
+            fields = row.split(",")
+            if path.name == "phases.csv":
+                fields = fields[:1]
+            assert all(math.isfinite(float(v)) for v in fields), (path.name, row)
+
+
+class TestExitCodeContract:
+    # about 15 ms an example: 100 keep the test near 1.5 s
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(run=cli_runs())
+    def test_every_legal_run_exits_by_the_table(self, run):
+        with tempfile.TemporaryDirectory(dir=os.getcwd()) as workdir:
+            check_exit_contract(*run, Path(workdir))

@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from erasure_sensing import clock
 from erasure_sensing.clock import (
     ComparisonConfig,
     LaserPhaseModel,
     allan_deviation,
+    analyze_comparison,
     comparison_stats,
     crb_floor,
     erasure_conversion_gain,
@@ -22,7 +24,6 @@ from erasure_sensing.clock import (
     fit_loglog_exponent,
     instability_vs_error_rate,
     optimize_interrogation,
-    phase_series_to_fractional_frequency,
     run_comparison,
     valid_pairs,
 )
@@ -325,6 +326,27 @@ class TestAllanDeviation:
         res = allan_deviation(y, cycle_time=1.0)
         assert np.isfinite(res.sigmas).all()
 
+    @pytest.mark.parametrize("offset, scale", [
+        (1e8, 1.0), (4.29e14, 0.01), (1.0, 1e-15), (0.0, 1e-160), (0.0, 1e155),
+    ], ids=["offset-1e8", "hertz-4.29e14", "fractional-1", "scale-1e-160", "scale-1e155"])
+    def test_any_offset_and_scale_keeps_the_digits(self, offset, scale):
+        # the same white noise under an offset or a scale: one window's
+        # deviation against the two-pass value on the same input
+        y = offset + scale * np.random.default_rng(1).normal(size=10_000)
+        sigma = allan_deviation(y, cycle_time=1.0).sigmas[0]
+        assert sigma == pytest.approx(oracles.overlapping_adev_direct(y, 1), rel=1e-12)
+
+    def test_results_at_the_edge_of_the_float_range(self):
+        # differences of samples near the largest float overflow unless the
+        # series is scaled first
+        y = 1.5e308 * np.random.default_rng(2).uniform(-1.0, 1.0, size=200)
+        assert np.isfinite(allan_deviation(y, cycle_time=1.0).sigmas).all()
+        # a deviation or an averaging time past it is an error, not inf
+        with pytest.raises(ValueError, match="float range"):
+            allan_deviation(np.resize([1.7e308, -1.7e308], 100), cycle_time=1.0)
+        with pytest.raises(ValueError, match="float range"):
+            allan_deviation(np.arange(100.0), cycle_time=1e307)
+
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):
             allan_deviation(np.ones(3), cycle_time=1.0)
@@ -368,8 +390,8 @@ class TestFloorsAndFits:
         cfg = config(N0=500, cycles=10_000, seed=2)
         results = run_comparison(cfg, threads=4)
         series = phase_series_from_cycles(valid_pairs(results), window=100)
-        y = phase_series_to_fractional_frequency(series, cfg.t_c, cfg.f0)
-        sigma = allan_deviation(y, cycle_time=100.0 * cfg.cycle_time).sigmas[0]
+        phase_sigma = allan_deviation(series, cycle_time=100.0 * cfg.cycle_time).sigmas[0]
+        sigma = phase_sigma / (2.0 * math.pi * cfg.t_c * cfg.f0)
         floor = crb_floor(500, 1.0, 100.0, 1.0, differential=True)
         assert 1.0 <= sigma / floor <= 1.2
 
@@ -386,6 +408,12 @@ class TestFloorsAndFits:
             fit_loglog_exponent([0.1] * 3, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="at least 3"):
             fit_loglog_exponent([0.0, 0.5], [1.0, 2.0])
+        # a noiseless run's sigma is exactly 0, and its log is -inf
+        for sigmas in ([0.0, 1.0, 2.0], [1.0, -1.0, 2.0], [1.0, math.nan, 2.0]):
+            with pytest.raises(ValueError, match="positive sigmas"):
+                fit_loglog_exponent([0.0, 0.3, 0.6], sigmas)
+            with pytest.raises(ValueError, match="positive sigmas"):
+                fit_fixed_form_intercept([0.0, 0.3, 0.6], sigmas, -0.5)
         assert fit_loglog_exponent([0.0, 0.0, 0.75], [2.0, 2.0, 4.0])[0] == pytest.approx(
             -0.5, abs=1e-12)
 
@@ -409,7 +437,20 @@ class TestFloorsAndFits:
             instability_vs_error_rate(config(), [0.0, 0.3, 0.99], ChannelKind.ERASURE)
         with pytest.raises(ValueError, match="distinct"):
             instability_vs_error_rate(config(), [0.0, 0.3, 0.3], ChannelKind.ERASURE)
+        with pytest.raises(ValueError, match="shot_noise"):
+            instability_vs_error_rate(config(shot_noise=False), [0.0, 0.3], ChannelKind.ERASURE)
         assert runs == []
+
+    def test_scaling_exponents_do_not_depend_on_the_units(self):
+        # T_c f0 only divides every sigma, so the exponents are the same at
+        # T_c = 1e160 as at 1, to rounding
+        exponents = []
+        for t_c in (1.0, 1e160):
+            cfg = config(N0=400, cycles=3000, c_a=0.5, c_b=0.5, seed=9, T_c=t_c)
+            points = instability_vs_error_rate(cfg, [0.0, 0.4, 0.8], ChannelKind.ERASURE)
+            exponents.append(fit_loglog_exponent([p.q for p in points],
+                                                 [p.sigma for p in points])[0])
+        assert exponents[1] == pytest.approx(exponents[0], rel=1e-10)
 
 
 class TestOptimizer:
@@ -472,18 +513,25 @@ class TestOptimizer:
 
 
 class TestFrequencyConversion:
-    def test_phase_to_fractional_frequency(self):
-        y = phase_series_to_fractional_frequency([math.pi], t_c=2.0, f0=5.0)
-        assert y[0] == pytest.approx(math.pi / (2.0 * math.pi * 10.0), rel=1e-12)
+    """analyze_comparison takes the Allan deviation of the phase series and
+    divides its sigmas and errors once by 2 pi T_c f0."""
 
-    def test_white_phase_scatter_sets_the_single_window_deviation(self):
+    def test_phase_to_fractional_frequency(self):
+        cfg = config(T_c=2.0, f0=5.0, cycles=2000)
+        run = analyze_comparison(cfg, window=50)
+        phase = allan_deviation(run.series, cycle_time=50.0 * cfg.cycle_time)
+        assert np.array_equal(run.allan.taus, phase.taus)
+        assert run.allan.sigmas == pytest.approx(phase.sigmas / (2.0 * math.pi * 10.0), rel=1e-15)
+        assert run.allan.errors == pytest.approx(phase.errors / (2.0 * math.pi * 10.0), rel=1e-15)
+
+    def test_white_phase_scatter_sets_the_single_window_deviation(self, monkeypatch):
         # sigma_y at one window of a white phase series with spread dphi
         # should match dphi/(2 pi T_c f0) to sampling accuracy
         rng = np.random.default_rng(3)
         dphi, t_c, f0 = 0.01, 2.0, 3.0
         series = 0.8 + rng.normal(scale=dphi, size=4000)
-        y = phase_series_to_fractional_frequency(series, t_c=t_c, f0=f0)
-        sigma = allan_deviation(y, cycle_time=1.0).sigmas[0]
+        monkeypatch.setattr(clock, "phase_series_from_cycles", lambda pairs, window: series)
+        sigma = analyze_comparison(config(T_c=t_c, f0=f0), window=1).allan.sigmas[0]
         target = dphi / (2.0 * math.pi * t_c * f0)
         assert sigma == pytest.approx(target, rel=0.10)
 
@@ -491,4 +539,12 @@ class TestFrequencyConversion:
         for t_c, f0 in ((0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
                         (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ValueError):
-                phase_series_to_fractional_frequency([0.1], t_c=t_c, f0=f0)
+                config(T_c=t_c, f0=f0)
+        # legal scales whose quotient no float holds
+        for t_c, f0 in ((1e200, 1e200), (5e-324, 1e-300)):
+            with pytest.raises(ValueError, match=r"T_c\*f0"):
+                analyze_comparison(config(T_c=t_c, f0=f0), window=20)
+        # T_c f0 alone below the float range, the quotient within it
+        run = analyze_comparison(config(T_c=1e-310), window=20)
+        phase = allan_deviation(run.series, cycle_time=20e-310).sigmas
+        assert run.allan.sigmas == pytest.approx(phase / (2.0 * math.pi) / 1e-310, rel=1e-15)

@@ -141,9 +141,6 @@ class TestAgainstOracles:
         gaps=st.floats(0.0, 0.2),
     )
     def test_allan(self, seed, n, offset, gaps):
-        # The offset stays within a few standard deviations: a large
-        # constant offset costs both paths digits in the prefix sum, so
-        # neither would be a reference to 1e-10 for the other.
         rng = np.random.default_rng(seed)
         y = offset + rng.normal(size=n)
         y[rng.random(n) < gaps] = np.nan
@@ -153,6 +150,27 @@ class TestAgainstOracles:
         factors, sigmas, errors = oracles.allan(y)
         assert np.array_equal(res.averaging_factors, factors)
         assert np.array_equal(res.sigmas, sigmas)
+        assert_close(res.errors, errors)
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        n=st.integers(4, 300),
+        digits=st.floats(-3.0, 15.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        power=st.integers(-1000, 1000),
+    )
+    def test_allan_at_any_offset_and_scale(self, seed, n, digits, sign, power):
+        # White noise under an offset of up to 1e15 times its spread, scaled
+        # by 2^power, against the two-pass ADEV, which reads no prefix sum.
+        # The power is capped so that offset and noise stay below 2^1001.
+        offset = sign * 10.0**digits
+        y = offset + np.random.default_rng(seed).normal(size=n)
+        y = np.ldexp(y, min(power, 1000 - math.frexp(float(np.max(np.abs(y))))[1]))
+        res = allan_deviation(y, cycle_time=1.0)
+        factors, sigmas, errors = oracles.allan(y, oracles.overlapping_adev_direct)
+        assert np.array_equal(res.averaging_factors, factors)
+        assert_close(res.sigmas, sigmas)
         assert_close(res.errors, errors)
 
     # More examples than the others, with N0 often small, so that runs
@@ -393,8 +411,9 @@ class TestDegenerateWindows:
 
     def test_pencil_threshold_margins(self, monkeypatch):
         # _PENCIL sits at least a factor of 10 inside both margins: shot-noise
-        # windows fit the same at ten times it, and built pencils of up to
-        # 10^5 pairs stay rejected at a tenth of it
+        # windows and a noiseless arc of 0.1 rad in 10^6 points fit the same
+        # at ten times it, and built pencils of up to 10^6 pairs stay
+        # rejected at a tenth of it
         rng = np.random.default_rng(11)
         windows = []
         for n0 in (100, 10_000, 1_000_000):
@@ -405,17 +424,22 @@ class TestDegenerateWindows:
                         [np.cos(theta), np.cos(theta + rng.uniform(0.2, math.pi - 0.2))]
                     )
                     windows.append((rng.binomial(n0, p) / n0, window))
+        theta = np.linspace(0.3, 0.4, 1_000_000)
+        arc = 0.5 + 0.5 * np.column_stack([np.cos(theta), np.cos(theta + 1.0)])
         pencils = [four_on_a_line_plus_one(seed, n) for seed in range(6)
                    for n in (20, 1000, 100_000)]
         pencils += [np.tile(rng.uniform(size=(k, 2)), (reps, 1))
                     for k in (3, 4) for reps in (2, 100, 25_000)]
+        pencils.append(four_on_a_line_plus_one(0, 1_000_000))
         at = [phase_series_from_cycles(cycles, window) for cycles, window in windows]
         assert np.mean(np.isfinite(np.concatenate(at))) > 0.9
+        arc_phase = ellipse_fit(arc).phi_d
         pencil = estimation._PENCIL
         monkeypatch.setattr(estimation, "_PENCIL", 10.0 * pencil)
         for (cycles, window), phases in zip(windows, at):
             assert np.array_equal(phase_series_from_cycles(cycles, window), phases,
                                   equal_nan=True)
+        assert ellipse_fit(arc).phi_d == arc_phase
         monkeypatch.setattr(estimation, "_PENCIL", pencil / 10.0)
         for pts in pencils:
             with pytest.raises(EllipseFitError, match="collinear or repeated"):

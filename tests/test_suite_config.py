@@ -1,21 +1,15 @@
 """The suite's own pytest configuration: warnings are errors, and a failing
 Hypothesis test is reported as a failure without stopping the run."""
 
-import tomllib
-from pathlib import Path
-
 pytest_plugins = ["pytester"]
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
-
-def test_failing_property_test_does_not_stop_the_run(pytester):
+def test_failing_property_test_does_not_stop_the_run(pytester, pytestconfig):
     # Run in a fresh interpreter: the warning comes from a first import,
     # which this process may already have made.
-    options = tomllib.loads(PYPROJECT.read_text())["tool"]["pytest"]["ini_options"]
     pytester.makeini(
         "[pytest]\nfilterwarnings =\n"
-        + "".join(f"    {entry}\n" for entry in options["filterwarnings"])
+        + "".join(f"    {entry}\n" for entry in pytestconfig.getini("filterwarnings"))
     )
     pytester.makepyfile(
         """
