@@ -169,7 +169,10 @@ def _write_cycles_csv(path: Path, cycles) -> None:
 
 def cmd_fisher(args, outdir: Path) -> dict:
     kind = ChannelKind(args.kind)
-    analytic = fisher_information(kind, args.q, args.phi - args.theta)
+    delta = args.phi - args.theta
+    if not math.isfinite(delta):
+        raise ValueError(f"--phi - --theta = {delta} overflows the float range")
+    analytic = fisher_information(kind, args.q, delta)
     if args.numeric:
         model = channel_outcome_model(kind, args.q, args.theta)
         numeric = classical_fisher_numeric(model, args.phi)

@@ -574,6 +574,16 @@ def _positive_sigmas(sigmas) -> np.ndarray:
     return sigmas
 
 
+def _sigma0(log_sigma0: float) -> float:
+    """exp of a fitted log intercept; ValueError where it leaves the float
+    range, as a fit extrapolated from sigmas near the largest float can."""
+    with np.errstate(over="ignore"):
+        sigma0 = float(np.exp(log_sigma0))
+    if not math.isfinite(sigma0):
+        raise ValueError(f"fitted sigma0 = exp({log_sigma0}) is not a finite float")
+    return sigma0
+
+
 def fit_loglog_exponent(qs, sigmas) -> tuple[float, float, float]:
     """Free log-log regression of sigma against (1 - q).
 
@@ -581,7 +591,8 @@ def fit_loglog_exponent(qs, sigmas) -> tuple[float, float, float]:
     squares and returns (b, stderr_b, sigma0). The erasure channel should
     give b near -1/2 and depolarizing near -1. Needs at least 3 points at
     two or more distinct q, since the slope is undefined at one q, and
-    positive sigmas (_positive_sigmas).
+    positive sigmas (_positive_sigmas); a sigma0 past the float range
+    raises ValueError.
     """
     qs = np.asarray(qs, dtype=float)
     sigmas = _positive_sigmas(sigmas)
@@ -595,7 +606,7 @@ def fit_loglog_exponent(qs, sigmas) -> tuple[float, float, float]:
     resid = z - (slope * x + intercept)
     dof = qs.size - 2
     var_slope = float(np.sum(resid**2) / dof / np.sum((x - x.mean()) ** 2))
-    return float(slope), math.sqrt(var_slope), float(np.exp(intercept))
+    return float(slope), math.sqrt(var_slope), _sigma0(intercept)
 
 
 def fit_fixed_form_intercept(qs, sigmas, exponent: float) -> float:
@@ -604,11 +615,11 @@ def fit_fixed_form_intercept(qs, sigmas, exponent: float) -> float:
     The exponent is pinned (-kind.decay_exponent(): -1/2 for erasure, -1
     for depolarizing) and the instability at q = 0 is the only free
     parameter, fitted by least squares in log space. Raises ValueError
-    unless every sigma is positive.
+    unless every sigma is positive and sigma0 is a finite float.
     """
     qs = np.asarray(qs, dtype=float)
     sigmas = _positive_sigmas(sigmas)
-    return float(np.exp(np.mean(np.log(sigmas) - exponent * np.log1p(-qs))))
+    return _sigma0(np.mean(np.log(sigmas) - exponent * np.log1p(-qs)))
 
 
 def crb_floor(

@@ -18,14 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import (
-    ChannelKind,
-    OutcomeDistribution,
-    accumulate_phase,
-    apply_noise,
-    measure_probs,
-    prepare_plus,
-)
+from .states import TWO_PI, ChannelKind, OutcomeDistribution
 
 # Outcomes with probability below this are treated as (possibly removable)
 # zeros of the model rather than regular points.
@@ -57,16 +50,43 @@ def channel_outcome_model(
 ) -> Callable[[float], OutcomeDistribution]:
     """Return phi -> OutcomeDistribution for one channel and readout basis.
 
-    The model prepares |+>, accumulates phi, applies the channel at strength
-    q, and measures in the |+/- theta> basis with the leak level resolved.
+    The model prepares |+>, rotates its Bloch vector to (cos phi, sin phi,
+    0), applies the channel at strength q and measures in the basis
+    |+/- theta> = (|0> +/- e^{i theta} |1>) / sqrt(2), theta taken mod
+    2 pi, with the leak level resolved as its own outcome: p_erasure is the
+    leak weight w and p_+/- = (1 - w)(1 +/- r . (cos theta, sin theta)) / 2.
+    Depolarizing shrinks the Bloch vector r by 1 - q, dephasing shrinks its
+    transverse part by 1 - 2q, and erasure moves weight q to the leak level
+    and leaves r as it was. These formulas are written on the state,
+    independently of ChannelKind.amplitude and .survival, so each checks
+    the other. A q outside [0, 1], an unknown kind or a non-finite theta
+    raises ValueError here, a non-finite phi when the model is called.
     """
-
-    start = prepare_plus()
+    q = float(q)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+    if kind is ChannelKind.DEPOLARIZING:
+        shrink, w = 1.0 - q, 0.0
+    elif kind is ChannelKind.DEPHASING:
+        shrink, w = 1.0 - 2.0 * q, 0.0
+    elif kind is ChannelKind.ERASURE:
+        shrink, w = 1.0, q
+    else:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    theta %= TWO_PI
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    fringe = 1.0 - w
 
     def model(phi: float) -> OutcomeDistribution:
-        state = accumulate_phase(start, phi)
-        state = apply_noise(state, kind, q)
-        return measure_probs(state, theta)
+        proj = shrink * math.cos(phi) * cos_t + shrink * math.sin(phi) * sin_t
+        return OutcomeDistribution(
+            p_plus=fringe * (1.0 + proj) / 2.0,
+            p_minus=fringe * (1.0 - proj) / 2.0,
+            p_erasure=w,
+        )
 
     return model
 
@@ -84,9 +104,10 @@ def classical_fisher_numeric(
     SingularFisherError. The differences are taken at phi +/- 1e-5.
 
     Near fringe nodes it is no oracle: within ~2.3e-7 rad of a full-contrast
-    node measure_probs forms p by cancellation, so it is off by up to ~7e-3;
-    within ~1e-7 rad of a depolarizing or dephasing node at q <= 1e-14 it
-    returns the quadratic-zero limit ~1 where the information falls to 0.
+    node channel_outcome_model forms p by cancellation, so it is off by up
+    to ~7e-3; within ~1e-7 rad of a depolarizing or dephasing node at
+    q <= 1e-14 it returns the quadratic-zero limit ~1 where the information
+    falls to 0.
     """
     at, above, below = model(phi), model(phi + _STEP), model(phi - _STEP)
     floor = _PROB_FLOOR * (1.0 - at.p_erasure)

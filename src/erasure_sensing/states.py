@@ -1,25 +1,17 @@
-"""Single-sensor states, noise channels, and terminal measurement.
+"""Noise channels and the terminal outcome distribution of one sensor.
 
-A sensor is one three-level atom: a qubit subspace described by a Bloch
-vector, plus one detectable leak level. The total state is
-
-    (1 - erasure_weight) * (I + r . sigma) / 2   on the qubit subspace
-    + erasure_weight * |leak><leak|
-
-so the trace is 1 by construction. All reachable states in this package are
-block-diagonal mixtures of that form, which is why a Bloch vector and a
-scalar weight suffice instead of a full 3x3 density matrix.
+A sensor is one three-level atom: a qubit and one detectable leak level,
+so a readout has three outcomes, plus, minus and erasure
+(`OutcomeDistribution`).
 
 `ChannelKind` carries the channel contract: the fringe amplitude and the
 atom survival probability that a strength-q channel leaves, the rate law
 that turns a decay gamma * T into q, and the information exponent of that
 decay; `NoiseChannel` is a configured channel, a kind with a fixed q or a
-rate gamma. Every consumer outside this module reads the physics from the
-contract except the numeric Fisher oracle, whose outcome model
-(`fisher.channel_outcome_model`) chains `prepare_plus`, `accumulate_phase`,
-`apply_noise` and `measure_probs`: their state-level formulas are written
-independently of the contract, so each is checked against the other. All
-operations are pure functions of their inputs.
+rate gamma. Every consumer reads the physics from the contract except the
+numeric Fisher oracle, whose outcome model (`fisher.channel_outcome_model`)
+writes each channel on the atom's Bloch vector and leak weight
+independently of the contract, so each is checked against the other.
 """
 
 from __future__ import annotations
@@ -27,8 +19,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,29 +68,6 @@ class ChannelKind(enum.Enum):
         e^{-gamma T}). Read off the contract at gamma T = 1."""
         q = self.strength(1.0)
         return -0.5 * math.log(self.survival(q) * self.amplitude(q) ** 2)
-
-
-@dataclass(frozen=True, eq=False)
-class SensorState:
-    """Qubit Bloch vector plus the population of the detectable leak level."""
-
-    bloch: np.ndarray
-    erasure_weight: float = 0.0
-
-    def __post_init__(self):
-        b = np.asarray(self.bloch, dtype=float)
-        if b.shape != (3,):
-            raise ValueError("bloch must be a real 3-vector")
-        object.__setattr__(self, "bloch", b)
-        norm = math.hypot(*b.tolist())
-        if not math.isfinite(norm):
-            raise ValueError("bloch must be finite")
-        if norm > 1.0 + 1e-12:
-            raise ValueError("Bloch vector norm exceeds 1")
-        w = float(self.erasure_weight)
-        if not 0.0 <= w <= 1.0:
-            raise ValueError("erasure_weight must lie in [0, 1]")
-        object.__setattr__(self, "erasure_weight", w)
 
 
 @dataclass(frozen=True)
@@ -157,66 +124,3 @@ class OutcomeDistribution:
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
 
-
-def prepare_plus() -> SensorState:
-    """Initial sensor state |+>, Bloch vector (1, 0, 0), no leakage."""
-    return SensorState(bloch=[1.0, 0.0, 0.0], erasure_weight=0.0)
-
-
-def accumulate_phase(state: SensorState, phi: float) -> SensorState:
-    """Free evolution under exp(-i phi sigma_z / 2).
-
-    Rotates the Bloch vector by phi about z (periodic in 2 pi); the leak
-    population is untouched.
-    """
-    c, s = math.cos(phi), math.sin(phi)
-    bx, by, bz = state.bloch.tolist()
-    return SensorState(
-        bloch=[bx * c - by * s, bx * s + by * c, bz],
-        erasure_weight=state.erasure_weight,
-    )
-
-
-def apply_noise(state: SensorState, kind: ChannelKind, q: float) -> SensorState:
-    """Apply one noise channel of strength q.
-
-    Depolarizing shrinks the whole Bloch vector by (1 - q). Dephasing shrinks
-    the transverse components by (1 - 2q). Erasure moves a fraction q of the
-    remaining qubit population to the leak level and leaves the normalized
-    qubit-subspace Bloch vector exactly as it was.
-    """
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-
-    bx, by, bz = state.bloch.tolist()
-    w = state.erasure_weight
-    if kind is ChannelKind.DEPOLARIZING:
-        f = 1.0 - q
-        return SensorState(bloch=[f * bx, f * by, f * bz], erasure_weight=w)
-    if kind is ChannelKind.DEPHASING:
-        f = 1.0 - 2.0 * q
-        return SensorState(bloch=[f * bx, f * by, bz], erasure_weight=w)
-    if kind is ChannelKind.ERASURE:
-        return SensorState(bloch=[bx, by, bz], erasure_weight=w + q * (1.0 - w))
-    raise ValueError(f"unknown channel kind {kind!r}")
-
-
-def measure_probs(state: SensorState, theta: float) -> OutcomeDistribution:
-    """Terminal measurement distribution in the basis
-    |+/- theta> = (|0> +/- e^{i theta} |1>) / sqrt(2), theta taken mod 2 pi.
-
-    The leak level is resolved as its own outcome: p_erasure equals the leak
-    weight and the +/- branch carries the rest. A non-finite theta raises
-    ValueError.
-    """
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    theta %= TWO_PI
-    w = state.erasure_weight
-    bx, by, _ = state.bloch.tolist()
-    proj = bx * math.cos(theta) + by * math.sin(theta)
-    p_plus = (1.0 - w) * (1.0 + proj) / 2.0
-    p_minus = (1.0 - w) * (1.0 - proj) / 2.0
-    return OutcomeDistribution(p_plus=p_plus, p_minus=p_minus, p_erasure=w)

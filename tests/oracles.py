@@ -22,7 +22,7 @@ import numpy as np
 from erasure_sensing.clock import LaserPhaseModel
 from erasure_sensing.estimation import EllipseFitError, PhaseEstimate
 from erasure_sensing.fisher import SingularFisherError
-from erasure_sensing.states import ChannelKind, OutcomeDistribution, SensorState
+from erasure_sensing.states import ChannelKind, OutcomeDistribution
 
 
 def solve_conic(x, y):
@@ -320,9 +320,8 @@ def outcome_model(kind, q, theta):
             bloch = np.array([f * bloch[0], f * bloch[1], bloch[2]])
         else:
             w = w + q * (1.0 - w)
-        state = SensorState(bloch=bloch, erasure_weight=w)
         t = float(theta) % (2.0 * math.pi)
-        bx, by, _ = state.bloch
+        bx, by, _ = bloch
         proj = bx * math.cos(t) + by * math.sin(t)
         return OutcomeDistribution(
             p_plus=(1.0 - w) * (1.0 + proj) / 2.0,

@@ -79,6 +79,14 @@ class TestFisherCommand:
     def test_invalid_q_is_a_usage_error(self, capsys):
         assert main(["fisher", "erasure", "-q", "1.5"]) == 2
 
+    def test_offset_past_the_float_range_is_a_usage_error(self, tmp_path, capsys):
+        # each angle is finite, their difference is not
+        assert main(["fisher", "depolarizing", "--q=0.2", "--phi=-1.7976931348623157e308",
+                     "--theta=1e300", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--phi" in err and "--theta" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_numeric_erasure_near_full_loss(self, capsys):
         # both fringe outcomes lie below 1e-14, yet the information 1 - q
         # is finite: the probability floor scales with the fringe weight
@@ -547,6 +555,25 @@ def cli_runs(draw):
     ]
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def point_runs(draw):
+    """argv of one `fisher` or `optimize` run. Each number is passed as
+    --flag=value, since argparse reads a separate "-1e-3" as an option;
+    the argparse-typed flags take finite numbers, the dead-time grid any."""
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["erasure", "depolarizing", "dephasing"]))
+        angle = st.floats(-10.0, 10.0) | FINITE
+        numeric = ["--numeric"] if draw(st.booleans()) else []
+        return {}, ["fisher", kind, f"--q={draw(st.floats(0.0, 1.0) | FINITE)!r}",
+                    f"--phi={draw(angle)!r}", f"--theta={draw(angle)!r}"] + numeric
+    grid = draw(st.lists(st.floats(0.0, 1e3) | st.floats(), min_size=1, max_size=4))
+    return {}, ["optimize", f"--gamma={draw(POSITIVE | FINITE)!r}",
+                "--dead-time-grid=" + ",".join(map(repr, grid))]
+
+
 def _reject_constant(name):
     raise AssertionError(f"non-finite JSON number {name}")
 
@@ -591,5 +618,12 @@ class TestExitCodeContract:
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(run=cli_runs())
     def test_every_legal_run_exits_by_the_table(self, run):
+        with tempfile.TemporaryDirectory(dir=os.getcwd()) as workdir:
+            check_exit_contract(*run, Path(workdir))
+
+    # about 8 ms an example: 120 keep the test near 1 s
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(run=point_runs())
+    def test_every_fisher_and_optimize_run_exits_by_the_table(self, run):
         with tempfile.TemporaryDirectory(dir=os.getcwd()) as workdir:
             check_exit_contract(*run, Path(workdir))

@@ -422,6 +422,15 @@ class TestFloorsAndFits:
         sigmas = 1.7 * (1.0 - qs) ** (-1.0)
         assert fit_fixed_form_intercept(qs, sigmas, -1.0) == pytest.approx(1.7, rel=1e-12)
 
+    def test_intercept_past_the_float_range_rejected(self):
+        # sigmas near the largest float extrapolate to a sigma0 at q = 0
+        # that no float holds
+        qs, sigmas = [0.5, 0.6, 0.7], [1.7e308, 1.0e308, 0.5e308]
+        with pytest.raises(ValueError, match="sigma0"):
+            fit_loglog_exponent(qs, sigmas)
+        with pytest.raises(ValueError, match="sigma0"):
+            fit_fixed_form_intercept(qs, sigmas, 1.0)
+
     def test_scaling_curve_smoke(self):
         cfg = config(N0=400, cycles=3000, c_a=0.5, c_b=0.5, seed=9)
         points = instability_vs_error_rate(cfg, [0.0, 0.75], ChannelKind.ERASURE, window=100)

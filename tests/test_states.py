@@ -1,99 +1,80 @@
-"""Bloch-vector state container, noise channels, and measurement sampling."""
+"""Noise channels, their contract, and the outcome model of one sensor."""
 
 import math
 
 import numpy as np
 import pytest
 
-from erasure_sensing.states import (
-    ChannelKind,
-    NoiseChannel,
-    OutcomeDistribution,
-    SensorState,
-    accumulate_phase,
-    apply_noise,
-    measure_probs,
-    prepare_plus,
-)
+from erasure_sensing.fisher import channel_outcome_model
+from erasure_sensing.states import ChannelKind, NoiseChannel, OutcomeDistribution
 
 
-def state_at(phi, contrast=1.0, w=0.0):
-    return SensorState(
-        bloch=np.array([contrast * math.cos(phi), contrast * math.sin(phi), 0.0]),
-        erasure_weight=w,
-    )
+def probs(kind, q, theta, phi):
+    """(p_plus, p_minus, p_erasure) of the outcome model at phi."""
+    d = channel_outcome_model(kind, q, theta)(phi)
+    return d.p_plus, d.p_minus, d.p_erasure
+
+
+def bloch_xy(kind, q, phi):
+    """The (x, y) Bloch components the readout sees, p_+ - p_- at theta 0
+    and pi/2, each over the fringe weight 1 - p_erasure."""
+    x = probs(kind, q, 0.0, phi)
+    y = probs(kind, q, math.pi / 2, phi)
+    return (x[0] - x[1]) / (1.0 - x[2]), (y[0] - y[1]) / (1.0 - y[2])
 
 
 class TestStateContainer:
     def test_prepare_plus_is_x_axis(self):
-        s = prepare_plus()
-        assert np.allclose(s.bloch, [1.0, 0.0, 0.0])
-        assert s.erasure_weight == 0.0
+        for kind in ChannelKind:
+            assert np.allclose(bloch_xy(kind, 0.0, 0.0), [1.0, 0.0], atol=1e-15)
+            assert probs(kind, 0.0, 0.0, 0.0)[2] == 0.0
 
     def test_accumulate_phase_rotates_about_z(self):
-        s = accumulate_phase(prepare_plus(), 0.7)
-        assert np.allclose(s.bloch, [math.cos(0.7), math.sin(0.7), 0.0], atol=1e-15)
+        assert np.allclose(bloch_xy(ChannelKind.DEPOLARIZING, 0.0, 0.7),
+                           [math.cos(0.7), math.sin(0.7)], atol=1e-15)
 
     def test_quarter_turn_and_zero_phase(self):
-        quarter = accumulate_phase(prepare_plus(), math.pi / 2)
-        assert np.allclose(quarter.bloch, [0.0, 1.0, 0.0], atol=1e-15)
-        null = accumulate_phase(prepare_plus(), 0.0)
-        assert np.allclose(null.bloch, prepare_plus().bloch)
+        quarter = bloch_xy(ChannelKind.DEPOLARIZING, 0.0, math.pi / 2)
+        assert np.allclose(quarter, [0.0, 1.0], atol=1e-15)
+        null = bloch_xy(ChannelKind.DEPOLARIZING, 0.0, 0.0)
+        assert np.allclose(null, bloch_xy(ChannelKind.DEPOLARIZING, 0.0, 2.0 * math.pi),
+                           atol=1e-15)
 
     def test_phase_accumulation_composes(self):
-        once = accumulate_phase(prepare_plus(), 1.1)
-        twice = accumulate_phase(accumulate_phase(prepare_plus(), 0.4), 0.7)
-        assert np.allclose(once.bloch, twice.bloch, atol=1e-14)
-
-    def test_bloch_norm_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            SensorState(bloch=np.array([1.2, 0.0, 0.0]), erasure_weight=0.0)
-        # NaN compares false with the norm bound, so it is checked on its own
-        with pytest.raises(ValueError, match="bloch must be finite"):
-            SensorState(bloch=[math.nan, 0.0, 0.0])
-        with pytest.raises(ValueError, match="real 3-vector"):
-            SensorState(bloch=[1.0, 0.0])
-
-    def test_erasure_weight_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            SensorState(bloch=np.zeros(3), erasure_weight=1.5)
-        with pytest.raises(ValueError):
-            SensorState(bloch=np.zeros(3), erasure_weight=-0.1)
+        # a phase and a readout angle enter only through their difference
+        for kind in ChannelKind:
+            once = probs(kind, 0.3, 0.0, 0.7)
+            shifted = probs(kind, 0.3, 0.4, 1.1)
+            assert np.allclose(once, shifted, rtol=0.0, atol=1e-14)
 
 
 class TestChannels:
     def test_depolarizing_scales_whole_bloch_vector(self):
-        s = SensorState(bloch=np.array([0.6, -0.2, 0.1]), erasure_weight=0.0)
-        out = apply_noise(s, ChannelKind.DEPOLARIZING, q=0.3)
-        assert np.allclose(out.bloch, [0.42, -0.14, 0.07], atol=1e-15)
-        assert out.erasure_weight == 0.0
+        assert np.allclose(bloch_xy(ChannelKind.DEPOLARIZING, 0.3, 1.2),
+                           [0.7 * math.cos(1.2), 0.7 * math.sin(1.2)], atol=1e-15)
+        assert probs(ChannelKind.DEPOLARIZING, 0.3, 0.0, 1.2)[2] == 0.0
 
     def test_dephasing_scales_coherences_only(self):
-        s = SensorState(bloch=np.array([0.8, 0.5, -0.3]), erasure_weight=0.0)
-        out = apply_noise(s, ChannelKind.DEPHASING, q=0.4)
-        assert np.allclose(out.bloch, [0.8 * 0.2, 0.5 * 0.2, -0.3], atol=1e-15)
+        assert np.allclose(bloch_xy(ChannelKind.DEPHASING, 0.4, 1.2),
+                           [0.2 * math.cos(1.2), 0.2 * math.sin(1.2)], atol=1e-15)
+        assert probs(ChannelKind.DEPHASING, 0.4, 0.0, 1.2)[2] == 0.0
 
     def test_dephasing_at_half_kills_coherences(self):
-        s = SensorState(bloch=np.array([0.8, 0.5, -0.3]), erasure_weight=0.0)
-        out = apply_noise(s, ChannelKind.DEPHASING, q=0.5)
-        assert np.allclose(out.bloch, [0.0, 0.0, -0.3], atol=1e-15)
+        for phi in (0.0, 0.9, math.pi):
+            assert np.allclose(probs(ChannelKind.DEPHASING, 0.5, 0.3, phi),
+                               [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_dephasing_beyond_half_flips_coherence_sign(self):
-        s = SensorState(bloch=np.array([0.8, 0.5, 0.0]), erasure_weight=0.0)
-        out = apply_noise(s, ChannelKind.DEPHASING, q=0.75)
-        assert np.allclose(out.bloch, [-0.4, -0.25, 0.0], atol=1e-15)
+        assert np.allclose(bloch_xy(ChannelKind.DEPHASING, 0.75, 0.0), [-0.5, 0.0],
+                           atol=1e-15)
 
     def test_erasure_moves_weight_out_of_qubit_subspace(self):
-        s = SensorState(bloch=np.array([1.0, 0.0, 0.0]), erasure_weight=0.5)
-        out = apply_noise(s, ChannelKind.ERASURE, q=0.2)
-        assert out.erasure_weight == pytest.approx(0.6, abs=1e-15)
-        # surviving Bloch direction is untouched
-        assert np.allclose(out.bloch, s.bloch)
-
-    def test_erasure_composition_matches_survival_product(self):
-        s = prepare_plus()
-        out = apply_noise(apply_noise(s, ChannelKind.ERASURE, q=0.3), ChannelKind.ERASURE, q=0.3)
-        assert out.erasure_weight == pytest.approx(1.0 - 0.7**2, abs=1e-15)
+        p_plus, p_minus, p_erasure = probs(ChannelKind.ERASURE, 0.2, 0.0, 0.0)
+        assert p_erasure == pytest.approx(0.2, abs=1e-15)
+        # the surviving fringe keeps its full contrast
+        assert (p_plus, p_minus) == pytest.approx((0.8, 0.0), abs=1e-15)
+        assert np.allclose(bloch_xy(ChannelKind.ERASURE, 0.2, 0.7),
+                           [math.cos(0.7), math.sin(0.7)], atol=1e-15)
 
     def test_rate_form_strength(self):
         ch = NoiseChannel(ChannelKind.ERASURE, gamma=0.5)
@@ -108,23 +89,25 @@ class TestChannels:
     def test_q_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             NoiseChannel(ChannelKind.DEPOLARIZING, q=1.5)
-        with pytest.raises(ValueError):
-            apply_noise(prepare_plus(), ChannelKind.DEPOLARIZING, q=-0.2)
+        for q in (-0.2, 1.5, math.nan):
+            with pytest.raises(ValueError, match="q must lie"):
+                channel_outcome_model(ChannelKind.DEPOLARIZING, q, 0.0)
         with pytest.raises(ValueError, match="interrogation time"):
             NoiseChannel(ChannelKind.ERASURE, gamma=1.0).strength(-1.0)
         with pytest.raises(ValueError, match="unknown channel kind"):
-            apply_noise(prepare_plus(), "erasure", q=0.2)
+            channel_outcome_model("erasure", 0.2, 0.0)
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
     def test_channel_contract_matches_state_model(self, kind):
-        # the contract on ChannelKind and the state-level apply_noise are
-        # written independently; they must describe the same channel
-        s = SensorState(bloch=np.array([0.6, -0.48, 0.2]), erasure_weight=0.0)
-        for q in (0.0, 0.1, 0.5, 0.9, 1.0):
-            out = apply_noise(s, kind, q)
-            assert np.allclose(out.bloch[:2], kind.amplitude(q) * s.bloch[:2],
-                               rtol=0.0, atol=1e-15)
-            assert kind.survival(q) == pytest.approx(1.0 - out.erasure_weight, abs=1e-15)
+        # the contract on ChannelKind and the state-level outcome model are
+        # written independently; they must describe the same channel, past
+        # q = 1/2 too, where the dephasing fringe changes sign
+        for q in (0.0, 0.1, 0.5, 0.75, 0.9, 1.0):
+            for theta, phi in ((0.0, 0.0), (0.0, 2.5), (math.pi / 2, 0.6)):
+                p_plus, p_minus, p_erasure = probs(kind, q, theta, phi)
+                assert kind.survival(q) == pytest.approx(1.0 - p_erasure, abs=1e-15)
+                fringe = kind.survival(q) * kind.amplitude(q) * math.cos(phi - theta)
+                assert p_plus - p_minus == pytest.approx(fringe, abs=1e-15)
 
     @pytest.mark.parametrize("kind, k", [(ChannelKind.DEPOLARIZING, 1.0),
                                          (ChannelKind.DEPHASING, 1.0),
@@ -140,23 +123,27 @@ class TestChannels:
 
 class TestMeasurement:
     def test_aligned_and_anti_aligned_states_are_deterministic(self):
-        aligned = measure_probs(prepare_plus(), 0.0)
-        assert aligned.p_plus == pytest.approx(1.0, abs=1e-15)
-        flipped = measure_probs(accumulate_phase(prepare_plus(), math.pi), 0.0)
-        assert flipped.p_minus == pytest.approx(1.0, abs=1e-15)
+        for theta in (0.0, 1.3, -4.0):
+            aligned = probs(ChannelKind.DEPOLARIZING, 0.0, theta, theta)
+            assert aligned[0] == pytest.approx(1.0, abs=1e-15)
+            flipped = probs(ChannelKind.DEPOLARIZING, 0.0, theta, theta + math.pi)
+            assert flipped[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_mixed_state_is_a_coin_flip(self):
-        mixed = SensorState(bloch=np.zeros(3), erasure_weight=0.0)
-        dist = measure_probs(mixed, 1.3)
-        assert dist.p_plus == pytest.approx(0.5, abs=1e-15)
-        assert dist.p_minus == pytest.approx(0.5, abs=1e-15)
+        for phi in (0.0, 1.3, math.pi):
+            dist = probs(ChannelKind.DEPOLARIZING, 1.0, 0.4, phi)
+            assert dist == pytest.approx((0.5, 0.5, 0.0), abs=1e-15)
 
     def test_rotated_basis_probabilities(self):
         # independent arithmetic: p_pm = (1-w)(1 +- c cos(phi-theta))/2
-        dist = measure_probs(state_at(0.7, contrast=0.9, w=0.15), 0.2)
-        assert dist.p_plus == pytest.approx(0.7606753299230676, abs=1e-14)
-        assert dist.p_minus == pytest.approx(0.08932467007693239, abs=1e-14)
-        assert dist.p_erasure == pytest.approx(0.15, abs=1e-15)
+        p_plus, p_minus, p_erasure = probs(ChannelKind.DEPOLARIZING, 0.1, 0.2, 0.7)
+        assert p_plus == pytest.approx(0.8949121528506678, abs=1e-14)
+        assert p_minus == pytest.approx(0.10508784714933223, abs=1e-14)
+        assert p_erasure == 0.0
+        p_plus, p_minus, p_erasure = probs(ChannelKind.ERASURE, 0.15, 0.2, 0.7)
+        assert p_plus == pytest.approx(0.7979725888034084, abs=1e-14)
+        assert p_minus == pytest.approx(0.05202741119659158, abs=1e-14)
+        assert p_erasure == pytest.approx(0.15, abs=1e-15)
 
     def test_non_finite_probability_rejected(self):
         # NaN compares false with the sign and sum checks, so it is checked
@@ -168,16 +155,21 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="sum to"):
             OutcomeDistribution(p_plus=0.5, p_minus=0.6)
         with pytest.raises(ValueError, match="theta must be finite"):
-            measure_probs(prepare_plus(), math.inf)
+            channel_outcome_model(ChannelKind.ERASURE, 0.2, math.inf)
+        # a NaN phase reaches the probabilities, even with no fringe left
+        for kind, q in ((ChannelKind.DEPHASING, 0.2), (ChannelKind.DEPOLARIZING, 1.0),
+                        (ChannelKind.ERASURE, 1.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                channel_outcome_model(kind, q, 0.0)(math.nan)
 
     def test_probabilities_form_a_simplex_everywhere(self):
         rng = np.random.default_rng(7)
+        kinds = list(ChannelKind)
         for _ in range(1000):
+            kind = kinds[rng.integers(0, 3)]
+            q = rng.uniform(0.0, 1.0)
             phi = rng.uniform(0.0, 2.0 * math.pi)
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            c = rng.uniform(0.0, 1.0)
-            w = rng.uniform(0.0, 1.0)
-            d = measure_probs(state_at(phi, c, w), theta)
-            vals = (d.p_plus, d.p_minus, d.p_erasure)
+            vals = probs(kind, q, theta, phi)
             assert all(v >= -1e-14 for v in vals)
             assert sum(vals) == pytest.approx(1.0, abs=1e-12)
