@@ -185,11 +185,19 @@ def _design(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _centred_rows(pts: np.ndarray):
-    """Design rows of points (..., n, 2) in coordinates centred on their
-    mean, and that mean (..., 2)."""
-    centre = pts.mean(axis=-2)
-    centred = pts - centre[..., None, :]
-    return _design(centred[..., 0], centred[..., 1]), centre
+    """Design rows of points (..., n, 2) in their fit frame, and the frame
+    (e1, m, e2), shaped (..., 1, 1), (..., 1, 2), (..., 1, 1): the points are
+    scaled by 2^-e1 to below 1 in magnitude, centred on their mean m there
+    and scaled by 2^-e2 to below 1 again. Powers of two scale exactly, so a
+    fit sees the same numbers, up to the centring's rounding, wherever its
+    points sit and whatever their units."""
+    e1 = np.frexp(np.abs(pts).max(axis=(-2, -1), keepdims=True))[1]
+    scaled = np.ldexp(pts, -e1)
+    m = scaled.mean(axis=-2, keepdims=True)
+    scaled -= m
+    e2 = np.frexp(np.abs(scaled).max(axis=(-2, -1), keepdims=True))[1]
+    frame = np.ldexp(scaled, -e2)
+    return _design(frame[..., 0], frame[..., 1]), (e1, m, e2)
 
 
 def _scatter(rows: np.ndarray) -> np.ndarray:
@@ -218,15 +226,14 @@ def _phase(coeffs: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(-b / (2.0 * np.sqrt(a * c)), -1.0, 1.0))
 
 
-def _fit_conics(scatter: np.ndarray, centre: np.ndarray):
+def _fit_conics(scatter: np.ndarray):
     """Ellipse-constrained least-squares conics from stacked scatter matrices.
 
     scatter is (k, 6, 6): each fit's D^T D, with D the design rows of its
-    points in coordinates centred on centre ((k, 2), or (2,) shared by all).
-    Returns the conic of each fit in the original frame, shape (k, 6), unit
-    norm with A > 0, and a status per fit: 0 where the fit is accepted, else
-    its key in _REJECTED, with that row of coefficients NaN. One rejected fit
-    never fails the others.
+    points in the frame _centred_rows gives them. Returns the conic of each
+    fit in that same frame, shape (k, 6), unit norm with A > 0, and a status
+    per fit: 0 where the fit is accepted, else its key in _REJECTED, with
+    that row of coefficients NaN. One rejected fit never fails the others.
 
     Fits whose points are collinear, or lie on every conic of a pencil, are
     rejected first, both read off the scatter matrix alone. Every other fit
@@ -234,12 +241,13 @@ def _fit_conics(scatter: np.ndarray, centre: np.ndarray):
     eigenproblem (Halir & Flusser): the linear part is eliminated through
     the 3x3 block solve, leaving a 3x3 reduced eigenproblem. The eigenvector
     of an elliptical eigenpair has arbitrary sign while the phase readout is
-    sign-sensitive, so it is canonicalized to A > 0; when rounding lets more
+    sign-sensitive, so it is canonicalized to A >= 0; when rounding lets more
     than one eigenpair satisfy the ellipse inequality, the candidate with
-    the smallest algebraic residual a^T S a is kept. After translating back,
-    a conic whose unit-norm discriminant is within 1e-10 of zero (a
-    degenerate conic from nearly collinear points that rounding tipped into
-    ellipse form) or that has no real points is rejected.
+    the smallest algebraic residual a^T S a is kept. A conic whose unit-norm
+    discriminant is within 1e-10 of zero (a degenerate conic from nearly
+    collinear points that rounding tipped into ellipse form), or that has
+    no real points, is rejected. The frame fixes the points' spread, so
+    these tests do not depend on where the points sit or on their units.
     """
     k = scatter.shape[0]
     rows = np.arange(k)
@@ -283,26 +291,9 @@ def _fit_conics(scatter: np.ndarray, centre: np.ndarray):
         none = ~(cost[rows, best] < np.inf) | ~np.isfinite(coeffs).all(axis=1)
         status[(status == 0) & none] = 2
 
-        # translate the conic back to the original frame
-        xm, ym = centre[..., 0], centre[..., 1]
-        a, b, c, d, e, f = coeffs.T
-        coeffs = np.stack(
-            [
-                a,
-                b,
-                c,
-                d - 2.0 * a * xm - b * ym,
-                e - b * xm - 2.0 * c * ym,
-                f + a * xm**2 + b * xm * ym + c * ym**2 - d * xm - e * ym,
-            ],
-            axis=1,
-        )
-        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        coeffs = np.where(coeffs[:, :1] < 0.0, -coeffs, coeffs)
         a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-        # the coefficients are unit-norm here, so the discriminant check is
-        # scale-free
-        not_ellipse = (b * b - 4.0 * a * c >= -1e-10) | (a <= 0.0) | (c <= 0.0)
+        # with unit norm and A >= 0, this also rejects A <= 0 or C <= 0
+        not_ellipse = b * b - 4.0 * a * c >= -1e-10
         status[(status == 0) & not_ellipse] = 3
         status[(status == 0) & (_centre_and_scale(coeffs)[2] <= 0.0)] = 4
     coeffs[status != 0] = np.nan
@@ -311,12 +302,12 @@ def _fit_conics(scatter: np.ndarray, centre: np.ndarray):
 
 def _fit_phases(count: int, scatter_of) -> np.ndarray:
     """Phases of `count` fits, NaN where a fit is rejected, solved _CHUNK at
-    a time; scatter_of(lo, hi) returns the scatter matrices and centres of
-    fits lo to hi - 1."""
+    a time; scatter_of(lo, hi) returns the scatter matrices of fits lo to
+    hi - 1."""
     phases = np.empty(count)
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
-        coeffs, _ = _fit_conics(*scatter_of(lo, hi))
+        coeffs, _ = _fit_conics(scatter_of(lo, hi))
         phases[lo:hi] = _phase(coeffs)
     return phases
 
@@ -326,17 +317,18 @@ def ellipse_fit(points) -> EllipseFitResult:
 
     Needs at least 6 points, the degrees of freedom of a conic, not all on
     one line and not all on every conic of a pencil (four distinct points,
-    or four on a line plus one, fix no single conic). The fit is performed
-    on mean-centered coordinates for conditioning and the coefficients are
-    translated back afterwards.
-    The phase comes from cos(phi_d) = -B / (2 sqrt(AC)) and is a magnitude
-    in [0, pi]: a single ellipse cannot distinguish +phi_d from -phi_d.
-    This is the one-fit case of the stacked solver behind
-    phase_series_from_cycles and ellipse_phase_jackknife, so all three
-    reject exactly the same configurations.
+    or four on a line plus one, fix no single conic). The conic is solved
+    and judged in the points' frame (_centred_rows), and phi_d is read off
+    it there, from cos(phi_d) = -B / (2 sqrt(AC)), as a magnitude in
+    [0, pi]: one ellipse cannot tell +phi_d from -phi_d. Only the other
+    outputs are mapped to the points' own units. This is the one-fit case of
+    the stacked solver behind phase_series_from_cycles and
+    ellipse_phase_jackknife, so all three reject the same configurations.
 
-    Raises ValueError for too few points and EllipseFitError when the
-    configuration does not determine a proper ellipse.
+    Raises ValueError for too few points, and for points whose squared
+    magnitude leaves the normal float range (the conic in their units has
+    no float coefficients there); EllipseFitError when the configuration
+    does not determine a proper ellipse.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -347,20 +339,32 @@ def ellipse_fit(points) -> EllipseFitResult:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
 
-    rows, centre = _centred_rows(pts)
-    fits, status = _fit_conics(_scatter(rows)[None], centre)
+    rows, (e1, m, e2) = _centred_rows(pts)
+    fits, status = _fit_conics(_scatter(rows)[None])
     if status[0]:
         raise EllipseFitError(_REJECTED[int(status[0])])
-    coeffs = fits[0]
-    a, c = coeffs[0], coeffs[2]
-    cx, cy, lam = _centre_and_scale(coeffs)
+    e1, (xm, ym), s = e1.item(), m[0], math.ldexp(1.0, e2.item())
+    # in the points' own units a coefficient of degree k carries 2^(-k e1),
+    # so their conic spans a factor of 2^(2 |e1|)
+    if math.ldexp(1.0, -2 * abs(e1)) < np.finfo(float).tiny:
+        raise ValueError("the fitted conic in the points' units lies outside the float range")
+    conic = fits[0]
+    cx, cy, lam = _centre_and_scale(conic)
+    # the frame conic unscaled by 2^e2 and moved to m, then unscaled by 2^e1
+    a, b, c, d, e, f = conic * [1.0, 1.0, 1.0, s, s, s * s]
+    coeffs = np.ldexp(
+        [a, b, c, d - 2.0 * a * xm - b * ym, e - b * xm - 2.0 * c * ym,
+         f + a * xm * xm + b * xm * ym + c * ym * ym - d * xm - e * ym],
+        -e1 * np.array([2, 2, 2, 1, 1, 0]),
+    )
+    coeffs /= math.hypot(*coeffs)
     rms = float(np.sqrt(np.mean((_design(pts[:, 0], pts[:, 1]) @ coeffs) ** 2)))
     return EllipseFitResult(
         coefficients=coeffs,
-        phi_d=float(_phase(coeffs)),
-        contrast_a=2.0 * math.sqrt(lam / a),
-        contrast_b=2.0 * math.sqrt(lam / c),
-        center=(float(cx), float(cy)),
+        phi_d=float(_phase(conic)),
+        contrast_a=math.ldexp(2.0 * s * math.sqrt(lam / a), e1),
+        contrast_b=math.ldexp(2.0 * s * math.sqrt(lam / c), e1),
+        center=(math.ldexp(xm + s * cx, e1), math.ldexp(ym + s * cy, e1)),
         rms_residual=rms,
         n_points=n,
     )
@@ -370,25 +374,20 @@ def ellipse_phase_jackknife(points) -> tuple[float, float]:
     """Full-sample phase and its delete-one jackknife standard error.
 
     stderr = sqrt((n-1)/n * sum (phi_i - mean)^2) over the phases phi_i of
-    the fits with point i left out. The points are centred once on the
-    full-sample mean, and each deletion's scatter matrix is the full one
-    downdated by that point's design row, S - d_i d_i^T, so no refit
-    rebuilds a scatter matrix. Because the phase does not depend on
-    translation, this agrees with refitting each subset centred on its own
-    mean to rounding, not bit for bit. Each deletion is judged on its own
-    downdated scatter matrix, and those whose fit is rejected are dropped
-    from the resampling sum.
+    the fits with point i left out. Every deletion is solved and judged in
+    the full sample's frame (_centred_rows), on the full scatter matrix
+    downdated by that point's design row, S - d_i d_i^T, so it agrees with
+    refitting the subset in its own frame to rounding, not bit for bit.
+    Deletions whose fit is rejected are dropped from the resampling sum.
     """
     pts = np.asarray(points, dtype=float)
     full = ellipse_fit(pts).phi_d
     n = pts.shape[0]
     if n < _CONIC_DOF + 1:
         raise ValueError(f"jackknife needs at least {_CONIC_DOF + 1} points, got {n}")
-    rows, centre = _centred_rows(pts)
+    rows = _centred_rows(pts)[0]
     total = _scatter(rows)
-    loo = _fit_phases(
-        n, lambda lo, hi: (total - rows[lo:hi, :, None] * rows[lo:hi, None, :], centre)
-    )
+    loo = _fit_phases(n, lambda lo, hi: total - rows[lo:hi, :, None] * rows[lo:hi, None, :])
     good = loo[np.isfinite(loo)]
     m = good.size
     if m < 2:
@@ -400,9 +399,9 @@ def ellipse_phase_jackknife(points) -> tuple[float, float]:
 def phase_series_from_cycles(cycles, window: int) -> np.ndarray:
     """Differential-phase time series from consecutive non-overlapping windows.
 
-    Each window of `window` pairs produces one ellipse phase, fitted on
-    coordinates centred on that window's own mean, exactly as ellipse_fit
-    would fit it; windows whose fit is rejected are recorded as NaN gaps.
+    Each window of `window` pairs produces one ellipse phase, fitted in that
+    window's own frame, so it equals the window's ellipse_fit phase; windows
+    whose fit is rejected are recorded as NaN gaps.
     Every window's scatter matrix comes from one einsum and the fits are
     solved as one stack, a chunk of windows at a time. Trailing cycles that
     do not fill a window are ignored. Requires window >= 6, the degrees of
@@ -425,11 +424,7 @@ def phase_series_from_cycles(cycles, window: int) -> np.ndarray:
     if not np.all(np.isfinite(windows)):
         raise ValueError("cycles contain non-finite values")
 
-    def scatter_of(lo, hi):
-        rows, centre = _centred_rows(windows[lo:hi])
-        return _scatter(rows), centre
-
-    return _fit_phases(n_windows, scatter_of)
+    return _fit_phases(n_windows, lambda lo, hi: _scatter(_centred_rows(windows[lo:hi])[0]))
 
 
 def load_pairs_csv(path) -> np.ndarray:

@@ -574,6 +574,34 @@ def point_runs(draw):
                 "--dead-time-grid=" + ",".join(map(repr, grid))]
 
 
+@st.composite
+def pair_runs(draw):
+    """(input files, argv) of one `ellipse` run: shot-noise fractions, points
+    on a line or on a four-point pencil, offset and scaled by any finite
+    floats (a product past the float range is written as inf)."""
+    n = draw(st.integers(6, 60) | st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["fractions", "line", "pencil"]))
+    if shape == "fractions":
+        n_atoms = draw(st.integers(20, 3000) | st.integers(1, 10**6))
+        t = rng.uniform(0.0, 2.0 * math.pi, n)
+        phi = draw(st.floats(0.3, 2.8) | st.floats(0.0, math.pi))
+        fringes = [(1.0 + draw(CONTRAST) * np.cos(t + shift)) / 2.0 for shift in (0.0, phi)]
+        pts = rng.binomial(n_atoms, np.column_stack(fringes)) / n_atoms
+    elif shape == "line":
+        t = rng.uniform(0.0, 1.0, n)
+        pts = np.column_stack([t, 2.0 * t + 0.1])
+    else:
+        corners = np.array([[0.2, 0.3], [0.7, 0.1], [0.9, 0.8], [0.1, 0.6]])
+        pts = corners[np.arange(n) % 4]
+    offset = draw(st.floats(-1e6, 1e6) | FINITE)
+    scale = draw(st.floats(1e-6, 1e6) | FINITE)
+    with np.errstate(over="ignore"):
+        pts = (pts + offset) * scale
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in pts.tolist())
+    return {"pairs.csv": "x_a,x_b\n" + rows}, ["ellipse", "pairs.csv"]
+
+
 def _reject_constant(name):
     raise AssertionError(f"non-finite JSON number {name}")
 
@@ -581,7 +609,8 @@ def _reject_constant(name):
 def check_exit_contract(files, argv, workdir: Path):
     """Run main in process. It must return, not raise: 0 with only finite
     numbers on stdout and in the output files (NaN only as a phases.csv
-    gap), or 2, 3, 4 or 5 with `error:` on stderr and no output file."""
+    gap; `ellipse` prints its file), or 2, 3, 4 or 5 with `error:` on
+    stderr and no output file."""
     for name, text in files.items():
         (workdir / name).write_text(text)
     argv = [str(workdir / arg) if arg in files else arg for arg in argv]
@@ -601,6 +630,8 @@ def check_exit_contract(files, argv, workdir: Path):
         except ValueError:
             continue
         assert math.isfinite(value), token
+    if argv[0] == "ellipse":
+        assert stdout.getvalue() == (out / "ellipse.json").read_text()
     for path in written:
         text = path.read_text()
         if path.suffix == ".json":
@@ -625,5 +656,12 @@ class TestExitCodeContract:
     @settings(max_examples=120, deadline=None, database=None, derandomize=True)
     @given(run=point_runs())
     def test_every_fisher_and_optimize_run_exits_by_the_table(self, run):
+        with tempfile.TemporaryDirectory(dir=os.getcwd()) as workdir:
+            check_exit_contract(*run, Path(workdir))
+
+    # about 12 ms an example: 120 keep the test near 1.5 s
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(run=pair_runs())
+    def test_every_ellipse_run_exits_by_the_table(self, run):
         with tempfile.TemporaryDirectory(dir=os.getcwd()) as workdir:
             check_exit_contract(*run, Path(workdir))

@@ -24,12 +24,12 @@ def bloch_xy(kind, q, phi):
 
 
 class TestStateContainer:
-    def test_prepare_plus_is_x_axis(self):
+    def test_zero_phase_points_along_x_with_no_leak(self):
         for kind in ChannelKind:
             assert np.allclose(bloch_xy(kind, 0.0, 0.0), [1.0, 0.0], atol=1e-15)
             assert probs(kind, 0.0, 0.0, 0.0)[2] == 0.0
 
-    def test_accumulate_phase_rotates_about_z(self):
+    def test_phase_rotates_the_bloch_vector_about_z(self):
         assert np.allclose(bloch_xy(ChannelKind.DEPOLARIZING, 0.0, 0.7),
                            [math.cos(0.7), math.sin(0.7)], atol=1e-15)
 
@@ -40,7 +40,7 @@ class TestStateContainer:
         assert np.allclose(null, bloch_xy(ChannelKind.DEPOLARIZING, 0.0, 2.0 * math.pi),
                            atol=1e-15)
 
-    def test_phase_accumulation_composes(self):
+    def test_outcomes_depend_only_on_phase_minus_readout_angle(self):
         # a phase and a readout angle enter only through their difference
         for kind in ChannelKind:
             once = probs(kind, 0.3, 0.0, 0.7)
