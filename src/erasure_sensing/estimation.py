@@ -123,7 +123,9 @@ class EllipseFitResult:
     = 0, normalized to unit Euclidean norm with A > 0. phi_d is the
     differential phase magnitude in [0, pi]; contrast_a and contrast_b are
     the peak-to-peak fringe amplitudes of the two axes; rms_residual is the
-    root-mean-square algebraic residual of the normalized conic.
+    root-mean-square of the conic at the points over its scale lam
+    (_centre_and_scale), a residual in the axes scaled by the fitted
+    amplitudes: 0 on the ellipse and the same at any offset and scale.
     """
 
     coefficients: np.ndarray
@@ -179,25 +181,21 @@ _REJECTED = {
 }
 
 
-def _design(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Conic design rows (x^2, xy, y^2, x, y, 1), shape (..., n, 6)."""
-    return np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=-1)
-
-
 def _centred_rows(pts: np.ndarray):
-    """Design rows of points (..., n, 2) in their fit frame, and the frame
-    (e1, m, e2), shaped (..., 1, 1), (..., 1, 2), (..., 1, 1): the points are
-    scaled by 2^-e1 to below 1 in magnitude, centred on their mean m there
-    and scaled by 2^-e2 to below 1 again. Powers of two scale exactly, so a
-    fit sees the same numbers, up to the centring's rounding, wherever its
-    points sit and whatever their units."""
+    """Conic design rows (x^2, xy, y^2, x, y, 1) of points (..., n, 2) in
+    their fit frame, shape (..., n, 6), and the frame (e1, m, e2), shaped
+    (..., 1, 1), (..., 1, 2), (..., 1, 1): the points are scaled by 2^-e1 to
+    below 1 in magnitude, centred on their mean m there and scaled by 2^-e2
+    to below 1 again. Powers of two scale exactly, so a fit sees the same
+    numbers, up to the centring's rounding, wherever its points sit and
+    whatever their units."""
     e1 = np.frexp(np.abs(pts).max(axis=(-2, -1), keepdims=True))[1]
     scaled = np.ldexp(pts, -e1)
     m = scaled.mean(axis=-2, keepdims=True)
     scaled -= m
     e2 = np.frexp(np.abs(scaled).max(axis=(-2, -1), keepdims=True))[1]
-    frame = np.ldexp(scaled, -e2)
-    return _design(frame[..., 0], frame[..., 1]), (e1, m, e2)
+    x, y = np.moveaxis(np.ldexp(scaled, -e2), -1, 0)
+    return np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=-1), (e1, m, e2)
 
 
 def _scatter(rows: np.ndarray) -> np.ndarray:
@@ -312,24 +310,9 @@ def _fit_phases(count: int, scatter_of) -> np.ndarray:
     return phases
 
 
-def ellipse_fit(points) -> EllipseFitResult:
-    """Fit an ellipse to (x_a, x_b) pairs and extract the differential phase.
-
-    Needs at least 6 points, the degrees of freedom of a conic, not all on
-    one line and not all on every conic of a pencil (four distinct points,
-    or four on a line plus one, fix no single conic). The conic is solved
-    and judged in the points' frame (_centred_rows), and phi_d is read off
-    it there, from cos(phi_d) = -B / (2 sqrt(AC)), as a magnitude in
-    [0, pi]: one ellipse cannot tell +phi_d from -phi_d. Only the other
-    outputs are mapped to the points' own units. This is the one-fit case of
-    the stacked solver behind phase_series_from_cycles and
-    ellipse_phase_jackknife, so all three reject the same configurations.
-
-    Raises ValueError for too few points, and for points whose squared
-    magnitude leaves the normal float range (the conic in their units has
-    no float coefficients there); EllipseFitError when the configuration
-    does not determine a proper ellipse.
-    """
+def _fit_one(points):
+    """Checked fit of (n, 2) pairs in their frame: design rows, scatter
+    matrix, conic and frame (_centred_rows); EllipseFitError on rejection."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array of pairs")
@@ -339,16 +322,37 @@ def ellipse_fit(points) -> EllipseFitResult:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
 
-    rows, (e1, m, e2) = _centred_rows(pts)
-    fits, status = _fit_conics(_scatter(rows)[None])
+    rows, frame = _centred_rows(pts)
+    scatter = _scatter(rows)
+    fits, status = _fit_conics(scatter[None])
     if status[0]:
         raise EllipseFitError(_REJECTED[int(status[0])])
+    return rows, scatter, fits[0], frame
+
+
+def ellipse_fit(points) -> EllipseFitResult:
+    """Fit an ellipse to (x_a, x_b) pairs and extract the differential phase.
+
+    Needs at least 6 points, the degrees of freedom of a conic, not all on
+    one line and not all on every conic of a pencil (four distinct points,
+    or four on a line plus one, fix no single conic). The conic is solved
+    and judged in the points' frame (_centred_rows), where phi_d, from
+    cos(phi_d) = -B / (2 sqrt(AC)), and rms_residual are read: phi_d is a
+    magnitude in [0, pi], as one ellipse cannot tell +phi_d from -phi_d.
+    Only the coefficients, center and contrasts carry units and are mapped
+    back. It is the one-fit case of the stacked solver behind
+    phase_series_from_cycles and the jackknife, so all three reject alike.
+
+    Raises ValueError for too few or non-finite points, or ones whose conic
+    has no float coefficients in their units (squared magnitudes outside the
+    normal range); EllipseFitError when no proper ellipse is determined.
+    """
+    rows, _, conic, (e1, m, e2) = _fit_one(points)
     e1, (xm, ym), s = e1.item(), m[0], math.ldexp(1.0, e2.item())
     # in the points' own units a coefficient of degree k carries 2^(-k e1),
     # so their conic spans a factor of 2^(2 |e1|)
     if math.ldexp(1.0, -2 * abs(e1)) < np.finfo(float).tiny:
         raise ValueError("the fitted conic in the points' units lies outside the float range")
-    conic = fits[0]
     cx, cy, lam = _centre_and_scale(conic)
     # the frame conic unscaled by 2^e2 and moved to m, then unscaled by 2^e1
     a, b, c, d, e, f = conic * [1.0, 1.0, 1.0, s, s, s * s]
@@ -358,42 +362,37 @@ def ellipse_fit(points) -> EllipseFitResult:
         -e1 * np.array([2, 2, 2, 1, 1, 0]),
     )
     coeffs /= math.hypot(*coeffs)
-    rms = float(np.sqrt(np.mean((_design(pts[:, 0], pts[:, 1]) @ coeffs) ** 2)))
     return EllipseFitResult(
         coefficients=coeffs,
         phi_d=float(_phase(conic)),
         contrast_a=math.ldexp(2.0 * s * math.sqrt(lam / a), e1),
         contrast_b=math.ldexp(2.0 * s * math.sqrt(lam / c), e1),
         center=(math.ldexp(xm + s * cx, e1), math.ldexp(ym + s * cy, e1)),
-        rms_residual=rms,
-        n_points=n,
+        rms_residual=float(np.sqrt(np.mean((rows @ conic) ** 2)) / lam),
+        n_points=len(rows),
     )
 
 
 def ellipse_phase_jackknife(points) -> tuple[float, float]:
     """Full-sample phase and its delete-one jackknife standard error.
 
-    stderr = sqrt((n-1)/n * sum (phi_i - mean)^2) over the phases phi_i of
-    the fits with point i left out. Every deletion is solved and judged in
-    the full sample's frame (_centred_rows), on the full scatter matrix
-    downdated by that point's design row, S - d_i d_i^T, so it agrees with
-    refitting the subset in its own frame to rounding, not bit for bit.
-    Deletions whose fit is rejected are dropped from the resampling sum.
+    The phase is ellipse_fit's phi_d, read off the same fit at any finite
+    scale; stderr = sqrt((n-1)/n * sum (phi_i - mean)^2) over the phases
+    phi_i of the fits without point i, each solved on the full scatter
+    matrix in its frame downdated by that point's row, S - d_i d_i^T, equal
+    to refitting the subset to rounding. Rejected deletions are dropped.
     """
-    pts = np.asarray(points, dtype=float)
-    full = ellipse_fit(pts).phi_d
-    n = pts.shape[0]
+    rows, total, conic, _ = _fit_one(points)
+    n = len(rows)
     if n < _CONIC_DOF + 1:
         raise ValueError(f"jackknife needs at least {_CONIC_DOF + 1} points, got {n}")
-    rows = _centred_rows(pts)[0]
-    total = _scatter(rows)
     loo = _fit_phases(n, lambda lo, hi: total - rows[lo:hi, :, None] * rows[lo:hi, None, :])
     good = loo[np.isfinite(loo)]
     m = good.size
     if m < 2:
         raise EllipseFitError("jackknife failed: too few successful refits")
     stderr = math.sqrt((m - 1) / m * float(np.sum((good - good.mean()) ** 2)))
-    return full, stderr
+    return float(_phase(conic)), stderr
 
 
 def phase_series_from_cycles(cycles, window: int) -> np.ndarray:

@@ -337,6 +337,16 @@ class TestFitFrame:
             if n_atoms == 2:
                 assert np.isnan(series).any()
 
+    def test_jackknife_phase_is_its_ellipse_fit_phase(self):
+        # bit for bit, rejections included: both read one checked fit (a
+        # window of 6 leaves the jackknife too few points, so only the whole
+        # set of that case is compared)
+        for n_atoms, window in ((2, 6), (20, 10), (3000, 100)):
+            pts = shot_noise_pairs(4, 20 * window, n_atoms)
+            for points in [pts, *np.split(pts, 20)] if window > 6 else [pts]:
+                jackknife = fit_or_status(lambda p: ellipse_phase_jackknife(p)[0], points)
+                assert jackknife == fit_or_status(lambda p: ellipse_fit(p).phi_d, points)
+
     def test_far_or_count_unit_pairs_fit_like_fractions(self):
         # the noiseless fringe ellipse centred at (1000, 1000), and shot-noise
         # pairs in count units, were rejected as not elliptical when the
@@ -349,6 +359,11 @@ class TestFitFrame:
         fractions = ellipse_fit(pts).phi_d
         for scale in (1000.0, 3000.0):
             assert abs(ellipse_fit(pts * scale).phi_d - fractions) <= 1e-9
+        # the residual too is read in the fit's frame, in units of the
+        # fitted amplitudes, so it reads the same at any scale of the pairs
+        residual = ellipse_fit(pts).rms_residual
+        for scale in (1e-150, 1e150):
+            assert ellipse_fit(pts * scale).rms_residual == pytest.approx(residual, rel=1e-9)
 
     def test_points_past_the_float_range_are_a_usage_error(self):
         # the conic in the points' units has coefficients in ratio up to the
@@ -360,6 +375,16 @@ class TestFitFrame:
         for scale in (1e-160, 1e160, 1e300):
             with pytest.raises(ValueError, match="float range"):
                 ellipse_fit(pts * scale)
+
+    def test_jackknife_fits_at_any_finite_scale(self):
+        # its phase is read in the fit's frame, with no conic in the points'
+        # units, so it has no float-range limit
+        pts = shot_noise_pairs(0, 200, 3000)
+        phase, stderr = ellipse_phase_jackknife(pts)
+        for scale in (1e-300, 1e-160, 1e160, 1e300):
+            moved_phase, moved_stderr = ellipse_phase_jackknife(pts * scale)
+            assert abs(moved_phase - phase) <= 1e-9
+            assert moved_stderr == pytest.approx(stderr, rel=1e-9)
 
     # Sets of 20 or more pairs from 100 or more atoms resolve their ellipse.
     # Smaller or coarser sets can be near-degenerate, and then rounding of
@@ -382,6 +407,8 @@ class TestFitFrame:
         moved = (pts + offset) * scale
         fits = (
             lambda p: ellipse_fit(p[:n]).phi_d,
+            # dimensionless like the phase: in units of the fitted amplitudes
+            lambda p: ellipse_fit(p[:n]).rms_residual,
             lambda p: ellipse_phase_jackknife(p[:n])[0],
             lambda p: phase_series_from_cycles(p, n),
         )
