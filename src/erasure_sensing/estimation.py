@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fisher import fisher_information
+from .fisher import _channel_fisher
 from .states import ChannelKind
 
 
@@ -33,7 +33,8 @@ class CountRecord:
     """Terminal counts of one ensemble measurement, with the channel model
     the estimator should invert. q is the known channel strength for the
     depolarizing and dephasing kinds; the erasure kind ignores it and uses
-    the observed erased fraction instead."""
+    the observed erased fraction instead. A kind that is not a ChannelKind
+    (a name string, say) is rejected."""
 
     n_plus: int
     n_minus: int
@@ -43,22 +44,31 @@ class CountRecord:
     q: float | None = None
 
     def __post_init__(self):
-        for name in ("n_plus", "n_minus", "n_erasure"):
-            v = getattr(self, name)
-            try:
-                whole = v == int(v)
-            except (OverflowError, ValueError, TypeError):  # inf, NaN, not a number
-                whole = False
-            if not whole or v < 0:
+        n_erasure = self.n_erasure
+        counts = (self.n_plus, self.n_minus, n_erasure)
+        for name, v in zip(("n_plus", "n_minus", "n_erasure"), counts):
+            # an int is whole as it stands
+            if type(v) is not int:
+                try:
+                    whole = v == int(v)
+                except (OverflowError, ValueError, TypeError):  # inf, NaN, not a number
+                    whole = False
+                if not whole:
+                    raise ValueError(f"{name} must be a non-negative integer")
+            if v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
-        if self.kind is not ChannelKind.ERASURE and self.n_erasure > 0:
-            raise ValueError("erasure counts recorded for a non-erasure channel")
-        if self.kind is not ChannelKind.ERASURE:
-            if self.q is None:
+        kind = self.kind
+        if kind is not ChannelKind.ERASURE:
+            if not isinstance(kind, ChannelKind):
+                raise ValueError(f"kind must be a ChannelKind, not {kind!r}")
+            if n_erasure > 0:
+                raise ValueError("erasure counts recorded for a non-erasure channel")
+            q = self.q
+            if q is None:
                 raise ValueError("q must be given for depolarizing/dephasing counts")
-            if not 0.0 <= self.q <= 1.0:
+            if not 0.0 <= q <= 1.0:
                 raise ValueError("q must lie in [0, 1]")
 
     @property
@@ -91,12 +101,13 @@ def mle_phase(counts: CountRecord) -> PhaseEstimate:
     Raises ValueError when the parameter is unidentifiable (depolarizing
     q = 1, dephasing q = 1/2) or when every atom was erased.
     """
-    n_pm = counts.n_plus + counts.n_minus
+    n_plus, n_erasure = counts.n_plus, counts.n_erasure
+    n_pm = n_plus + counts.n_minus
     if n_pm < 1:
         raise ValueError("all counts erased: no +/- outcomes to invert")
-    shots = counts.shots
+    shots = n_pm + n_erasure
     kind = counts.kind
-    q = counts.n_erasure / shots if kind is ChannelKind.ERASURE else counts.q
+    q = n_erasure / shots if kind is ChannelKind.ERASURE else counts.q
 
     amplitude = kind.amplitude(q)
     if abs(amplitude) < 1e-15:
@@ -104,13 +115,20 @@ def mle_phase(counts: CountRecord) -> PhaseEstimate:
             "parameter unidentifiable: the fringe contrast vanishes at "
             f"q = {q} for the {kind.value} channel"
         )
-    p_plus = counts.n_plus / n_pm
+    p_plus = n_plus / n_pm
     raw = (2.0 * p_plus - 1.0) / amplitude
     clamped = abs(raw) > 1.0
-    delta_hat = math.acos(min(1.0, max(-1.0, raw)))
+    if clamped:
+        raw = 1.0 if raw > 0.0 else -1.0
+    delta_hat = math.acos(raw)
     phi_hat = counts.theta + delta_hat
 
-    info = fisher_information(kind, q, delta_hat)
+    # fisher_information reads the contract at float(q): a q of another type
+    # (an int, a numpy scalar) is converted and its amplitude read again
+    if type(q) is not float:
+        q = float(q)
+        amplitude = kind.amplitude(q)
+    info = _channel_fisher(kind.survival(q), amplitude, delta_hat)
     stderr = 1.0 / math.sqrt(shots * info) if info > 0.0 else math.inf
     return PhaseEstimate(phi_hat=phi_hat, stderr=stderr, clamped=clamped)
 

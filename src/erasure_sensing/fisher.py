@@ -30,8 +30,6 @@ _HERMITIAN_TOL = 1e-12
 # Central-difference step of the numeric oracle; it balances truncation
 # against rounding at double precision.
 _STEP = 1e-5
-# The fields of an OutcomeDistribution, in outcome order.
-_OUTCOMES = ("p_plus", "p_minus", "p_erasure")
 
 
 class SingularFisherError(ArithmeticError):
@@ -110,10 +108,14 @@ def classical_fisher_numeric(
     falls to 0.
     """
     at, above, below = model(phi), model(phi + _STEP), model(phi - _STEP)
+    outcomes = (
+        (at.p_plus, above.p_plus, below.p_plus),
+        (at.p_minus, above.p_minus, below.p_minus),
+        (at.p_erasure, above.p_erasure, below.p_erasure),
+    )
     floor = _PROB_FLOOR * (1.0 - at.p_erasure)
     total = 0.0
-    for x, name in enumerate(_OUTCOMES):
-        p0, pp, pm = getattr(at, name), getattr(above, name), getattr(below, name)
+    for x, (p0, pp, pm) in enumerate(outcomes):
         deriv = (pp - pm) / (2.0 * _STEP)
         second = (pp - 2.0 * p0 + pm) / _STEP**2
         if p0 > floor:
@@ -128,11 +130,11 @@ def classical_fisher_numeric(
     return total
 
 
-def _fringe_fisher(amplitude: float, delta: float) -> float:
-    """Fisher information of a two-outcome fringe p = (1 +/- A cos d)/2.
-
-    F = A^2 sin^2 d / (1 - A^2 cos^2 d), with the removable 0/0 at |A| = 1,
-    cos d = +/-1 evaluated as its limit value 1.
+def _channel_fisher(survival: float, amplitude: float, delta: float) -> float:
+    """survival * F, the Fisher information of a channel whose surviving
+    fraction of the atoms reads the fringe p = (1 +/- A cos d)/2, with
+    F = A^2 sin^2 d / (1 - A^2 cos^2 d); the removable 0/0 of F at |A| = 1,
+    cos d = +/-1 is evaluated as its limit value 1.
     """
     s2 = math.sin(delta) ** 2
     c2 = math.cos(delta) ** 2
@@ -140,10 +142,11 @@ def _fringe_fisher(amplitude: float, delta: float) -> float:
     # non-negative, so the node region |A| -> 1, sin d -> 0 keeps full
     # precision instead of cancelling two near-unit quantities
     den = s2 + (1.0 - amplitude) * (1.0 + amplitude) * c2
-    # den vanishes only at that 0/0, where the numerator vanishes too
+    # den vanishes only at that 0/0, where the numerator vanishes too and F
+    # takes its limit 1
     if den == 0.0:
-        return 1.0
-    return amplitude**2 * s2 / den
+        return survival
+    return survival * (amplitude**2 * s2 / den)
 
 
 def _fisher_point(kind: ChannelKind, q: float, delta: float) -> float:
@@ -151,7 +154,7 @@ def _fisher_point(kind: ChannelKind, q: float, delta: float) -> float:
     q = float(q)
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    return kind.survival(q) * _fringe_fisher(kind.amplitude(q), delta)
+    return _channel_fisher(kind.survival(q), kind.amplitude(q), delta)
 
 
 def fisher_information(kind: ChannelKind, q, delta):

@@ -76,7 +76,8 @@ class NoiseChannel:
     fixed error probability q or as a rate gamma from which
     q(T_c) = kind.strength(gamma * T_c) is derived.
 
-    Exactly one of `q` and `gamma` must be set. The dephasing channel
+    Exactly one of `q` and `gamma` must be set, and kind must be a
+    ChannelKind (a name string is rejected). The dephasing channel
     scales coherences by (1 - 2q), so a q-specified dephasing contrast is
     symmetric under q -> 1 - q and vanishes at q = 1/2; a rate never takes
     q past 1/2, so rate-gamma dephasing decays as e^{-gamma T_c}.
@@ -93,6 +94,8 @@ class NoiseChannel:
             raise ValueError("q must lie in [0, 1]")
         if self.gamma is not None and not 0.0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and non-negative")
+        if not isinstance(self.kind, ChannelKind):
+            raise ValueError(f"kind must be a ChannelKind, not {self.kind!r}")
 
     def strength(self, t_c: float) -> float:
         """Error probability for one interrogation of duration t_c: the
@@ -113,14 +116,24 @@ class OutcomeDistribution:
     p_erasure: float = 0.0
 
     def __post_init__(self):
+        probs = []
         for name in ("p_plus", "p_minus", "p_erasure"):
-            p = float(getattr(self, name))
+            v = getattr(self, name)
+            p = float(v)
             if not math.isfinite(p):
                 raise ValueError(f"{name} must be finite")
-            if p < -_NEGATIVE_TOL:
-                raise ValueError(f"{name} = {p} is negative")
-            object.__setattr__(self, name, max(p, 0.0))
-        total = self.p_plus + self.p_minus + self.p_erasure
+            # max(p, 0.0) without the call: debris clamps to 0.0, and -0.0,
+            # which is not below 0.0, stays -0.0
+            if p < 0.0:
+                if p < -_NEGATIVE_TOL:
+                    raise ValueError(f"{name} = {p} is negative")
+                p = 0.0
+            # float() hands back a float as itself, so only a converted or
+            # clamped value is written back
+            if p is not v:
+                object.__setattr__(self, name, p)
+            probs.append(p)
+        total = probs[0] + probs[1] + probs[2]
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
 

@@ -7,10 +7,11 @@ overlapping-ADEV evaluation per deleted Allan block, one record object per
 simulated cycle, and a golden-section search for the optimal interrogation
 time; plus a two-pass overlapping ADEV that reads no prefix sum, the
 paper's eigenvector form of the qubit quantum Fisher information, which
-the library evaluates in Bloch form; and the
+the library evaluates in Bloch form; the
 array-form state chain, numeric Fisher information, closed-form
-information and count inversion, which the library evaluates in floats.
-They are kept here, independent of the library code, only as test
+information and count inversion, which the library evaluates in floats;
+and the validation of outcome distributions and count records as it was
+written before it read each field once. They are kept here, independent of the library code, only as test
 oracles.
 """
 
@@ -22,7 +23,11 @@ import numpy as np
 from erasure_sensing.clock import LaserPhaseModel
 from erasure_sensing.estimation import EllipseFitError, PhaseEstimate
 from erasure_sensing.fisher import SingularFisherError
-from erasure_sensing.states import ChannelKind, OutcomeDistribution
+from erasure_sensing.states import ChannelKind
+
+# The library's tolerances, restated.
+_NEGATIVE_TOL = 1e-14
+_SUM_TOL = 1e-12
 
 
 def solve_conic(x, y):
@@ -301,6 +306,65 @@ def qfi(rho, generator):
     return 4.0 * (2.0 * purity - 1.0) * abs(element) ** 2
 
 
+@dataclass(frozen=True)
+class OutcomeDistribution:
+    """Three outcome probabilities, each made a float and checked by name,
+    debris below zero clamped with max(p, 0.0), and the sum of the stored
+    fields checked."""
+
+    p_plus: float
+    p_minus: float
+    p_erasure: float = 0.0
+
+    def __post_init__(self):
+        for name in ("p_plus", "p_minus", "p_erasure"):
+            p = float(getattr(self, name))
+            if not math.isfinite(p):
+                raise ValueError(f"{name} must be finite")
+            if p < -_NEGATIVE_TOL:
+                raise ValueError(f"{name} = {p} is negative")
+            object.__setattr__(self, name, max(p, 0.0))
+        total = self.p_plus + self.p_minus + self.p_erasure
+        if abs(total - 1.0) > _SUM_TOL:
+            raise ValueError(f"outcome probabilities sum to {total}, not 1")
+
+
+@dataclass(frozen=True)
+class CountRecord:
+    """Terminal counts with the channel to invert, each count checked by
+    name with v == int(v), stored as given."""
+
+    n_plus: int
+    n_minus: int
+    n_erasure: int
+    theta: float
+    kind: ChannelKind
+    q: float | None = None
+
+    def __post_init__(self):
+        for name in ("n_plus", "n_minus", "n_erasure"):
+            v = getattr(self, name)
+            try:
+                whole = v == int(v)
+            except (OverflowError, ValueError, TypeError):  # inf, NaN, not a number
+                whole = False
+            if not whole or v < 0:
+                raise ValueError(f"{name} must be a non-negative integer")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
+        if self.kind is not ChannelKind.ERASURE and self.n_erasure > 0:
+            raise ValueError("erasure counts recorded for a non-erasure channel")
+        if self.kind is not ChannelKind.ERASURE:
+            if self.q is None:
+                raise ValueError("q must be given for depolarizing/dephasing counts")
+            if not 0.0 <= self.q <= 1.0:
+                raise ValueError("q must lie in [0, 1]")
+
+    @property
+    def shots(self):
+        return self.n_plus + self.n_minus + self.n_erasure
+
+
 def outcome_model(kind, q, theta):
     """phi -> OutcomeDistribution: |+>, a phase phi, the channel at
     strength q and the |+/- theta> readout, each step on the numpy Bloch
@@ -387,7 +451,10 @@ def mle_phase(counts):
     q = counts.n_erasure / shots if kind is ChannelKind.ERASURE else counts.q
     amplitude = kind.amplitude(q)
     if abs(amplitude) < 1e-15:
-        raise ValueError("parameter unidentifiable")
+        raise ValueError(
+            "parameter unidentifiable: the fringe contrast vanishes at "
+            f"q = {q} for the {kind.value} channel"
+        )
     raw = (2.0 * (counts.n_plus / n_pm) - 1.0) / amplitude
     delta_hat = math.acos(min(1.0, max(-1.0, raw)))
     info = fisher_information(kind, q, delta_hat)

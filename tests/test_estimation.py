@@ -130,6 +130,13 @@ class TestMlePhase:
         with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
             CountRecord(600, 400, 0, theta=0.0, kind=ChannelKind.DEPOLARIZING, q=1.5)
 
+    def test_kind_must_be_a_channel_kind(self):
+        # a name string is not a kind: it fails at construction, not later
+        # in mle_phase
+        for kind, n_erasure in (("depolarizing", 0), ("erasure", 0), ("erasure", 5), (None, 0)):
+            with pytest.raises(ValueError, match="^kind must be a ChannelKind"):
+                CountRecord(1, 1, n_erasure, theta=0.0, kind=kind, q=0.1)
+
     def test_non_finite_theta_rejected(self):
         for theta in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="theta"):

@@ -1,10 +1,12 @@
 """The stacked ellipse solver, the linear-time Allan jackknife, the cycle
 columns, the closed-form interrogation optimum, the Bloch-form quantum
-Fisher information and the float paths of the state chain, the Fisher
-information and the count inversion against the slow paths they replaced
+Fisher information, the float paths of the state chain, the Fisher
+information and the count inversion, and the validation of outcome
+distributions and count records against the slow paths they replaced
 (tests/oracles.py), on random inputs and on the degenerate windows a batch
 must survive."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -52,14 +54,44 @@ kinds = st.sampled_from(list(ChannelKind))
 # 1 - q, and the numeric oracle's probability floor scales with it
 strengths = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-15, 0.5, 1.0 - 1e-15, 1.0])
 angles = st.floats(-10.0, 10.0)
+# Counts as every type a record accepts: ints, numpy ints, integral floats,
+# bools, and ints past 2**53, where a float no longer holds every integer
+# (capped at 2**60, so that a sum with numpy ints stays inside int64).
+counts = (
+    st.integers(0, 10**6)
+    | st.integers(0, 10**6).map(np.int64)
+    | st.integers(0, 10**6).map(float)
+    | st.booleans()
+    | st.integers(2**53 + 1, 2**60)
+)
+# Values each check must reject or pass unchanged: NaN, infinities,
+# negatives, -0.0, negatives within _NEGATIVE_TOL of zero and just past it,
+# non-integral floats, ints, bools, numpy scalars and huge ints.
+edge_numbers = st.sampled_from([
+    math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, -5e-15, -1e-14, -1.5e-14, 0.5, 2.5,
+    0, 1, 3, -2, True, False, np.float64(0.25), np.int64(4), 2**53 + 1, 10**400,
+])
 
 
-def outcome(fn, *args):
-    """fn(*args), or the type and message of the error it raises."""
+def outcome(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the type and message of the error it raises."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
+
+
+def bits(result):
+    """A result as its bits: a float as float.hex, so that the sign of zero
+    counts, a dataclass as the bits of each field, any other value as its
+    type and value, and an error tuple as it is."""
+    if isinstance(result, tuple):
+        return result
+    if dataclasses.is_dataclass(result):
+        return tuple(bits(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, float):
+        return float.hex(result)
+    return type(result).__name__, result
 
 
 def noisy_ellipse(rng, n, noise):
@@ -266,7 +298,7 @@ class TestAgainstOracles:
             phi = theta + sum(phi)
         fast = outcome(classical_fisher_numeric, channel_outcome_model(kind, q, theta), phi)
         slow = outcome(oracles.classical_fisher_numeric, oracles.outcome_model(kind, q, theta), phi)
-        assert fast == slow
+        assert bits(fast) == bits(slow)
         assert type(fast) is float or fast[0] is SingularFisherError
 
     def test_numeric_fisher_singular_branch(self):
@@ -296,24 +328,73 @@ class TestAgainstOracles:
         array = fisher_information(kind, qs, deltas)
         assert array.tolist() == [oracles.fisher_information(kind, a, d) for a, d in points]
 
-    @settings(PROPERTY, max_examples=100)
-    @given(
-        kind=kinds,
-        q=strengths,
-        counts=st.tuples(*[st.integers(0, 10**6)] * 3),
-        theta=angles,
-    )
+    @settings(PROPERTY, max_examples=200)
+    @given(kind=kinds, q=strengths, counts=st.tuples(*[counts] * 3), theta=angles)
+    @example(kind=ChannelKind.ERASURE, q=0.0, counts=(2**60, 2**53 + 1, 3), theta=0.3)
+    @example(kind=ChannelKind.DEPOLARIZING, q=0.2, counts=(np.int64(7), 3.0, False), theta=-0.0)
+    @example(kind=ChannelKind.DEPHASING, q=np.float32(0.3), counts=(600, 400, 0), theta=0.3)
     def test_mle_phase(self, kind, q, counts, theta):
+        # The same bits, or the same error with the same message, on each
+        # count type a record accepts: the oracle record keeps the old
+        # validation, and the oracle inversion reads the contract per call.
+        # The float32 q inverts in float32 but reads its information at
+        # float(q), as the closed form does.
         n_plus, n_minus, n_erasure = counts
         if kind is not ChannelKind.ERASURE:
             n_erasure = 0
         record = CountRecord(n_plus, n_minus, n_erasure, theta=theta, kind=kind, q=q)
-        fast = outcome(mle_phase, record)
-        slow = outcome(oracles.mle_phase, record)
-        if isinstance(slow, tuple):
-            assert fast[0] is slow[0] is ValueError
-        else:
-            assert fast == slow
+        slow_record = oracles.CountRecord(n_plus, n_minus, n_erasure, theta=theta, kind=kind, q=q)
+        assert bits(record) == bits(slow_record)
+        assert bits(outcome(mle_phase, record)) == bits(outcome(oracles.mle_phase, slow_record))
+
+
+def constructed(cls, *args, **kwargs):
+    """The bits of the fields cls(*args, **kwargs) stores, or the type and
+    message of the error it raises."""
+    return bits(outcome(cls, *args, **kwargs))
+
+
+class TestValidation:
+    """The library's frozen records store the same bits, and reject with
+    the same error and message, as the validation they replaced."""
+
+    @settings(PROPERTY, max_examples=300)
+    @given(
+        p_plus=st.floats(0.0, 1.0) | edge_numbers,
+        p_erasure=st.floats(0.0, 1.0) | edge_numbers,
+        off=st.sampled_from([0.0, -0.0, 5e-13, -5e-13, 2e-12, -2e-12, 1e-15]),
+        p_minus=st.none() | st.floats(0.0, 1.0) | edge_numbers,
+        two=st.booleans(),
+    )
+    @example(p_plus=0.5, p_erasure=-0.0, off=0.0, p_minus=0.5, two=False)
+    @example(p_plus=-0.0, p_erasure=-0.0, off=0.0, p_minus=-0.0, two=False)
+    @example(p_plus=1, p_erasure=0, off=0.0, p_minus=0, two=False)
+    @example(p_plus=1.0 + 5e-15, p_erasure=-5e-15, off=0.0, p_minus=-1e-14, two=False)
+    def test_outcome_distribution(self, p_plus, p_erasure, off, p_minus, two):
+        # By default p_minus completes the sum to within off of 1, so that
+        # most draws pass the finite and negative checks and reach the sum.
+        if p_minus is None:
+            try:
+                p_minus = 1.0 - float(p_plus) - float(p_erasure) + off
+            except OverflowError:  # 10**400 has no float
+                p_minus = 0.5
+        args = (p_plus, p_minus) if two else (p_plus, p_minus, p_erasure)
+        fast = constructed(OutcomeDistribution, *args)
+        assert fast == constructed(oracles.OutcomeDistribution, *args)
+
+    @settings(PROPERTY, max_examples=300)
+    @given(
+        numbers=st.tuples(*[counts | edge_numbers] * 3),
+        theta=angles | edge_numbers,
+        kind=kinds,
+        q=st.none() | strengths | edge_numbers,
+    )
+    @example(numbers=(-0.0, 3, 0), theta=-0.0, kind=ChannelKind.DEPHASING, q=-0.0)
+    @example(numbers=(1, 2, 3), theta=0.0, kind=ChannelKind.DEPOLARIZING, q=0.1)
+    @example(numbers=(1, 2.5, 3), theta=math.nan, kind=ChannelKind.ERASURE, q=None)
+    def test_count_record(self, numbers, theta, kind, q):
+        fast = constructed(CountRecord, *numbers, theta=theta, kind=kind, q=q)
+        assert fast == constructed(oracles.CountRecord, *numbers, theta=theta, kind=kind, q=q)
 
 
 class TestDegenerateWindows:

@@ -86,6 +86,14 @@ class TestChannels:
         with pytest.raises(ValueError):
             NoiseChannel(ChannelKind.ERASURE, q=0.1, gamma=0.1)
 
+    def test_kind_must_be_a_channel_kind(self):
+        # a name string is not a kind: it fails at construction, not later
+        # in strength() or in the simulator
+        for kind, strength in (("erasure", {"q": 0.1}), ("erasure", {"gamma": 0.1}),
+                               (None, {"q": 0.1})):
+            with pytest.raises(ValueError, match="^kind must be a ChannelKind"):
+                NoiseChannel(kind, **strength)
+
     def test_q_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             NoiseChannel(ChannelKind.DEPOLARIZING, q=1.5)
