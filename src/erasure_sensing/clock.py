@@ -4,8 +4,9 @@ Two atomic ensembles share one local oscillator. Each cycle draws a common
 laser phase, interrogates both ensembles (ensemble b carries an extra
 differential phase phi_d), applies the configured noise channel, and records
 excitation fractions with projection noise. Ellipse fits over windows of
-cycles give a phi_d time series, whose overlapping Allan deviation with
-jackknife error bars measures the fractional instability. On top of the
+cycles give a phi_d time series, whose overlapping Allan deviation, with
+error bars from a delete-a-block jackknife over blocks of its squared
+differences, measures the fractional instability. On top of the
 simulator sit the quantum-projection-noise floor, instability-versus-q
 scaling curves, and interrogation-time optimization under dead time.
 
@@ -345,8 +346,6 @@ def comparison_stats(cycles: CycleRecord, n0: int) -> dict:
     }
 
 
-# Series samples whose block deletions the Allan jackknife forms at a time.
-_JACKKNIFE_SPAN = 1 << 16
 # Fewest samples an Allan deviation is taken from.
 _ALLAN_MIN = 4
 
@@ -354,7 +353,8 @@ _ALLAN_MIN = 4
 @dataclass(frozen=True, eq=False)
 class AllanResult:
     """Overlapping Allan deviation on octave-spaced averaging times, with a
-    leave-one-block-out jackknife standard error per point."""
+    delete-a-block jackknife standard error per point over blocks of 4m
+    squared m-differences, or two halves of them (allan_deviation)."""
 
     taus: np.ndarray
     sigmas: np.ndarray
@@ -370,53 +370,40 @@ class AllanResult:
         }
 
 
-def _block_jackknife(y: np.ndarray, d: np.ndarray, m: int) -> float:
-    """Leave-one-block-out jackknife standard error of the overlapping ADEV
-    at averaging factor m, in O(n), from the series y and its differences d
-    of adjacent overlapping m-sample means.
+def _block_jackknife(squares: np.ndarray, m: int) -> float:
+    """Delete-a-block jackknife standard error of sqrt(mean(squares) / 2),
+    the overlapping ADEV at averaging factor m, from its squared
+    m-differences.
 
-    Deleting block b, y[s : s + m] with s = bm, keeps the m-differences that
-    lie wholly left of it, d[:s - 2m + 1], and wholly right, d[s + m:], as
-    they were: their squares are two lookups in a prefix sum of d * d. The
-    shortened series adds the 2m - 1 differences that straddle its seam, and
-    these read only the 2m - 1 samples on each side of the block: they are
-    second differences of one prefix sum over those samples. Indices past
-    either end of the series are clipped, and the seam differences that
-    would read them are masked out. Blocks are handled a chunk at a time so
-    the temporaries stay small for any series length.
+    The squares are cut into non-overlapping blocks of 4m, twice the 2m
+    samples one difference reads, or into two halves where two such blocks
+    do not fit. Squares past the last whole block stay in every deletion.
+    The total is summed from the block sums, so that no kept sum rounds
+    below zero.
     """
-    n = y.size
-    squares = np.concatenate([[0.0], np.cumsum(d * d)])
-    kept = n - 3 * m + 1  # differences in a series shortened by m samples
-    blocks = n // m
-    deleted = np.empty(blocks)
-    step = max(1, _JACKKNIFE_SPAN // m)
-    left = np.arange(1 - 2 * m, 0)  # sample offsets from the block start
-    beside = np.concatenate([left, left + 3 * m - 1])
-    for lo in range(0, blocks, step):
-        start = m * np.arange(lo, min(lo + step, blocks))
-        local = np.zeros((start.size, 4 * m - 1))
-        np.cumsum(y[np.clip(start[:, None] + beside, 0, n - 1)], axis=1, out=local[:, 1:])
-        seam = (local[:, 2 * m:] - 2.0 * local[:, m:-m] + local[:, :2 * m - 1]) / m
-        j = start[:, None] + left  # each seam difference's first sample
-        straddling = np.where((j >= 0) & (j <= n - 3 * m), seam * seam, 0.0).sum(axis=1)
-        outside = squares[np.maximum(start - 2 * m + 1, 0)] + (
-            squares[-1] - squares[np.minimum(start + m, d.size)])
-        deleted[lo:lo + start.size] = np.sqrt(0.5 * (outside + straddling) / kept)
-    mean = deleted.mean()
-    return math.sqrt((blocks - 1) / blocks * float(np.sum((deleted - mean) ** 2)))
+    size = min(4 * m, squares.size // 2)
+    blocks = squares.size // size
+    sums = squares[:blocks * size].reshape(blocks, size).sum(axis=1)
+    total = sums.sum() + squares[blocks * size:].sum()
+    deleted = np.sqrt(0.5 * (total - sums) / (squares.size - size))
+    return math.sqrt((blocks - 1) / blocks * float(np.sum((deleted - deleted.mean()) ** 2)))
 
 
 def allan_deviation(series, cycle_time: float) -> AllanResult:
     """Overlapping Allan deviation of a series.
 
-    Averaging factors run over octaves m = 1, 2, 4, ... as long as the
-    series still supports the estimate after one jackknife block of length
-    m is removed (n - m >= 2m + 1); longer averaging times are omitted.
-    The error bar at each m is the leave-one-block-out jackknife standard
-    error with block length m (Riley, NIST SP 1065). The estimate reads one
-    prefix sum of the series, and each deletion only local sums beside its
-    block (_block_jackknife), so an octave costs O(n) and the whole result
+    Averaging factors run over octaves m = 1, 2, 4, ... while
+    n - m >= 2m + 1, so that at least m + 2 m-differences remain; longer
+    averaging times are omitted. The error bar at each m is a
+    delete-a-block jackknife (Kunsch, Ann. Stat. 17, 1989) of the deviation
+    over its squared m-differences, in blocks of 4m, or in two halves where
+    two such blocks do not fit (_block_jackknife). On white noise of 1200
+    or 4096 samples, at the octaves that keep 16 or more blocks, the mean
+    error is 0.88-1.01 of the Monte Carlo spread of sigma, and 0.90-0.95
+    of the white-FM EDF spread (Riley, NIST SP 1065); at the two-halves
+    octaves it under-reads, at 0.56-0.76 of the spread.
+    The estimate reads one prefix sum of the series and one block sum of
+    the squares per octave, so an octave costs O(n) and the whole result
     O(n log n). NaN entries (gap markers from failed fit windows) are
     dropped before analysis. Any offset and any scale of the series keep
     their digits: the sums read it scaled by a power of two and centred on
@@ -447,8 +434,9 @@ def allan_deviation(series, cycle_time: float) -> AllanResult:
     while n - m >= 2 * m + 1:
         means = (cs[m:] - cs[:-m]) / m
         d = means[m:] - means[:-m]
-        sigmas.append(math.sqrt(0.5 * float(np.mean(d * d))))
-        errors.append(_block_jackknife(y, d, m))
+        squares = d * d
+        sigmas.append(math.sqrt(0.5 * float(np.mean(squares))))
+        errors.append(_block_jackknife(squares, m))
         taus.append(m * cycle_time)
         factors.append(m)
         m *= 2

@@ -73,7 +73,8 @@ class CountRecord:
 
     @property
     def shots(self) -> int:
-        return self.n_plus + self.n_minus + self.n_erasure
+        # Python ints: numpy integer counts would wrap past 2^63
+        return int(self.n_plus) + int(self.n_minus) + int(self.n_erasure)
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,9 @@ def mle_phase(counts: CountRecord) -> PhaseEstimate:
     Raises ValueError when the parameter is unidentifiable (depolarizing
     q = 1, dephasing q = 1/2) or when every atom was erased.
     """
-    n_plus, n_erasure = counts.n_plus, counts.n_erasure
-    n_pm = n_plus + counts.n_minus
+    # counts are added as Python ints, which do not wrap as numpy's do
+    n_plus, n_erasure = int(counts.n_plus), int(counts.n_erasure)
+    n_pm = n_plus + int(counts.n_minus)
     if n_pm < 1:
         raise ValueError("all counts erased: no +/- outcomes to invert")
     shots = n_pm + n_erasure

@@ -2,16 +2,16 @@
 
 These are the straightforward loops the library used before its stacked
 solvers, its cycle columns and its closed-form interrogation optimum: one
-full ellipse refit per fit window and per jackknife deletion, one full
-overlapping-ADEV evaluation per deleted Allan block, one record object per
-simulated cycle, and a golden-section search for the optimal interrogation
-time; plus a two-pass overlapping ADEV that reads no prefix sum, the
-paper's eigenvector form of the qubit quantum Fisher information, which
-the library evaluates in Bloch form; the
-array-form state chain, numeric Fisher information, closed-form
-information and count inversion, which the library evaluates in floats;
-and the validation of outcome distributions and count records as it was
-written before it read each field once. They are kept here, independent of the library code, only as test
+full ellipse refit per fit window and per jackknife deletion, one deviation
+recomputed from the kept m-differences per deleted Allan block, one record
+object per simulated cycle, and a golden-section search for the optimal
+interrogation time; plus a two-pass overlapping ADEV that reads no prefix
+sum, the paper's eigenvector form of the qubit quantum Fisher information,
+which the library evaluates in Bloch form; the array-form state chain,
+numeric Fisher information, closed-form information and count inversion,
+which the library evaluates in floats; and the validation of outcome
+distributions and count records as it was written before it read each field
+once. They are kept here, independent of the library code, only as test
 oracles.
 """
 
@@ -156,17 +156,25 @@ def rms(v):
     return peak * math.sqrt(float(np.mean((v / peak) ** 2))) if peak > 0.0 else 0.0
 
 
-def overlapping_adev_direct(y, m):
-    """Overlapping ADEV in two passes and no prefix sum: the series' mean is
-    subtracted first, then each m-sample mean is summed from the centred
-    samples directly."""
+def m_differences(y, m):
+    """Differences of adjacent overlapping m-sample means in two passes and
+    no prefix sum: the series' mean is subtracted first, then each m-sample
+    mean is summed from the centred samples directly."""
     means = np.lib.stride_tricks.sliding_window_view(y - np.mean(y), m).mean(axis=1)
-    return rms(means[m:] - means[:-m]) / math.sqrt(2.0)
+    return means[m:] - means[:-m]
+
+
+def overlapping_adev_direct(y, m):
+    """Overlapping ADEV from the two-pass m-differences."""
+    return rms(m_differences(y, m)) / math.sqrt(2.0)
 
 
 def allan(series, adev=overlapping_adev):
-    """(averaging factors, sigmas, block-jackknife errors), recomputing the
-    whole overlapping ADEV for every deleted block."""
+    """(averaging factors, sigmas, block-jackknife errors). Each error
+    recomputes the deviation from the two-pass m-differences left after
+    deleting one block of 4m of them (of half of them, where two such
+    blocks do not fit); differences past the last whole block are never
+    deleted."""
     y = np.asarray(series, dtype=float).ravel()
     y = y[np.isfinite(y)]
     n = y.size
@@ -175,10 +183,12 @@ def allan(series, adev=overlapping_adev):
     while n - m >= 2 * m + 1:
         factors.append(m)
         sigmas.append(adev(y, m))
-        blocks = n // m
+        d = m_differences(y, m)
+        size = min(4 * m, d.size // 2)
+        blocks = d.size // size
         deleted = np.array(
-            [adev(np.delete(y, slice(b * m, (b + 1) * m)), m) for b in range(blocks)]
-        )
+            [rms(np.delete(d, slice(b * size, (b + 1) * size))) for b in range(blocks)]
+        ) / math.sqrt(2.0)
         errors.append(math.sqrt(blocks - 1) * rms(deleted - deleted.mean()))
         m *= 2
     return np.array(factors), np.array(sigmas), np.array(errors)
@@ -362,7 +372,7 @@ class CountRecord:
 
     @property
     def shots(self):
-        return self.n_plus + self.n_minus + self.n_erasure
+        return int(self.n_plus) + int(self.n_minus) + int(self.n_erasure)
 
 
 def outcome_model(kind, q, theta):
@@ -442,20 +452,22 @@ def fisher_information(kind, q, delta):
 
 def mle_phase(counts):
     """Count inversion cos(phi - theta) = (2 p+ - 1) / A, clamped, with the
-    Cramer-Rao error from the closed form above."""
-    n_pm = counts.n_plus + counts.n_minus
+    Cramer-Rao error from the closed form above. Counts are read as
+    Python ints, whose sums neither wrap nor round."""
+    n_plus = int(counts.n_plus)
+    n_pm = n_plus + int(counts.n_minus)
     if n_pm < 1:
         raise ValueError("all counts erased: no +/- outcomes to invert")
     shots = counts.shots
     kind = counts.kind
-    q = counts.n_erasure / shots if kind is ChannelKind.ERASURE else counts.q
+    q = int(counts.n_erasure) / shots if kind is ChannelKind.ERASURE else counts.q
     amplitude = kind.amplitude(q)
     if abs(amplitude) < 1e-15:
         raise ValueError(
             "parameter unidentifiable: the fringe contrast vanishes at "
             f"q = {q} for the {kind.value} channel"
         )
-    raw = (2.0 * (counts.n_plus / n_pm) - 1.0) / amplitude
+    raw = (2.0 * (n_plus / n_pm) - 1.0) / amplitude
     delta_hat = math.acos(min(1.0, max(-1.0, raw)))
     info = fisher_information(kind, q, delta_hat)
     stderr = 1.0 / math.sqrt(shots * info) if info > 0.0 else math.inf

@@ -25,16 +25,16 @@ RUNS = {
 }
 
 DIGESTS = {
-    "simulate/allan.json": "5f2f92846a162d8816a4dafe42f3137f4faa61a09c9bcce6b85ead389b26a208",
+    "simulate/allan.json": "8ad7f6acdf4d55aaedc43b28cad0a026e15deabc58ff822dfeaa91a8c639e2a2",
     "simulate/cycles.csv": "35b255fe293511ebbafeb49745679d2a87d15a5469b190e3862ebda9651c26a3",
     "simulate/phases.csv": "829a857a3607c0cf95f82970ce86c9d4dd70bec31d62a6a45c5f46fd3960923b",
-    "simulate-window-10/allan.json": "4000d7935da4c9540f5a995a6dbe420bc195f2935781f0dfb80ab3bc91c979f5",
+    "simulate-window-10/allan.json": "780021127df445c54255ccb58c303c54b3453adef9a1d8248e718a577cb8f16e",
     "simulate-window-10/cycles.csv": "35b255fe293511ebbafeb49745679d2a87d15a5469b190e3862ebda9651c26a3",
     "simulate-window-10/phases.csv": "29fd2ae4de54e162dc9f7d096fbb6aded257713c3478cabb792be7859f25c811",
-    "scaling/scaling.csv": "e8f3e8031dc468732eb27bb4f84e319389c80e0f0478344e767b37ebde2024dc",
+    "scaling/scaling.csv": "16332616dc45a4eba59fdefe463c9cba77d68eead225e6ff2664e417c4646ffc",
     "scaling/scaling_fit.json": "c70984199f0f63027af34ec16d76c1f02fb1eb0610ddd758fb776fa56531ca99",
     "ellipse/ellipse.json": "1ea45873b606d5fd2d75102a8210f3a6633c9a8a5590c22c2c11b7943ddb7629",
-    "allan/allan.json": "0f4a18f52a062259f712678cad53435514972219151b92c1dd26f9f2c0302975",
+    "allan/allan.json": "825d57c2ab0880961c17c3e1853a919b84b814d8b5e29da5797a018c16518b51",
 }
 
 

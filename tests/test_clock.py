@@ -319,6 +319,33 @@ class TestAllanDeviation:
         rel = np.asarray(res.errors) / np.asarray(res.sigmas)
         assert rel[-1] > rel[0]
 
+    def test_jackknife_errors_match_the_white_noise_spread(self):
+        # On white noise the relative spread of the overlapping ADEV is
+        # 1/sqrt(2 edf), with the white-FM equivalent degrees of freedom of
+        # Howe, Allan & Barnes (1981; Riley, NIST SP 1065). At n = 1200 the
+        # octaves m <= 16 keep at least 16 blocks of 4m squared differences.
+        n, series = 1200, 200
+        rng = np.random.default_rng(2026)
+        ratios = []
+        for _ in range(series):
+            res = allan_deviation(rng.normal(size=n), cycle_time=1.0)
+            ratios.append(res.errors / res.sigmas)
+        m = res.averaging_factors[res.averaging_factors <= 16]
+        edf = (3 * (n - 1) / (2 * m) - 2 * (n - 2) / n) * 4 * m**2 / (4 * m**2 + 5)
+        calibration = np.mean(ratios, axis=0)[:m.size] * np.sqrt(2 * edf)
+        assert np.all((0.8 <= calibration) & (calibration <= 1.1)), calibration
+
+    def test_a_burst_keeps_every_error_finite(self):
+        # where every nonzero difference lies in one block, deleting it keeps
+        # nothing: the kept sum must be exactly zero, not rounded below it
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            y = np.zeros(int(rng.integers(20, 400)))
+            start = int(rng.integers(0, y.size - 5))
+            y[start:start + 5] = rng.random(5)
+            res = allan_deviation(y, cycle_time=1.0)
+            assert np.all(np.isfinite(res.errors)) and np.all(res.errors >= 0.0)
+
     def test_nan_gaps_are_dropped(self):
         rng = np.random.default_rng(21)
         y = rng.normal(size=1000)

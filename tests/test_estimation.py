@@ -115,6 +115,16 @@ class TestMlePhase:
             mle_phase(CountRecord(600, 400, 0, theta=0.0,
                                   kind=ChannelKind.DEPHASING, q=0.5))
 
+    def test_numpy_counts_add_without_wrapping(self):
+        # two int64 counts of 2^62 sum past the int64 range
+        big = np.int64(2**62)
+        rec = CountRecord(big, big, 0, theta=0.0, kind=ChannelKind.DEPOLARIZING, q=0.1)
+        assert rec.shots == 2**63
+        est = mle_phase(rec)
+        assert est == mle_phase(CountRecord(2**62, 2**62, 0, theta=0.0,
+                                            kind=ChannelKind.DEPOLARIZING, q=0.1))
+        assert est.phi_hat == pytest.approx(math.pi / 2)
+
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
             mle_phase(CountRecord(0, 0, 100, theta=0.0, kind=ChannelKind.ERASURE, q=0.0))
