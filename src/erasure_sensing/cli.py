@@ -147,19 +147,27 @@ def _positive_int(text: str) -> int:
 
 # Rows of cycles.csv formatted at a time, so a long run is never held as
 # Python lists.
-_CSV_ROWS = 16384
+_CSV_ROWS = 4096
 
 
 def _write_cycles_csv(path: Path, cycles) -> None:
+    import numpy as np  # already loaded by the simulator
+
     keep = cycles.valid.nonzero()[0]
     with open(path, "w", newline="") as fh:
         fh.write("cycle,theta,x_a,x_b,n_a,n_b\n")
         for lo in range(0, keep.size, _CSV_ROWS):
             rows = keep[lo:lo + _CSV_ROWS]
-            columns = [rows, cycles.theta[rows], *cycles.x[rows].T, *cycles.n[rows].T]
+            # Fractions repeat, so each distinct one is formatted once. They
+            # are told apart by their bits, which keeps -0.0 apart from 0.0.
+            bits, where = np.unique(cycles.x[rows].view(np.uint64), return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+            x_a, x_b = text[where.reshape(-1, 2)].T
             fh.writelines(
-                f"{i},{_fmt(theta)},{_fmt(x_a)},{_fmt(x_b)},{n_a},{n_b}\n"
-                for i, theta, x_a, x_b, n_a, n_b in zip(*(c.tolist() for c in columns))
+                f"{i},{theta!r},{a},{b},{n_a},{n_b}\n"
+                for i, theta, a, b, n_a, n_b in zip(
+                    rows.tolist(), cycles.theta[rows].tolist(), x_a.tolist(), x_b.tolist(),
+                    *cycles.n[rows].T.tolist())
             )
 
 
@@ -224,8 +232,13 @@ def cmd_scaling(args, outdir: Path) -> dict:
 
     curves = {}
     fits = {}
+    shared = []
     for kind in kinds:
-        points = instability_vs_error_rate(base, grid, kind, window=args.window)
+        # A run reads its channel only through (amplitude, survival), which
+        # is (1, 1) for every kind at q = 0: the first kind's run serves all.
+        rest = grid[len(shared):]
+        points = shared + instability_vs_error_rate(base, rest, kind, window=args.window)
+        shared = points[:1] if grid[0] == 0.0 else []
         curves[kind] = points
         if len(points) >= 3:
             exponent, stderr, sigma0 = fit_loglog_exponent(

@@ -19,8 +19,9 @@ Philox(SeedSequence(entropy=seed, spawn_key=(i,))), so results are
 bit-identical for a given config; the threads arguments and flags are
 accepted but change nothing. The simulator does not build those sequences:
 it derives their Philox keys in vectorized chunks from numpy's pool for
-SeedSequence(seed) and one index word per cycle (_cycle_keys), and re-keys
-one generator per cycle (_cycle_streams), which yields the same bits.
+SeedSequence(seed) and one index word per cycle (_cycle_keys), and
+run_comparison's loop re-keys one generator per cycle, which yields the
+same bits.
 """
 
 from __future__ import annotations
@@ -256,30 +257,6 @@ def _cycle_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _cycle_streams(seed: int, count: int):
-    """Yield (i, rng) for cycles 0 .. count - 1, where rng draws exactly the
-    stream of Generator(Philox(SeedSequence(entropy=seed, spawn_key=(i,)))).
-
-    One Philox generator serves every cycle: before each it is reset to the
-    state a fresh Philox on that cycle's sequence starts in (counter 0,
-    empty buffer, that cycle's key). The keys come from _cycle_keys a chunk
-    at a time, so memory stays bounded for any count.
-    """
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    # Plain lists, not the arrays bitgen.state returns: the setter reads
-    # them element by element, and Python ints are the cheapest to read.
-    philox = {"counter": [0, 0, 0, 0], "key": None}
-    fresh = {"bit_generator": "Philox", "state": philox, "buffer": [0, 0, 0, 0],
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for lo in range(0, count, _KEY_CHUNK):
-        keys = _cycle_keys(seed, lo, min(lo + _KEY_CHUNK, count)).tolist()
-        for i, key in enumerate(keys, lo):
-            philox["key"] = key
-            bitgen.state = fresh
-            yield i, rng
-
-
 def run_comparison(config: ComparisonConfig, threads: int = 1) -> CycleRecord:
     """Simulate every cycle of the comparison into a CycleRecord.
 
@@ -293,8 +270,11 @@ def run_comparison(config: ComparisonConfig, threads: int = 1) -> CycleRecord:
     itself. At q = 0 every channel has amplitude and survival 1, so all
     three kinds draw alike and their noiseless runs are equal.
 
-    The streams come from _cycle_streams, one re-keyed generator that is
-    bit-identical to building each cycle's generator from its sequence.
+    One Philox generator serves every cycle: before each it is reset to the
+    state a fresh Philox on that cycle's sequence starts in (counter 0,
+    empty buffer, that cycle's key), which is bit-identical to building
+    each cycle's generator from its sequence. The keys come from
+    _cycle_keys a chunk at a time, so memory stays bounded for any count.
     A cycle index is one 32-bit spawn word, so cycles is at most 2^32.
 
     threads is accepted for compatibility and changes nothing: the loop
@@ -304,26 +284,37 @@ def run_comparison(config: ComparisonConfig, threads: int = 1) -> CycleRecord:
     kind = config.noise.kind
     amplitude, survival = kind.amplitude(q), kind.survival(q)
     random_phase = config.laser_phase_model is LaserPhaseModel.UNIFORM_RANDOM_PER_CYCLE
-    sides = ((0, 0.0, config.c_a), (1, config.phi_d, config.c_b))
+    lossy, shot_noise, n0 = survival < 1.0, config.shot_noise, int(config.n0)
+    # the fringe is (c * amplitude) * cos, and |(c * amplitude) * cos| <= 1
+    # survives rounding: p needs no clamp
+    sides = ((0.0, config.c_a * amplitude), (config.phi_d, config.c_b * amplitude))
     count = int(config.cycles)
-    theta = np.empty(count)
-    x = np.empty((count, 2))
-    n = np.empty((count, 2), dtype=np.int64)
-    for i, rng in _cycle_streams(config.seed, count):
-        # bit-identical to rng.uniform(0.0, TWO_PI), which is 0.0 + TWO_PI * u
-        th = TWO_PI * rng.random() if random_phase else TWO_PI * i / count
-        theta[i] = th
-        for side, phi_off, contrast in sides:
-            atoms = rng.binomial(config.n0, survival) if survival < 1.0 else config.n0
-            # |contrast * amplitude * cos| <= 1 survives rounding: p needs no clamp
-            p = 0.5 * (1.0 + contrast * amplitude * math.cos(th + phi_off))
-            n[i, side] = atoms
-            if not config.shot_noise:
-                x[i, side] = p
-            elif atoms == 0:
-                x[i, side] = math.nan
-            else:
-                x[i, side] = rng.binomial(atoms, p) / atoms
+    theta, x, n = np.empty(count), np.empty((count, 2)), np.empty((count, 2), dtype=np.int64)
+    # memoryviews store a Python scalar without making a numpy scalar
+    theta_at, x_at, n_at = memoryview(theta), memoryview(x.reshape(-1)), memoryview(n.reshape(-1))
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    random, binomial, cos, nan = rng.random, rng.binomial, math.cos, math.nan
+    # Plain lists, not the arrays bitgen.state returns: the setter reads
+    # them element by element, and Python ints are the cheapest to read.
+    philox = {"counter": [0, 0, 0, 0], "key": None}
+    fresh = {"bit_generator": "Philox", "state": philox, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    k = 0  # flat index of (cycle i, side) in x and n
+    for lo in range(0, count, _KEY_CHUNK):
+        keys = _cycle_keys(config.seed, lo, min(lo + _KEY_CHUNK, count)).tolist()
+        for i, key in enumerate(keys, lo):
+            philox["key"] = key
+            bitgen.state = fresh
+            # bit-identical to rng.uniform(0.0, TWO_PI), which is 0.0 + TWO_PI * u
+            th = TWO_PI * random() if random_phase else TWO_PI * i / count
+            theta_at[i] = th
+            for phi_off, scale in sides:
+                atoms = binomial(n0, survival) if lossy else n0
+                p = 0.5 * (1.0 + scale * cos(th + phi_off))
+                n_at[k] = atoms
+                x_at[k] = (binomial(atoms, p) / atoms if atoms else nan) if shot_noise else p
+                k += 1
     return CycleRecord(theta=theta, x=x, n=n, valid=~np.isnan(x).any(axis=1))
 
 

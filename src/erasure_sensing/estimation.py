@@ -94,7 +94,8 @@ def mle_phase(counts: CountRecord) -> PhaseEstimate:
     A the channel's fringe amplitude at strength q. For erasure q is the
     observed erased fraction and A = 1: erased atoms carry no signal and
     are dropped. For depolarizing and dephasing q is the known strength
-    counts.q. Arguments outside [-1, 1] are clamped and flagged. The
+    counts.q, read once as float(q) for the inversion and the information
+    alike. Arguments outside [-1, 1] are clamped and flagged. The
     returned phase is the branch theta <= phi_hat <= theta + pi (so it lies
     in [0, pi] for theta = 0); the standard error is 1 / sqrt(shots * F)
     with F the channel's analytic Fisher information at the estimate.
@@ -109,7 +110,7 @@ def mle_phase(counts: CountRecord) -> PhaseEstimate:
         raise ValueError("all counts erased: no +/- outcomes to invert")
     shots = n_pm + n_erasure
     kind = counts.kind
-    q = n_erasure / shots if kind is ChannelKind.ERASURE else counts.q
+    q = n_erasure / shots if kind is ChannelKind.ERASURE else float(counts.q)
 
     amplitude = kind.amplitude(q)
     if abs(amplitude) < 1e-15:
@@ -125,11 +126,6 @@ def mle_phase(counts: CountRecord) -> PhaseEstimate:
     delta_hat = math.acos(raw)
     phi_hat = counts.theta + delta_hat
 
-    # fisher_information reads the contract at float(q): a q of another type
-    # (an int, a numpy scalar) is converted and its amplitude read again
-    if type(q) is not float:
-        q = float(q)
-        amplitude = kind.amplitude(q)
     info = _channel_fisher(kind.survival(q), amplitude, delta_hat)
     stderr = 1.0 / math.sqrt(shots * info) if info > 0.0 else math.inf
     return PhaseEstimate(phi_hat=phi_hat, stderr=stderr, clamped=clamped)

@@ -1,10 +1,11 @@
 """Slow reference implementations that the fast paths are checked against.
 
 These are the straightforward loops the library used before its stacked
-solvers, its cycle columns and its closed-form interrogation optimum: one
-full ellipse refit per fit window and per jackknife deletion, one deviation
-recomputed from the kept m-differences per deleted Allan block, one record
-object per simulated cycle, and a golden-section search for the optimal
+solvers, its cycle columns, its cycles.csv writer and its closed-form
+interrogation optimum: one full ellipse refit per fit window and per
+jackknife deletion, one deviation recomputed from the kept m-differences
+per deleted Allan block, one record object per simulated cycle, one repr
+per number written, and a golden-section search for the optimal
 interrogation time; plus a two-pass overlapping ADEV that reads no prefix
 sum, the paper's eigenvector form of the qubit quantum Fisher information,
 which the library evaluates in Bloch form; the array-form state chain,
@@ -247,6 +248,17 @@ def run_comparison(cfg):
     return [simulate_cycle(cfg, amplitude, survival, i) for i in range(cfg.cycles)]
 
 
+def write_cycles_csv(path, cycles):
+    """cycles.csv as the CLI writes it, one row per valid cycle, each float
+    formatted on its own as repr(float(v))."""
+    keep = cycles.valid.nonzero()[0]
+    columns = [keep, cycles.theta[keep], *cycles.x[keep].T, *cycles.n[keep].T]
+    with open(path, "w", newline="") as fh:
+        fh.write("cycle,theta,x_a,x_b,n_a,n_b\n")
+        for i, theta, x_a, x_b, n_a, n_b in zip(*(c.tolist() for c in columns)):
+            fh.write(f"{i},{float(theta)!r},{float(x_a)!r},{float(x_b)!r},{n_a},{n_b}\n")
+
+
 def golden_section_min(fn, lo, hi, tol):
     """Golden-section minimum of a unimodal function, plus one parabolic
     polish step.
@@ -453,14 +465,15 @@ def fisher_information(kind, q, delta):
 def mle_phase(counts):
     """Count inversion cos(phi - theta) = (2 p+ - 1) / A, clamped, with the
     Cramer-Rao error from the closed form above. Counts are read as
-    Python ints, whose sums neither wrap nor round."""
+    Python ints, whose sums neither wrap nor round, and a given q as
+    float(q)."""
     n_plus = int(counts.n_plus)
     n_pm = n_plus + int(counts.n_minus)
     if n_pm < 1:
         raise ValueError("all counts erased: no +/- outcomes to invert")
     shots = counts.shots
     kind = counts.kind
-    q = int(counts.n_erasure) / shots if kind is ChannelKind.ERASURE else counts.q
+    q = int(counts.n_erasure) / shots if kind is ChannelKind.ERASURE else float(counts.q)
     amplitude = kind.amplitude(q)
     if abs(amplitude) < 1e-15:
         raise ValueError(

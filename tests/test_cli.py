@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasure_sensing import __version__, cli
+from erasure_sensing import __version__, cli, clock
 from erasure_sensing.cli import main
 from erasure_sensing.clock import crb_floor
 from erasure_sensing.fisher import SingularFisherError
@@ -282,6 +282,30 @@ class TestScalingCommand:
         printed = [line for line in capsys.readouterr().out.splitlines() if "sigma" in line]
         assert len(printed) == 2
         assert printed[0].split()[-1] == printed[1].split()[-1]
+
+    def test_both_kinds_share_the_q_zero_run(self, tmp_path, capsys, monkeypatch):
+        # At q = 0 every kind has amplitude and survival 1, so `scaling
+        # --kind both` simulates that point once and gives it to both kinds.
+        calls = []
+        run_comparison = clock.run_comparison
+
+        def counted(config, *args, **kwargs):
+            calls.append(config.noise)
+            return run_comparison(config, *args, **kwargs)
+
+        monkeypatch.setattr(clock, "run_comparison", counted)
+        cfg = small_config(tmp_path)
+        for name, grid, runs in (("zero", [0.0, 0.2, 0.4], 5), ("no_zero", [0.1, 0.2, 0.4], 6)):
+            calls.clear()
+            assert main(["scaling", cfg, "--q-grid", ",".join(map(str, grid)), "--kind",
+                         "both", "--out", str(tmp_path / name)]) == 0
+            assert len(calls) == runs == 2 * len(grid) - (0.0 in grid)
+        rows = (tmp_path / "zero" / "scaling.csv").read_text().splitlines()
+        q, sig_e, err_e, sig_d, err_d = rows[1].split(",")
+        assert q == "0.0" and sig_e == sig_d and err_e == err_d
+        printed = capsys.readouterr().out.splitlines()
+        assert "erasure q 0.0 sigma " + sig_e in printed
+        assert "depolarizing q 0.0 sigma " + sig_d in printed
 
     def test_fit_summary_written_for_multi_point_grids(self, tmp_path, capsys):
         cfg = small_config(tmp_path, N0=250, cycles=1500, c_a=0.5, c_b=0.5)

@@ -170,18 +170,18 @@ class TestPerCycleStreams:
             assert np.array_equal(clock._cycle_keys(seed, lo, hi), expected)
 
     def test_shared_generator_draws_each_cycles_fresh_stream(self):
-        # Mixed draws leave the buffer and the cached 32-bit half in use,
-        # and the cycles cross a chunk of keys: every cycle must still
-        # start exactly where a fresh generator on its sequence starts.
-        def draws(gen):
-            words = gen.integers(2**32, size=3, dtype=np.uint32).tolist()
-            return gen.random(), words, gen.binomial(3000, 0.7)
-
-        seed, count = 20260823, clock._KEY_CHUNK + 2
-        for i, rng in clock._cycle_streams(seed, count):
-            if i >= count - 6:
-                ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-                assert draws(rng) == draws(np.random.Generator(np.random.Philox(ss)))
+        # run_comparison resets one generator per cycle. Each cycle leaves
+        # the generator's buffer part used, and the cycles cross a chunk of
+        # keys: every cycle must still draw exactly what the oracle's fresh
+        # generator on that cycle's sequence draws. Erasure loses atoms, so
+        # a cycle makes all five draws.
+        cfg = config(cycles=clock._KEY_CHUNK + 2, noise={"kind": "erasure", "q": 0.3},
+                     seed=20260823)
+        fast = run_comparison(cfg)
+        slow = oracles.run_comparison(cfg)
+        assert np.array_equal(fast.theta, [r.theta for r in slow])
+        assert np.array_equal(fast.x, [(r.x_a, r.x_b) for r in slow], equal_nan=True)
+        assert np.array_equal(fast.n, [(r.n_a, r.n_b) for r in slow])
 
     def test_cycle_results_independent_of_execution_order(self):
         cfg = config(cycles=200)

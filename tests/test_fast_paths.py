@@ -1,7 +1,7 @@
 """The stacked ellipse solver, the linear-time Allan jackknife, the cycle
-columns, the closed-form interrogation optimum, the Bloch-form quantum
-Fisher information, the float paths of the state chain, the Fisher
-information and the count inversion, and the validation of outcome
+columns, the cycles.csv writer, the closed-form interrogation optimum, the
+Bloch-form quantum Fisher information, the float paths of the state chain,
+the Fisher information and the count inversion, and the validation of outcome
 distributions and count records against the slow paths they replaced
 (tests/oracles.py), on random inputs and on the degenerate windows a batch
 must survive."""
@@ -11,12 +11,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from erasure_sensing import cli
 from erasure_sensing.clock import (
     ComparisonConfig,
+    CycleRecord,
     LaserPhaseModel,
     allan_deviation,
     optimize_interrogation,
@@ -64,6 +66,12 @@ counts = (
     | st.booleans()
     | st.integers(2**53 + 1, 2**60)
 )
+# Floats cycles.csv must write as repr writes them: both zeros, subnormals,
+# the largest floats, and any other finite value.
+written_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+    0.1, 1.0 / 3.0,
+]) | st.floats(allow_nan=False, allow_infinity=False)
 # Values each check must reject or pass unchanged: NaN, infinities,
 # negatives, -0.0, negatives within _NEGATIVE_TOL of zero and just past it,
 # non-integral floats, ints, bools, numpy scalars and huge ints.
@@ -247,6 +255,35 @@ class TestAgainstOracles:
             assert column.shape == expected.shape and column.dtype.kind == expected.dtype.kind
             assert np.array_equal(column, expected, equal_nan=True), name
 
+    @settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        pool=st.lists(written_floats, min_size=1, max_size=6),
+        rows=st.lists(st.tuples(*[st.integers(0, 5)] * 4, st.booleans()), max_size=40),
+        chunk=st.integers(1, 9),
+    )
+    @example(pool=[0.0, -0.0], chunk=3, rows=[(0, 1, 0, 7, True), (1, 0, 1, 3, True),
+                                              (1, 1, 0, 0, False), (0, 0, 1, 2, True)])
+    def test_cycles_csv(self, tmp_path, monkeypatch, pool, rows, chunk):
+        # The same bytes as one repr per number: values drawn from a small
+        # pool repeat within a chunk and across chunks, -0.0 stays apart
+        # from 0.0, an invalid cycle (a NaN fraction) is left out, and the
+        # chunks of cli._CSV_ROWS rows mostly do not divide the row count.
+        def pick(k):
+            return pool[k % len(pool)]
+
+        valid = np.array([ok for *_, ok in rows], dtype=bool)
+        x = np.array([(pick(a), pick(b)) for a, b, *_ in rows]).reshape(-1, 2)
+        x[~valid, 1] = np.nan
+        cycles = CycleRecord(
+            theta=np.array([pick(t) for _, _, t, *_ in rows], dtype=float), x=x,
+            n=np.array([(n, 2 * n) for *_, n, _ in rows], dtype=np.int64).reshape(-1, 2),
+            valid=valid,
+        )
+        monkeypatch.setattr(cli, "_CSV_ROWS", chunk)
+        cli._write_cycles_csv(tmp_path / "fast.csv", cycles)
+        oracles.write_cycles_csv(tmp_path / "slow.csv", cycles)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
     @PROPERTY
     @given(
         kind=st.sampled_from(list(ChannelKind)),
@@ -337,8 +374,8 @@ class TestAgainstOracles:
         # The same bits, or the same error with the same message, on each
         # count type a record accepts: the oracle record keeps the old
         # validation, and the oracle inversion reads the contract per call.
-        # The float32 q inverts in float32 but reads its information at
-        # float(q), as the closed form does.
+        # A q of any type is read once as float(q), so the float32 q inverts
+        # at the float64 value it holds, where its information is read too.
         n_plus, n_minus, n_erasure = counts
         if kind is not ChannelKind.ERASURE:
             n_erasure = 0
@@ -346,6 +383,14 @@ class TestAgainstOracles:
         slow_record = oracles.CountRecord(n_plus, n_minus, n_erasure, theta=theta, kind=kind, q=q)
         assert bits(record) == bits(slow_record)
         assert bits(outcome(mle_phase, record)) == bits(outcome(oracles.mle_phase, slow_record))
+
+    def test_mle_phase_reads_q_as_a_float(self):
+        # A float32 q inverts at float(q). Under numpy 2 a float32 amplitude
+        # would keep (2 p+ - 1) / amplitude in float32, 3.4e-8 rad off here.
+        record = CountRecord(600, 400, 0, theta=0.3, kind=ChannelKind.DEPHASING,
+                             q=np.float32(0.3))
+        as_float = dataclasses.replace(record, q=float(np.float32(0.3)))
+        assert bits(mle_phase(record)) == bits(mle_phase(as_float))
 
 
 def constructed(cls, *args, **kwargs):
