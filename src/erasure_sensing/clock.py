@@ -392,7 +392,9 @@ def allan_deviation(series, cycle_time: float) -> AllanResult:
     or 4096 samples, at the octaves that keep 16 or more blocks, the mean
     error is 0.88-1.01 of the Monte Carlo spread of sigma, and 0.90-0.95
     of the white-FM EDF spread (Riley, NIST SP 1065); at the two-halves
-    octaves it under-reads, at 0.56-0.76 of the spread.
+    octaves it under-reads, at 0.56-0.76 of the spread. Only octaves of 16
+    or more blocks are calibrated: the 20 windows of a default simulate of
+    the example config give m = 1 from 4 blocks, where it reads 0.73.
     The estimate reads one prefix sum of the series and one block sum of
     the squares per octave, so an octave costs O(n) and the whole result
     O(n log n). NaN entries (gap markers from failed fit windows) are

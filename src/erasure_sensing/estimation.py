@@ -176,12 +176,10 @@ _CHUNK = 256
 # A fit whose reduced scatter matrix has a middle eigenvalue per point (to a
 # factor of 3) at most this is rejected: a whole pencil of conics passes
 # through its points, as through four distinct points or four on a line plus
-# one, and the solve would return whichever one rounding picks. Rounding in
-# the scatter sums lifts a built pencil's statistic in proportion to its
-# number of points (up to ~1e-10 at 10^6), while real shapes read the same
-# at any number, so above _PENCIL_POINTS points the threshold grows with it.
+# one, and the solve would return whichever one rounding picks. It is flat:
+# real shapes read the same at any number of points, and with the BLAS
+# scatter product built pencils read at most ~2e-13 up to 2x10^6 points.
 _PENCIL = 1e-9
-_PENCIL_POINTS = 5e5
 
 # Points whose x-y correlation r has 1 - r^2 at or below this lie on a line
 # to working precision. Every conic through them fits, so the solve would
@@ -216,7 +214,7 @@ def _centred_rows(pts: np.ndarray):
 
 def _scatter(rows: np.ndarray) -> np.ndarray:
     """Scatter matrices D^T D of stacked design rows, shape (..., 6, 6)."""
-    return np.einsum("...ni,...nj->...ij", rows, rows)
+    return np.swapaxes(rows, -1, -2) @ rows
 
 
 def _centre_and_scale(coeffs: np.ndarray):
@@ -285,8 +283,7 @@ def _fit_conics(scatter: np.ndarray):
         u = m * w[:, :, None] * w[:, None, :]
         tr = np.trace(u, axis1=1, axis2=2)
         e2 = (tr * tr - np.einsum("kij,kji->k", u, u)) / 2.0
-        pencil = _PENCIL * np.maximum(1.0, n / _PENCIL_POINTS)
-        status[~((tr > 0.0) & (e2 > pencil * n * tr))] = 1
+        status[~((tr > 0.0) & (e2 > _PENCIL * n * tr))] = 1
         m[status == 1] = np.eye(3)
         reduced = np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1)
         eigvals, eigvecs = np.linalg.eig(reduced)
@@ -417,10 +414,10 @@ def phase_series_from_cycles(cycles, window: int) -> np.ndarray:
     Each window of `window` pairs produces one ellipse phase, fitted in that
     window's own frame, so it equals the window's ellipse_fit phase; windows
     whose fit is rejected are recorded as NaN gaps.
-    Every window's scatter matrix comes from one einsum and the fits are
-    solved as one stack, a chunk of windows at a time. Trailing cycles that
-    do not fill a window are ignored. Requires window >= 6, the degrees of
-    freedom of a conic, and at least two full windows of data.
+    Each chunk of windows gets its scatter matrices from one BLAS product
+    and its fits solved as one stack. Trailing cycles that do not fill a
+    window are ignored. Requires window >= 6, the degrees of freedom of a
+    conic, and at least two full windows of data.
     """
     pts = np.asarray(cycles, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:

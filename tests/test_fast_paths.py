@@ -522,6 +522,30 @@ class TestDegenerateWindows:
             with pytest.raises(EllipseFitError, match="collinear or repeated"):
                 ellipse_fit(pts)
 
+    def test_line_pair_is_not_an_ellipse(self):
+        # six points on the lines x = 0 and x = 1 fix the line pair x^2 - x,
+        # whose discriminant is zero: rounding tips it to either sign, and
+        # without the 1e-10 margin of status 3 it fits at pi/2
+        pts = np.array([[0, 0], [0, 5], [0, 3], [5, 0], [5, 2], [5, 3]]) / 5
+        with pytest.raises(EllipseFitError, match="degenerate or not elliptical"):
+            ellipse_fit(pts)
+        fast, _ = self.series_of(pts, window=6)
+        assert np.isnan(fast)
+
+    def test_near_collinear_points_have_no_real_elliptic_eigenpair(self):
+        # 22 points within ~3e-5 of a line: the only eigenpairs that read as
+        # elliptic are a complex pair, and without the 1e-8 test on their
+        # imaginary part the fit returns a phase near 7e-5
+        rng = np.random.default_rng(1139)
+        n = int(rng.integers(6, 60))
+        e = rng.uniform(2, 15)
+        t = rng.uniform(size=n)
+        pts = np.column_stack([t, 0.7 * t + 0.2]) + rng.normal(size=(n, 2)) * 10.0 ** -e
+        with pytest.raises(EllipseFitError, match="no elliptical solution"):
+            ellipse_fit(pts)
+        fast, _ = self.series_of(pts, window=n)
+        assert np.isnan(fast)
+
     def test_jackknife_drops_a_deletion_that_leaves_a_pencil(self):
         # five distinct points on an ellipse fix it; the fifth occurs once,
         # and deleting it leaves four, through which a pencil of conics passes
