@@ -9,8 +9,9 @@ excitation pairs), and `allan` (Allan deviation of a raw series).
 Every command writes a RunManifest into the output directory, atomically
 and after all other outputs, so a manifest is a success marker and a
 complete record for reproducing the run. Numeric output uses full
-round-trip precision. Exit codes: 0 success, 2 usage or config error,
-3 numerical singularity, 4 simulation degeneracy, 5 fit failure.
+round-trip precision. Exit codes (_EXIT_CODES): 0 success, 2 usage or
+config error, 3 numerical singularity, 4 simulation degeneracy, 5 fit
+failure.
 """
 
 from __future__ import annotations
@@ -43,11 +44,15 @@ from .fisher import (
 )
 from .states import ChannelKind
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_SINGULAR = 3
-EXIT_DEGENERATE = 4
-EXIT_FIT = 5
+# The exit code of each error main reports, the first matching class
+# winning, as the module docstring states it; any other exception propagates.
+_EXIT_CODES = (
+    (SingularFisherError, 3),
+    (SimulationDegeneracyError, 4),
+    (EllipseFitError, 5),
+    (ValueError, 2),
+    (OSError, 2),
+)
 
 OUTPUT_ENV_VAR = "ERASURE_SENSING_OUT"
 
@@ -145,6 +150,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A CSV of already-formatted cells: the header, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 # Rows of cycles.csv formatted at a time, so a long run is never held as
 # Python lists.
 _CSV_ROWS = 4096
@@ -205,10 +217,8 @@ def cmd_simulate(args, outdir: Path) -> dict:
     run = analyze_comparison(config, args.window)
 
     _write_cycles_csv(outdir / "cycles.csv", run.cycles)
-    with open(outdir / "phases.csv", "w", newline="") as fh:
-        fh.write("window,phi_d\n")
-        for k, value in enumerate(run.series):
-            fh.write(f"{k},{_fmt(value)}\n")
+    _write_csv(outdir / "phases.csv", ["window", "phi_d"],
+               ([str(k), _fmt(value)] for k, value in enumerate(run.series)))
     _write_json_atomic(outdir / "allan.json", run.allan.to_dict())
 
     print(f"sigma_one_window {_fmt(run.allan.sigmas[0])}")
@@ -255,16 +265,12 @@ def cmd_scaling(args, outdir: Path) -> dict:
                 ),
             }
 
-    with open(outdir / "scaling.csv", "w", newline="") as fh:
-        header = ["q"]
-        for kind in kinds:
-            header += [f"sigma_{kind.value}", f"err_{kind.value}"]
-        fh.write(",".join(header) + "\n")
-        for i, q in enumerate(grid):
-            row = [_fmt(q)]
-            for kind in kinds:
-                row += [_fmt(curves[kind][i].sigma), _fmt(curves[kind][i].sigma_err)]
-            fh.write(",".join(row) + "\n")
+    header, rows = ["q"], [[_fmt(q)] for q in grid]
+    for kind in kinds:
+        header += [f"sigma_{kind.value}", f"err_{kind.value}"]
+        for row, p in zip(rows, curves[kind]):
+            row += [_fmt(p.sigma), _fmt(p.sigma_err)]
+    _write_csv(outdir / "scaling.csv", header, rows)
     _write_json_atomic(outdir / "scaling_fit.json", fits)
 
     for kind in kinds:
@@ -291,13 +297,12 @@ def cmd_optimize(args, outdir: Path) -> dict:
     grid = sorted(_parse_grid(args.dead_time_grid, "--dead-time-grid"))
     curve = erasure_conversion_gain_curve(args.gamma, grid)
 
-    with open(outdir / "optimize.csv", "w", newline="") as fh:
-        fh.write("T_d,T_c_star_depolarizing,T_c_star_erasure,gain\n")
-        for point in curve:
-            fh.write(
-                f"{_fmt(point.t_d)},{_fmt(point.t_c_star_depolarizing)},"
-                f"{_fmt(point.t_c_star_erasure)},{_fmt(point.gain)}\n"
-            )
+    _write_csv(
+        outdir / "optimize.csv",
+        ["T_d", "T_c_star_depolarizing", "T_c_star_erasure", "gain"],
+        ([_fmt(p.t_d), _fmt(p.t_c_star_depolarizing), _fmt(p.t_c_star_erasure), _fmt(p.gain)]
+         for p in curve),
+    )
     for point in curve:
         print(f"{_fmt(point.t_d)} {_fmt(point.gain)}")
     return {
@@ -457,19 +462,10 @@ def main(argv=None) -> int:
         outdir = _resolve_outdir(args.out)
         record = args.func(args, outdir)
         _write_manifest(outdir, args.subcommand, started, **record)
-        return EXIT_OK
-    except SingularFisherError as exc:
+        return 0
+    except tuple(error for error, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except SimulationDegeneracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except EllipseFitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
 
 
 if __name__ == "__main__":

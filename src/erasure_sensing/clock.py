@@ -120,7 +120,9 @@ class ComparisonConfig:
     interrogation and dead times; c_a and c_b are the base fringe contrasts
     before noise. With shot_noise False the excitation fractions are the
     exact Born probabilities (the infinite-atom limit used by deterministic
-    tests). The JSON form keeps every field explicit; see from_dict.
+    tests). The six real fields are kept as Python floats, whatever number
+    type they are given as. The JSON form keeps every field explicit; see
+    from_dict.
     """
 
     phi_d: float
@@ -162,6 +164,8 @@ class ComparisonConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not isinstance(self.shot_noise, bool):
             raise ValueError("shot_noise must be a boolean")
+        for name in ("phi_d", "t_c", "t_d", "f0", "c_a", "c_b"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def cycle_time(self) -> float:

@@ -71,11 +71,6 @@ class CountRecord:
             if not 0.0 <= q <= 1.0:
                 raise ValueError("q must lie in [0, 1]")
 
-    @property
-    def shots(self) -> int:
-        # Python ints: numpy integer counts would wrap past 2^63
-        return int(self.n_plus) + int(self.n_minus) + int(self.n_erasure)
-
 
 @dataclass(frozen=True)
 class PhaseEstimate:
@@ -94,11 +89,12 @@ def mle_phase(counts: CountRecord) -> PhaseEstimate:
     A the channel's fringe amplitude at strength q. For erasure q is the
     observed erased fraction and A = 1: erased atoms carry no signal and
     are dropped. For depolarizing and dephasing q is the known strength
-    counts.q, read once as float(q) for the inversion and the information
-    alike. Arguments outside [-1, 1] are clamped and flagged. The
-    returned phase is the branch theta <= phi_hat <= theta + pi (so it lies
-    in [0, pi] for theta = 0); the standard error is 1 / sqrt(shots * F)
-    with F the channel's analytic Fisher information at the estimate.
+    counts.q. Counts are read as Python ints and theta and q as Python
+    floats (q once, for the inversion and the information alike), so no
+    numpy type sets their range or precision. Arguments outside [-1, 1] are
+    clamped and flagged. The returned phase is the branch theta <= phi_hat
+    <= theta + pi (in [0, pi] for theta = 0); the standard error is
+    1 / sqrt(shots * F), F the channel's analytic Fisher information there.
 
     Raises ValueError when the parameter is unidentifiable (depolarizing
     q = 1, dephasing q = 1/2) or when every atom was erased.
@@ -124,7 +120,7 @@ def mle_phase(counts: CountRecord) -> PhaseEstimate:
     if clamped:
         raw = 1.0 if raw > 0.0 else -1.0
     delta_hat = math.acos(raw)
-    phi_hat = counts.theta + delta_hat
+    phi_hat = float(counts.theta) + delta_hat
 
     info = _channel_fisher(kind.survival(q), amplitude, delta_hat)
     stderr = 1.0 / math.sqrt(shots * info) if info > 0.0 else math.inf
@@ -299,8 +295,8 @@ def _fit_conics(scatter: np.ndarray):
         cost = np.where(real & elliptic & (cost < np.inf), cost, np.inf)
         best = np.argmin(cost, axis=1)
         coeffs = a6[rows, best]
-        none = ~(cost[rows, best] < np.inf) | ~np.isfinite(coeffs).all(axis=1)
-        status[(status == 0) & none] = 2
+        # a non-finite candidate has a NaN cost, set to inf above
+        status[(status == 0) & ~(cost[rows, best] < np.inf)] = 2
 
         a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
         # with unit norm and A >= 0, this also rejects A <= 0 or C <= 0

@@ -76,9 +76,9 @@ class NoiseChannel:
     fixed error probability q or as a rate gamma from which
     q(T_c) = kind.strength(gamma * T_c) is derived.
 
-    Exactly one of `q` and `gamma` must be set, and kind must be a
-    ChannelKind (a name string is rejected). The dephasing channel
-    scales coherences by (1 - 2q), so a q-specified dephasing contrast is
+    Exactly one of `q` and `gamma` must be set, and is kept as a Python
+    float; kind must be a ChannelKind (a name string is rejected). The
+    dephasing channel scales coherences by (1 - 2q), so its contrast is
     symmetric under q -> 1 - q and vanishes at q = 1/2; a rate never takes
     q past 1/2, so rate-gamma dephasing decays as e^{-gamma T_c}.
     """
@@ -96,6 +96,8 @@ class NoiseChannel:
             raise ValueError("gamma must be finite and non-negative")
         if not isinstance(self.kind, ChannelKind):
             raise ValueError(f"kind must be a ChannelKind, not {self.kind!r}")
+        name = "q" if self.gamma is None else "gamma"
+        object.__setattr__(self, name, float(getattr(self, name)))
 
     def strength(self, t_c: float) -> float:
         """Error probability for one interrogation of duration t_c: the

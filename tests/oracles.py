@@ -382,10 +382,6 @@ class CountRecord:
             if not 0.0 <= self.q <= 1.0:
                 raise ValueError("q must lie in [0, 1]")
 
-    @property
-    def shots(self):
-        return int(self.n_plus) + int(self.n_minus) + int(self.n_erasure)
-
 
 def outcome_model(kind, q, theta):
     """phi -> OutcomeDistribution: |+>, a phase phi, the channel at
@@ -465,13 +461,13 @@ def fisher_information(kind, q, delta):
 def mle_phase(counts):
     """Count inversion cos(phi - theta) = (2 p+ - 1) / A, clamped, with the
     Cramer-Rao error from the closed form above. Counts are read as
-    Python ints, whose sums neither wrap nor round, and a given q as
-    float(q)."""
+    Python ints, whose sums neither wrap nor round, and theta and a given
+    q as float(theta) and float(q)."""
     n_plus = int(counts.n_plus)
     n_pm = n_plus + int(counts.n_minus)
     if n_pm < 1:
         raise ValueError("all counts erased: no +/- outcomes to invert")
-    shots = counts.shots
+    shots = n_pm + int(counts.n_erasure)
     kind = counts.kind
     q = int(counts.n_erasure) / shots if kind is ChannelKind.ERASURE else float(counts.q)
     amplitude = kind.amplitude(q)
@@ -485,4 +481,4 @@ def mle_phase(counts):
     info = fisher_information(kind, q, delta_hat)
     stderr = 1.0 / math.sqrt(shots * info) if info > 0.0 else math.inf
     return PhaseEstimate(
-        phi_hat=counts.theta + delta_hat, stderr=stderr, clamped=abs(raw) > 1.0)
+        phi_hat=float(counts.theta) + delta_hat, stderr=stderr, clamped=abs(raw) > 1.0)

@@ -134,6 +134,20 @@ class TestConfigParsing:
         assert list(data) == list(clock._SCHEMA)
         assert ComparisonConfig.from_dict(data).n0 == data["N0"]
 
+    def test_float32_fields_run_as_floats(self):
+        # Under numpy 2 a float32 field would keep the fringe in float32: the
+        # Born fractions would come out 3-8e-8 off the run of the same values
+        # given as Python floats.
+        reals = {"phi_d": 1.0, "t_c": 0.7, "t_d": 0.2, "f0": 1.3, "c_a": 0.9, "c_b": 0.8}
+        base = config(shot_noise=False, cycles=50)
+        for kind, strength in ((ChannelKind.DEPOLARIZING, "q"), (ChannelKind.DEPHASING, "q"),
+                               (ChannelKind.DEPHASING, "gamma")):
+            def run(cast):
+                return run_comparison(replace(
+                    base, **{k: cast(np.float32(v)) for k, v in reals.items()},
+                    noise=NoiseChannel(kind, **{strength: cast(np.float32(0.3))})))
+            assert same_cycles(run(np.float32), run(float))
+
     def test_rate_specified_noise_accepted(self):
         cfg = config(noise={"kind": "dephasing", "gamma": 0.25}, T_c=2.0)
         # rate-gamma dephasing is a T2 decay: Z-flip probability

@@ -16,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,

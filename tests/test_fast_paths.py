@@ -392,6 +392,14 @@ class TestAgainstOracles:
         as_float = dataclasses.replace(record, q=float(np.float32(0.3)))
         assert bits(mle_phase(record)) == bits(mle_phase(as_float))
 
+    def test_mle_phase_reads_theta_as_a_float(self):
+        # A float32 theta would keep phi_hat = theta + delta_hat in float32,
+        # 3.2e-9 rad off here.
+        record = CountRecord(600, 400, 0, theta=np.float32(0.3), kind=ChannelKind.DEPHASING,
+                             q=0.3)
+        as_float = dataclasses.replace(record, theta=float(np.float32(0.3)))
+        assert bits(mle_phase(record)) == bits(mle_phase(as_float))
+
 
 def constructed(cls, *args, **kwargs):
     """The bits of the fields cls(*args, **kwargs) stores, or the type and
@@ -521,6 +529,17 @@ class TestDegenerateWindows:
         ):
             with pytest.raises(EllipseFitError, match="collinear or repeated"):
                 ellipse_fit(pts)
+
+    def test_rounded_line_is_collinear(self):
+        # 34 points on a line of slope -1.1385, which rounds in floats: the
+        # pencil test misses them, and without _COLLINEAR the fitted conic
+        # is rejected as "degenerate or not elliptical" instead
+        rng = np.random.default_rng(0)
+        n = int(rng.integers(6, 40))
+        t = rng.uniform(size=n)
+        a, b = rng.uniform(-3, 3), rng.uniform(-1, 1)
+        with pytest.raises(EllipseFitError, match="degenerate point configuration"):
+            ellipse_fit(np.column_stack([t, a * t + b]))
 
     def test_line_pair_is_not_an_ellipse(self):
         # six points on the lines x = 0 and x = 1 fix the line pair x^2 - x,
