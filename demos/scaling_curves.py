@@ -31,9 +31,9 @@ with open(BASE) as fh:
 base = replace(base, cycles=20_000)  # reduced from 120k for demo turnaround
 
 grid = [0.0, 0.2, 0.4, 0.6, 0.8]
-curves = {}
-for kind in (ChannelKind.ERASURE, ChannelKind.DEPOLARIZING):
-    curves[kind] = instability_vs_error_rate(base, grid, kind, window=100)
+curves = instability_vs_error_rate(
+    base, grid, (ChannelKind.ERASURE, ChannelKind.DEPOLARIZING), window=100
+)
 
 print(f"{'q':>5} {'sigma(erasure)':>15} {'sigma(depol)':>14} {'depol/erasure':>14}")
 for i, q in enumerate(grid):

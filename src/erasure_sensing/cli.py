@@ -240,16 +240,9 @@ def cmd_scaling(args, outdir: Path) -> dict:
     kinds = _SCALING_KINDS if args.kind == "both" else (ChannelKind(args.kind),)
     grid = sorted(_parse_grid(args.q_grid, "--q-grid"))
 
-    curves = {}
+    curves = instability_vs_error_rate(base, grid, kinds, window=args.window)
     fits = {}
-    shared = []
-    for kind in kinds:
-        # A run reads its channel only through (amplitude, survival), which
-        # is (1, 1) for every kind at q = 0: the first kind's run serves all.
-        rest = grid[len(shared):]
-        points = shared + instability_vs_error_rate(base, rest, kind, window=args.window)
-        shared = points[:1] if grid[0] == 0.0 else []
-        curves[kind] = points
+    for kind, points in curves.items():
         if len(points) >= 3:
             exponent, stderr, sigma0 = fit_loglog_exponent(
                 [p.q for p in points], [p.sigma for p in points]

@@ -16,12 +16,12 @@ path from a config to its Allan deviation, for `simulate` and for scaling.
 Determinism contract: cycle i draws, in a documented order
 (run_comparison), from its own counter-based stream
 Philox(SeedSequence(entropy=seed, spawn_key=(i,))), so results are
-bit-identical for a given config; the threads arguments and flags are
-accepted but change nothing. The simulator does not build those sequences:
-it derives their Philox keys in vectorized chunks from numpy's pool for
-SeedSequence(seed) and one index word per cycle (_cycle_keys), and
-run_comparison's loop re-keys one generator per cycle, which yields the
-same bits.
+bit-identical for a given config. The simulator does not build those
+sequences: it derives their Philox keys in vectorized chunks from numpy's
+pool for SeedSequence(seed) and one index word per cycle (_cycle_keys),
+and run_comparison's loop re-keys one generator per cycle, which yields
+the same bits. A run reads its channel only through (amplitude(q),
+survival(q)), so a scaling sweep simulates each distinct pair once.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def _cycle_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def run_comparison(config: ComparisonConfig, threads: int = 1) -> CycleRecord:
+def run_comparison(config: ComparisonConfig) -> CycleRecord:
     """Simulate every cycle of the comparison into a CycleRecord.
 
     Cycle i draws from Philox(SeedSequence(entropy=seed, spawn_key=(i,))),
@@ -271,8 +271,9 @@ def run_comparison(config: ComparisonConfig, threads: int = 1) -> CycleRecord:
     then b, survivors ~ Binomial(N0, survival) if the channel loses atoms,
     and excitations ~ Binomial(survivors, p) with shot noise and
     survivors > 0. Without shot noise a fraction is the Born probability p
-    itself. At q = 0 every channel has amplitude and survival 1, so all
-    three kinds draw alike and their noiseless runs are equal.
+    itself. The channel enters only as (amplitude, survival), so channels
+    with equal pairs give equal runs: every kind at q = 0, where the pair
+    is (1, 1), and depolarizing at 2q beside dephasing at q.
 
     One Philox generator serves every cycle: before each it is reset to the
     state a fresh Philox on that cycle's sequence starts in (counter 0,
@@ -280,9 +281,6 @@ def run_comparison(config: ComparisonConfig, threads: int = 1) -> CycleRecord:
     each cycle's generator from its sequence. The keys come from
     _cycle_keys a chunk at a time, so memory stays bounded for any count.
     A cycle index is one 32-bit spawn word, so cycles is at most 2^32.
-
-    threads is accepted for compatibility and changes nothing: the loop
-    holds the GIL, and a thread pool over it measured no faster.
     """
     q = config.noise.strength(config.t_c)
     kind = config.noise.kind
@@ -513,27 +511,31 @@ class ScalingPoint:
 
 
 def instability_vs_error_rate(
-    base: ComparisonConfig,
-    q_grid,
-    kind: ChannelKind,
-    window: int = 100,
-    threads: int = 1,
-) -> list[ScalingPoint]:
-    """Fractional instability at the one-window averaging time versus q.
+    base: ComparisonConfig, q_grid, kinds, window: int = 100
+) -> dict[ChannelKind, list[ScalingPoint]]:
+    """Fractional instability at the one-window averaging time versus q,
+    for each channel kind: {kind: [ScalingPoint per q]} in the order given.
 
     For each q the base config is rerun through analyze_comparison (same
     seed, so curves for different q and different channels share their
     random numbers) and the tau-one-window Allan point with its jackknife
-    error is reported. The differential sqrt(2) penalty is implicit: both
-    ensembles carry independent projection noise. threads is accepted for
-    compatibility and changes nothing (see run_comparison).
+    error is reported. A run reads its channel only through
+    (kind.amplitude(q), kind.survival(q)), so each distinct pair is
+    simulated once and serves every (kind, q) that repeats it. The
+    differential sqrt(2) penalty is implicit: both ensembles carry
+    independent projection noise.
 
-    Raises ValueError, before any simulation, if a grid entry lies outside
+    Raises ValueError, before any simulation, if kinds is empty, repeats a
+    kind or holds anything but a ChannelKind, if a grid entry lies outside
     [0, 0.95] or repeats another, or if the base config has no shot noise
     (every window phase is then exact, so each sigma is fit rounding);
     SimulationDegeneracyError if more than 10% of cycles are invalid, and
     EllipseFitError if more than 10% of the fit windows fail.
     """
+    kinds = list(kinds)
+    if (not kinds or not all(isinstance(k, ChannelKind) for k in kinds)
+            or len(set(kinds)) < len(kinds)):
+        raise ValueError(f"kinds must be one or more distinct ChannelKind members, got {kinds}")
     if not base.shot_noise:
         raise ValueError("a scaling curve needs shot_noise: without it each sigma is fit rounding")
     qs = [float(q) for q in q_grid]
@@ -542,12 +544,17 @@ def instability_vs_error_rate(
             raise ValueError(f"q_grid entries must lie in [0, 0.95], got {q}")
     if len(set(qs)) != len(qs):
         raise ValueError("q_grid entries must be distinct")
-    points = []
-    for q in qs:
-        cfg = replace(base, noise=NoiseChannel(kind, q=q))
-        allan = analyze_comparison(cfg, window).allan
-        points.append(ScalingPoint(q=q, sigma=allan.sigmas[0], sigma_err=allan.errors[0]))
-    return points
+    runs = {}  # (amplitude, survival) -> (sigma, error) of its one run
+    curves = {kind: [] for kind in kinds}
+    for kind, points in curves.items():
+        for q in qs:
+            pair = (kind.amplitude(q), kind.survival(q))
+            if pair not in runs:
+                cfg = replace(base, noise=NoiseChannel(kind, q=q))
+                allan = analyze_comparison(cfg, window).allan
+                runs[pair] = allan.sigmas[0], allan.errors[0]
+            points.append(ScalingPoint(q, *runs[pair]))
+    return curves
 
 
 def _positive_sigmas(sigmas) -> np.ndarray:

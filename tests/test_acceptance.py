@@ -159,11 +159,13 @@ def test_5_instability_scaling_with_error_rate():
                       differential=True)
     slopes = {}
     violations = 0
+    kinds = (ChannelKind.ERASURE, ChannelKind.DEPOLARIZING)
+    curves = instability_vs_error_rate(base, grid, kinds, window=100)
     for kind, band, pen_power in (
         (ChannelKind.ERASURE, (-0.55, -0.45), 0.5),
         (ChannelKind.DEPOLARIZING, (-1.1, -0.9), 1.0),
     ):
-        points = instability_vs_error_rate(base, grid, kind, window=100, threads=4)
+        points = curves[kind]
         slope, stderr, _ = fit_loglog_exponent([p.q for p in points],
                                                [p.sigma for p in points])
         slopes[kind.value] = (slope, stderr, band)
@@ -178,11 +180,9 @@ def test_5_instability_scaling_with_error_rate():
     diffs = []
     for seed in range(1000, 1012):
         cfg = replace(base, seed=seed, cycles=20_000)
-        era = instability_vs_error_rate(cfg, [0.39], ChannelKind.ERASURE, window=100,
-                                        threads=4)[0].sigma
-        dep = instability_vs_error_rate(cfg, [0.39], ChannelKind.DEPOLARIZING,
-                                        window=100, threads=4)[0].sigma
-        diffs.append(dep - era)
+        paired = instability_vs_error_rate(cfg, [0.39], kinds, window=100)
+        diffs.append(paired[ChannelKind.DEPOLARIZING][0].sigma
+                     - paired[ChannelKind.ERASURE][0].sigma)
     diffs = np.asarray(diffs)
     t_stat = float(diffs.mean() / (diffs.std(ddof=1) / math.sqrt(len(diffs))))
     t_crit_99 = 2.718  # one-sided, 11 degrees of freedom
@@ -241,7 +241,7 @@ def test_7_differential_phase_recovery():
         phi_d=1.0, N0=1000, T_c=1.0, T_d=0.0, f0=1.0, cycles=2000,
         noise={"kind": "erasure", "q": 0.0}, c_a=1.0, c_b=1.0,
         laser_phase_model="UniformRandomPerCycle", seed=1, shot_noise=True))
-    pts = valid_pairs(run_comparison(cfg, threads=4))
+    pts = valid_pairs(run_comparison(cfg))
     phi_hat, jk = ellipse_phase_jackknife(pts)
     z = abs(phi_hat - 1.0) / jk
 

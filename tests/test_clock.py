@@ -197,12 +197,6 @@ class TestPerCycleStreams:
         assert np.array_equal(fast.x, [(r.x_a, r.x_b) for r in slow], equal_nan=True)
         assert np.array_equal(fast.n, [(r.n_a, r.n_b) for r in slow])
 
-    def test_cycle_results_independent_of_execution_order(self):
-        cfg = config(cycles=200)
-        serial = run_comparison(cfg, threads=1)
-        threaded = run_comparison(cfg, threads=4)
-        assert same_cycles(serial, threaded)
-
     def test_repeat_runs_identical(self):
         cfg = config(cycles=150)
         assert same_cycles(run_comparison(cfg), run_comparison(cfg))
@@ -224,6 +218,13 @@ class TestPerCycleStreams:
             runs[kind] = run_comparison(config(noise={"kind": kind, "q": 0.0}, cycles=120))
         assert same_cycles(runs["erasure"], runs["depolarizing"])
         assert same_cycles(runs["depolarizing"], runs["dephasing"])
+        # depolarizing at 2q and dephasing at q share the amplitude 1 - 2q
+        # and survival 1, so they draw alike too
+        depolarizing, dephasing = (
+            run_comparison(config(noise={"kind": kind, "q": q}, cycles=120))
+            for kind, q in (("depolarizing", 0.4), ("dephasing", 0.2))
+        )
+        assert same_cycles(depolarizing, dephasing)
 
 
 class TestCycleModel:
@@ -251,7 +252,7 @@ class TestCycleModel:
 
     def test_mean_survivors_within_binomial_band(self):
         cfg = config(N0=1000, cycles=10_000, noise={"kind": "erasure", "q": 0.3})
-        stats = comparison_stats(run_comparison(cfg, threads=4), cfg.n0)
+        stats = comparison_stats(run_comparison(cfg), cfg.n0)
         # per cycle n ~ Binomial(1000, 0.7); the run mean carries
         # SEM = sqrt(1000 * 0.3 * 0.7 / cycles)
         band = 3.0 * math.sqrt(1000 * 0.3 * 0.7 / 10_000)
@@ -265,7 +266,7 @@ class TestCycleModel:
         gamma = -math.log(0.61) / 8.0
         cfg = config(N0=2000, cycles=600, T_c=8.0, seed=1,
                      noise={"kind": kind, "gamma": gamma})
-        res = ellipse_fit(valid_pairs(run_comparison(cfg, threads=4)))
+        res = ellipse_fit(valid_pairs(run_comparison(cfg)))
         assert res.contrast_a == pytest.approx(0.61, abs=0.006)
         assert res.contrast_b == pytest.approx(0.61, abs=0.006)
 
@@ -429,7 +430,7 @@ class TestFloorsAndFits:
         # ellipse readout is slightly inefficient, so the measured one-window
         # instability lands a little above (never below) the projection floor
         cfg = config(N0=500, cycles=10_000, seed=2)
-        results = run_comparison(cfg, threads=4)
+        results = run_comparison(cfg)
         series = phase_series_from_cycles(valid_pairs(results), window=100)
         phase_sigma = allan_deviation(series, cycle_time=100.0 * cfg.cycle_time).sigmas[0]
         sigma = phase_sigma / (2.0 * math.pi * cfg.t_c * cfg.f0)
@@ -474,7 +475,8 @@ class TestFloorsAndFits:
 
     def test_scaling_curve_smoke(self):
         cfg = config(N0=400, cycles=3000, c_a=0.5, c_b=0.5, seed=9)
-        points = instability_vs_error_rate(cfg, [0.0, 0.75], ChannelKind.ERASURE, window=100)
+        points = instability_vs_error_rate(cfg, [0.0, 0.75], [ChannelKind.ERASURE],
+                                           window=100)[ChannelKind.ERASURE]
         assert [p.q for p in points] == [0.0, 0.75]
         assert all(p.sigma > 0.0 and p.sigma_err > 0.0 for p in points)
         # losing 3/4 of the atoms must cost stability (expected ratio 2x)
@@ -483,13 +485,40 @@ class TestFloorsAndFits:
     def test_whole_q_grid_checked_before_simulating(self, monkeypatch):
         runs = []
         monkeypatch.setattr(clock, "run_comparison", lambda *a, **k: runs.append(a))
+        erasure = [ChannelKind.ERASURE]
         with pytest.raises(ValueError, match="0.99"):
-            instability_vs_error_rate(config(), [0.0, 0.3, 0.99], ChannelKind.ERASURE)
+            instability_vs_error_rate(config(), [0.0, 0.3, 0.99], erasure)
         with pytest.raises(ValueError, match="distinct"):
-            instability_vs_error_rate(config(), [0.0, 0.3, 0.3], ChannelKind.ERASURE)
+            instability_vs_error_rate(config(), [0.0, 0.3, 0.3], erasure)
         with pytest.raises(ValueError, match="shot_noise"):
-            instability_vs_error_rate(config(shot_noise=False), [0.0, 0.3], ChannelKind.ERASURE)
+            instability_vs_error_rate(config(shot_noise=False), [0.0, 0.3], erasure)
+        for kinds in ([], erasure * 2, [ChannelKind.ERASURE, "erasure"]):
+            with pytest.raises(ValueError, match="distinct ChannelKind"):
+                instability_vs_error_rate(config(), [0.0, 0.3], kinds)
         assert runs == []
+
+    def test_sweep_simulates_each_contract_pair_once(self, monkeypatch):
+        # depolarizing and dephasing share (1, 1) at q = 0 and (0.6, 1) at
+        # depolarizing 0.4 and dephasing 0.2: four distinct pairs in six
+        # points, and each kind's curve is the one a sweep of it alone gives
+        cfg = config(N0=400, cycles=1000, c_a=0.5, c_b=0.5, seed=9)
+        grid = [0.0, 0.2, 0.4]
+        kinds = [ChannelKind.DEPOLARIZING, ChannelKind.DEPHASING]
+        alone = {kind: instability_vs_error_rate(cfg, grid, [kind])[kind] for kind in kinds}
+        runs = []
+        run_comparison = clock.run_comparison
+
+        def counted(config):
+            runs.append(config.noise)
+            return run_comparison(config)
+
+        monkeypatch.setattr(clock, "run_comparison", counted)
+        curves = instability_vs_error_rate(cfg, grid, kinds)
+        assert len(runs) == 4
+        assert list(curves) == kinds
+        for kind in kinds:
+            assert [p.q for p in curves[kind]] == grid
+            assert curves[kind] == alone[kind]
 
     def test_scaling_exponents_do_not_depend_on_the_units(self):
         # T_c f0 only divides every sigma, so the exponents are the same at
@@ -497,7 +526,8 @@ class TestFloorsAndFits:
         exponents = []
         for t_c in (1.0, 1e160):
             cfg = config(N0=400, cycles=3000, c_a=0.5, c_b=0.5, seed=9, T_c=t_c)
-            points = instability_vs_error_rate(cfg, [0.0, 0.4, 0.8], ChannelKind.ERASURE)
+            points = instability_vs_error_rate(cfg, [0.0, 0.4, 0.8],
+                                               [ChannelKind.ERASURE])[ChannelKind.ERASURE]
             exponents.append(fit_loglog_exponent([p.q for p in points],
                                                  [p.sigma for p in points])[0])
         assert exponents[1] == pytest.approx(exponents[0], rel=1e-10)
