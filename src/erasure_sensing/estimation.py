@@ -8,7 +8,10 @@ ellipse-constrained least-squares conic (constraint 4AC - B^2 = 1, solved as
 a generalized eigenproblem on the scatter matrix) and reads the differential
 phase off the cross term, cos(phi_d) = -B / (2 sqrt(AC)). Every fit needs
 at least six points, the degrees of freedom of a conic, not on a line and
-not all on every conic of a pencil.
+not all on every conic of a pencil. Its 3x3 eigenproblem is solved in
+closed form (the roots of a cubic and the cross products of two rows) where
+its roots are real, set apart and clear of zero, and by LAPACK elsewhere:
+noiseless arcs, near-degenerate point sets and non-finite rows.
 """
 
 from __future__ import annotations
@@ -182,6 +185,28 @@ _PENCIL = 1e-9
 # return whichever one rounding picks; such a fit is rejected instead.
 _COLLINEAR = 1e-12
 
+# A fit's reduced problem m a = lam K a, with K the ellipse constraint
+# 4AC - B^2 = a^T K a on the quadratic part a = (A, B, C), is solved in
+# closed form (_pencil_eig) where that is certified. m is the quadratic
+# block s1 of the scatter matrix less a Schur term, and rounds at the scale
+# of s1, so the roots are judged against the trace of s1: they must lie more
+# than _ROOT_GAP of it apart, so that each has a well-conditioned null
+# vector, and more than _ROOT_FLOOR of it from zero, so that m is positive
+# definite past rounding. Every other fit goes to LAPACK: complex or
+# near-repeated roots, a near-singular m (noiseless arcs, line pairs,
+# near-collinear points) and non-finite rows. Shot-noise fits read at least
+# ~4e-4 and ~4e-6; the suite's degenerate sets (a line pair, an N0 2 window
+# through five lattice points) at most ~2e-9 and ~1e-9.
+_ROOT_GAP = 1e-6
+_ROOT_FLOOR = 1e-7
+
+# Root j of the cubic's trigonometric solution is at angle theta - 2 pi j / 3.
+_THIRDS = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
+
+# The indices of a symmetric 3x3 matrix's six distinct entries, in the order
+# _adjugate takes and returns them.
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
 # Why a fit is rejected, by the status code _fit_conics gives it.
 _REJECTED = {
     1: "no ellipse: degenerate point configuration (collinear or repeated, or a pencil)",
@@ -228,10 +253,111 @@ def _centre_and_scale(coeffs: np.ndarray):
     return cx, cy, -value_at_center * 4.0 * a * c / det
 
 
+def _acos(x: np.ndarray) -> np.ndarray:
+    """arccos of each element by math.acos: numpy's float64 arccos follows
+    its SIMD dispatch, so its last bit depends on the CPU. NaN stays NaN."""
+    return np.fromiter(map(math.acos, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _phase(coeffs: np.ndarray) -> np.ndarray:
     """Differential phase in [0, pi] from cos(phi_d) = -B / (2 sqrt(AC))."""
     a, b, c = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
-    return np.arccos(np.clip(-b / (2.0 * np.sqrt(a * c)), -1.0, 1.0))
+    return _acos(np.clip(-b / (2.0 * np.sqrt(a * c)), -1.0, 1.0))
+
+
+def _adjugate(x00, x01, x02, x11, x12, x22):
+    """The six distinct entries (00, 01, 02, 11, 12, 22) of the adjugate of
+    the symmetric 3x3 matrices with these entries: row i of the adjugate is
+    the cross product of rows i + 1 and i + 2 (mod 3)."""
+    return (
+        x11 * x22 - x12 * x12, x12 * x02 - x01 * x22, x01 * x12 - x02 * x11,
+        x00 * x22 - x02 * x02, x01 * x02 - x00 * x12, x00 * x11 - x01 * x01,
+    )
+
+
+def _pencil_eig(m, xx, yy, xy, scale):
+    """Closed-form eigenvectors of the reduced problems m a = lam K a.
+
+    m is (k, 3, 3), symmetric; xx, yy and xy are the second moments of each
+    fit's points, and scale the trace of the scatter block that m was
+    reduced from, the scale at which m rounds. Each problem is solved in its
+    points' principal axes: the rotation of the conic onto them keeps
+    4AC - B^2, so it is a matrix Q with Q^T K Q = K, and m' = Q^T m Q has the
+    same roots with vectors a = Q a'. There the monomials of a thin ellipse
+    are not near collinear, nor is m' near rank one, where cross products
+    lose their accuracy. The roots are those of det(m' - lam K), the cubic
+    of K^-1 m': with s its mean root and y = lam - s, y^3 + p y + q = 0,
+    solved in the trigonometric form y = 2 rho cos(theta - 2 pi j / 3),
+    rho = sqrt(-p / 3), descending in j. The vector of a root is the longest
+    cross product of two rows of m' - lam K (Kopp, "Efficient numerical
+    diagonalization of hermitian 3x3 matrices", 2008). p and q round at the
+    scale of m's entries, so a root far below them, as of a near-noiseless
+    fit, is taken on to the Rayleigh quotient a^T m' a / a^T K a of its
+    vector, accurate at the scale of the root, and its vector found again.
+
+    Returns the vectors, shape (k, 3, 3) with root j's in row j, and whether
+    each fit is certified (_ROOT_GAP, _ROOT_FLOOR): the vectors of the others
+    are not to be used. Cubes are written as products and angles found by
+    square roots or math.acos, so no bit follows numpy's SIMD dispatch.
+    """
+    # cosine and sine of the principal-axis angle, from its double angle
+    r = np.sqrt((xx - yy) * (xx - yy) + 4.0 * xy * xy)
+    c2 = np.where(r > 0.0, (xx - yy) / r, 1.0)
+    cos, sin = np.sqrt((1.0 + c2) / 2.0), np.copysign(np.sqrt((1.0 - c2) / 2.0), xy)
+    cc, cs, ss = cos * cos, cos * sin, sin * sin
+    rot = np.stack([cc, -cs, ss, 2.0 * cs, cc - ss, -2.0 * cs, ss, cs, cc], axis=1)
+    rot = rot.reshape(-1, 3, 3)
+    m = np.swapaxes(rot, 1, 2) @ m @ rot
+    m00, m01, m02, m11, m12, m22 = (m[:, i, j] for i, j in _UPPER)
+    # K^-1 m - s I is [[d, m12/2, m22/2], [-m01, -2d, -m12], [m00/2, m01/2, d]]
+    s = (m02 - m11) / 3.0
+    d = m02 / 6.0 + m11 / 3.0
+    p = m01 * m12 - 3.0 * d * d - m00 * m22 / 4.0
+    q = 2.0 * d * d * d - d * (m01 * m12 + m00 * m22 / 2.0)
+    q += (m00 * m12 * m12 + m22 * m01 * m01) / 4.0
+    rho = np.sqrt(-p / 3.0)
+    theta = _acos(np.clip(-q / (2.0 * rho * rho * rho), -1.0, 1.0)) / 3.0
+    y = 2.0 * rho[:, None] * np.cos(theta[:, None] - _THIRDS)
+    gap = np.minimum(y[:, 0] - y[:, 1], y[:, 1] - y[:, 2])
+    # one column per root
+    m00, m01, m02, m11, m12, m22 = (v[:, None] for v in (m00, m01, m02, m11, m12, m22))
+    a0, a1, a2 = _null_vectors(m00, m01, m02, m11, m12, m22, s[:, None] + y)
+    lam = m00 * a0 * a0 + m11 * a1 * a1 + m22 * a2 * a2
+    lam += 2.0 * (m01 * a0 * a1 + m02 * a0 * a2 + m12 * a1 * a2)
+    lam /= 4.0 * a0 * a2 - a1 * a1
+    certified = (gap > _ROOT_GAP * scale) & (np.abs(lam).min(axis=1) > _ROOT_FLOOR * scale)
+    vectors = np.stack(_null_vectors(m00, m01, m02, m11, m12, m22, lam), axis=-1)
+    return vectors @ np.swapaxes(rot, 1, 2), certified
+
+
+def _null_vectors(m00, m01, m02, m11, m12, m22, lam):
+    """Components (x, y, z) of the longest cross product of two rows of
+    m - lam K, each shaped as lam, for the symmetric m with these entries.
+    The cross products of its rows are the rows of its adjugate, which at a
+    simple root is c v v^T, v the null vector: the longest row is the one
+    with the largest diagonal entry in magnitude."""
+    a00, a01, a02, a11, a12, a22 = _adjugate(m00, m01, m02 - 2.0 * lam, m11 + lam, m12, m22)
+    d0, d1, d2 = np.abs(a00), np.abs(a11), np.abs(a22)
+    row0 = (d0 >= d1) & (d0 >= d2)
+    row1 = ~row0 & (d1 >= d2)
+    return (
+        np.where(row0, a00, np.where(row1, a01, a02)),
+        np.where(row0, a01, np.where(row1, a11, a12)),
+        np.where(row0, a02, np.where(row1, a12, a22)),
+    )
+
+
+def _no_pencil(m, n, xx, yy):
+    """Whether each fit's reduced scatter m (k, 3, 3) fixes a single conic
+    (_PENCIL), given its point count n and second moments xx, yy. u is m with
+    x and y in units of their spread; e2 sums its principal 2x2 minors, so
+    e2 / tr is within a factor of 3 of its middle eigenvalue. A non-finite m
+    fails this test too."""
+    w = n[:, None] / np.stack([xx, np.sqrt(xx * yy), yy], axis=1)
+    u = m * w[:, :, None] * w[:, None, :]
+    tr = np.trace(u, axis1=1, axis2=2)
+    e2 = (tr * tr - np.einsum("kij,kji->k", u, u)) / 2.0
+    return (tr > 0.0) & (e2 > _PENCIL * n * tr)
 
 
 def _fit_conics(scatter: np.ndarray):
@@ -247,7 +373,12 @@ def _fit_conics(scatter: np.ndarray):
     rejected first, both read off the scatter matrix alone. Every other fit
     is the stabilized partitioned solve of the 4AC - B^2 = 1 generalized
     eigenproblem (Halir & Flusser): the linear part is eliminated through
-    the 3x3 block solve, leaving a 3x3 reduced eigenproblem. The eigenvector
+    the 3x3 block solve, leaving a 3x3 reduced eigenproblem. Both are solved
+    in closed form, the block by its adjugate and the eigenproblem by
+    _pencil_eig, for every fit whose roots that certifies; every other fit,
+    and every one rejected as collinear or a pencil, is solved and judged
+    with LAPACK's solve and eig as if no closed form had run, so noiseless
+    arcs and the degenerate sets are decided by LAPACK alone. The eigenvector
     of an elliptical eigenpair has arbitrary sign while the phase readout is
     sign-sensitive, so it is canonicalized to A >= 0; when rounding lets more
     than one eigenpair satisfy the ellipse inequality, the candidate with
@@ -267,30 +398,45 @@ def _fit_conics(scatter: np.ndarray):
         cov = s3[:, :2, :2] - s3[:, :2, 2:] * s3[:, 2:, :2] / s3[:, 2:, 2:]
         xx, yy, xy = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
         status[xx * yy - xy * xy <= _COLLINEAR * xx * yy] = 1
-        # their linear block is singular, and one singular matrix would fail
-        # the whole stacked solve: solve a placeholder in their place
-        s3 = np.where(status[:, None, None] == 1, np.eye(3), s3)
-        t = -np.linalg.solve(s3, np.swapaxes(s2, 1, 2))
+        # t = -s3^-1 s2^T, through the adjugate of the symmetric s3
+        s2t = np.swapaxes(s2, 1, 2)
+        adj = _adjugate(*(s3[:, i, j] for i, j in _UPPER))
+        det = s3[:, 0, 0] * adj[0] + s3[:, 0, 1] * adj[1] + s3[:, 0, 2] * adj[2]
+        # the six distinct entries laid out as the full symmetric matrix
+        adj = np.stack(adj, axis=1)[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
+        t = -(adj @ s2t) / det[:, None, None]
         m = s1 + s2 @ t
-        # u is the reduced scatter m with x and y in units of their spread;
-        # e2 sums its principal 2x2 minors, so e2 / tr is within a factor of 3
-        # of its middle eigenvalue. A non-finite m fails this test too.
-        w = n[:, None] / np.stack([xx, np.sqrt(xx * yy), yy], axis=1)
-        u = m * w[:, :, None] * w[:, None, :]
-        tr = np.trace(u, axis1=1, axis2=2)
-        e2 = (tr * tr - np.einsum("kij,kji->k", u, u)) / 2.0
-        status[~((tr > 0.0) & (e2 > _PENCIL * n * tr))] = 1
-        m[status == 1] = np.eye(3)
-        reduced = np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1)
-        eigvals, eigvecs = np.linalg.eig(reduced)
+        ok = (status == 0) & _no_pencil(m, n, xx, yy)
+        a1, certified = _pencil_eig(m, xx, yy, xy, np.trace(s1, axis1=1, axis2=2))
+        # a fit not certified, or rejected as collinear or a pencil, is
+        # solved and judged by LAPACK alone, as before the closed form
+        lapack = ~(ok & certified)
+        if lapack.any():
+            # a collinear fit's linear block is singular, and one singular
+            # matrix would fail the whole stacked solve: solve a placeholder
+            s3l = np.where((status[lapack] == 1)[:, None, None], np.eye(3), s3[lapack])
+            t[lapack] = -np.linalg.solve(s3l, s2t[lapack])
+            m[lapack] = s1[lapack] + s2[lapack] @ t[lapack]
+            ok[lapack] = (status[lapack] == 0) & _no_pencil(
+                m[lapack], n[lapack], xx[lapack], yy[lapack]
+            )
+        status[~ok] = 1
+        # a certified fit's roots are real
+        real = np.ones((k, 3), dtype=bool)
+        lapack &= ok
+        if lapack.any():
+            mr = m[lapack]
+            reduced = np.stack([mr[:, 2] / 2.0, -mr[:, 1], mr[:, 0] / 2.0], axis=1)
+            eigvals, eigvecs = np.linalg.eig(reduced)
+            a1[lapack] = np.swapaxes(np.real(eigvecs), 1, 2)
+            re, im = np.real(eigvals), np.imag(eigvals)
+            real[lapack] = np.abs(im) <= 1e-8 * np.maximum(1.0, np.abs(re))
 
         # candidate j of fit i is a6[i, j]: the eigenvector and its linear part
-        a1 = np.swapaxes(np.real(eigvecs), 1, 2)
         a6 = np.concatenate([a1, a1 @ np.swapaxes(t, 1, 2)], axis=-1)
         a6 /= np.linalg.norm(a6, axis=-1, keepdims=True)
         a6 = np.where(a6[..., :1] < 0.0, -a6, a6)
         cost = np.einsum("kjl,kjl->kj", a6 @ scatter, a6)
-        real = np.abs(np.imag(eigvals)) <= 1e-8 * np.maximum(1.0, np.abs(np.real(eigvals)))
         elliptic = 4.0 * a1[..., 0] * a1[..., 2] - a1[..., 1] ** 2 > 0.0
         cost = np.where(real & elliptic & (cost < np.inf), cost, np.inf)
         best = np.argmin(cost, axis=1)

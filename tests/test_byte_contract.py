@@ -12,7 +12,10 @@ output read off ellipse fits (seven rows: all but cycles.csv and the allan
 run) also follows the BLAS kernel, which numpy's OpenBLAS picks per CPU at
 run time, so the runs go in a child Python with OPENBLAS_CORETYPE=Haswell,
 an AVX2 kernel that every x86-64 CI runner can run. OpenBLAS's thread count
-does not move them.
+does not move them. Nor does numpy's SIMD dispatch: the fits take their
+angles with math.acos and their cubes as products, never through the numpy
+functions whose last bit follows it (arccos, arctan2, cbrt, power), and a
+second test reruns the five with numpy's AVX-512 paths switched off.
 """
 
 import hashlib
@@ -20,6 +23,13 @@ import os
 import random
 import subprocess
 import sys
+
+import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1, whose dispatch this file does not pin
+    __cpu_features__ = {}
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 DATA = os.path.join(ROOT, "data")
@@ -34,14 +44,14 @@ RUNS = {
 }
 
 DIGESTS = {
-    "simulate/allan.json": "eb15f992dadd20526f4428906ca09cdd925fc596eba2e24e0bc536479d42e332",
+    "simulate/allan.json": "8fa3c902e5e4e85b1f5f006e74ae7e0694c0e2959754ff81089d6e2ff3bd47d7",
     "simulate/cycles.csv": "35b255fe293511ebbafeb49745679d2a87d15a5469b190e3862ebda9651c26a3",
-    "simulate/phases.csv": "cd31db3cf47c7ed29b94218bcad9efb3ab9b905de9655089dcc581cbc2bb29ec",
-    "simulate-window-10/allan.json": "ade0ce96607063ba29c80e2bdbe9bac8cae8e2542de1751059686c3bb77a1a8b",
+    "simulate/phases.csv": "3f9a9c7b0eab17222a5fae5f1253c7d4976cc799596b57e3aea8a810d6120436",
+    "simulate-window-10/allan.json": "a66cce5a80deec88b6d5a169aaa421d58a3a13429d73188acaa71604f7a10bb1",
     "simulate-window-10/cycles.csv": "35b255fe293511ebbafeb49745679d2a87d15a5469b190e3862ebda9651c26a3",
-    "simulate-window-10/phases.csv": "1cacadd8ebf31c02c53648db96a52e24ce4fbf2dfd54d484b153b937611629ee",
-    "scaling/scaling.csv": "667764cf397a8f712847c926e0fb096f1e95836dd8d89763c50de9ff3f77f159",
-    "scaling/scaling_fit.json": "7e6c9f9055c6c618d209a8805427d589df462b2106867f7db6e4cd2853504811",
+    "simulate-window-10/phases.csv": "28665e8967baef1fdca0a5e366853eb80ad92c61bf99d3c2450402f20cb2f876",
+    "scaling/scaling.csv": "b20c0cac9e9bf76ec390de979ee8437f964a1037fa827424e2d2ac8d85286009",
+    "scaling/scaling_fit.json": "2587f4dd0b1a48f9d0f37dae73b859d3c959b41ec3e0728f8f5bf1c6c7cdd1ad",
     "ellipse/ellipse.json": "85d547a6e0bff7845fc91bfad2d9f2327f140a765534d376728a6e69490dd5d6",
     "allan/allan.json": "825d57c2ab0880961c17c3e1853a919b84b814d8b5e29da5797a018c16518b51",
 }
@@ -53,10 +63,16 @@ def allan_series() -> str:
     return "".join(f"{rng.gauss(0.0, 1.0)!r}\n" for _ in range(1000))
 
 
-def test_outputs_match_the_committed_digests(tmp_path):
+# numpy's AVX-512 dispatch targets; the CPU runs the AVX2 paths without them
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def run_digests(tmp_path, **env) -> dict:
+    """SHA-256 of every output of the five runs, in a child Python with the
+    Haswell BLAS kernel and any further environment given."""
     (tmp_path / "series.txt").write_text(allan_series())
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Haswell")
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Haswell", **env)
     digests = {}
     for name, argv in RUNS.items():
         out = tmp_path / name
@@ -72,4 +88,14 @@ def test_outputs_match_the_committed_digests(tmp_path):
         for path in sorted(out.iterdir()):
             if not path.name.endswith("_manifest.json"):
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digests == DIGESTS
+    return digests
+
+
+def test_outputs_match_the_committed_digests(tmp_path):
+    assert run_digests(tmp_path) == DIGESTS
+
+
+@pytest.mark.skipif(not all(__cpu_features__.get(f) for f in AVX512),
+                    reason="numpy reports no AVX-512 dispatch on this CPU")
+def test_outputs_do_not_follow_numpy_simd_dispatch(tmp_path):
+    assert run_digests(tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512)) == DIGESTS

@@ -7,7 +7,10 @@ distributions and count records against the slow paths they replaced
 must survive."""
 
 import dataclasses
+import json
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from erasure_sensing.clock import (
     allan_deviation,
     optimize_interrogation,
     run_comparison,
+    valid_pairs,
 )
 from erasure_sensing import estimation
 from erasure_sensing.estimation import (
@@ -138,6 +142,37 @@ def assert_close(fast, slow):
     assert np.all(np.abs(fast[ok] - slow[ok]) <= RTOL * np.abs(slow[ok]))
 
 
+def oracle_fit(x, y):
+    """Status and phase of the LAPACK oracle's conic through frame points
+    (x, y), judged by the kernel's rules 2 to 4 (estimation._REJECTED)."""
+    try:
+        conic = oracles.solve_conic(x, y)
+    except EllipseFitError:
+        return 2, math.nan
+    a, b, c = conic[:3]
+    if b * b - 4.0 * a * c >= -1e-10:
+        return 3, math.nan
+    if estimation._centre_and_scale(conic)[2] <= 0.0:
+        return 4, math.nan
+    return 0, math.acos(min(1.0, max(-1.0, -b / (2.0 * math.sqrt(a * c)))))
+
+
+def lapack_rows(monkeypatch, fit) -> int:
+    """How many fits the conic kernel hands to LAPACK while fit() runs: each
+    one that the closed form does not certify passes once through solve."""
+    solved = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solved.append(len(a))
+        return solve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", counting_solve)
+        fit()
+    return sum(solved)
+
+
 class TestAgainstOracles:
     @PROPERTY
     @given(seed=seeds, n=st.integers(7, 3000), noise=st.floats(1e-3, 3e-2))
@@ -146,6 +181,55 @@ class TestAgainstOracles:
         phi, err = ellipse_phase_jackknife(pts)
         phi_slow, err_slow = oracles.jackknife(pts)
         assert_close([phi, err], [phi_slow, err_slow])
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        n0=st.integers(20, 10_000),
+        pairs=st.integers(6, 400),
+        contrasts=st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)),
+        phi=st.floats(1e-3, math.pi - 1e-3),
+    )
+    def test_conic_kernel(self, seed, n0, pairs, contrasts, phi):
+        # Four shot-noise windows, a noiseless arc and a near-circle in one
+        # stack, so that closed-form and LAPACK fits share a call. phi stays
+        # 1e-3 from 0 and pi, where a noiseless arc is a line. Every status
+        # must be the one the kernel gives with LAPACK alone (no fit
+        # certified), and every phase within 1e-8 rad of it: on thin
+        # ellipses (phi near 0 or pi) and windows of few pairs rounding
+        # alone moves a phase by up to ~1e-9 rad, in LAPACK as in the closed
+        # form, each against a 50-digit solve of the same scatter matrix
+        # (20000 such windows); a wrong root or vector moves it by orders of
+        # magnitude more. Within 0.2 of 0 and pi the oracle is no reference:
+        # there it and LAPACK alone already differ in status or by 1e-7 rad.
+        # Elsewhere the status must be the oracle's too, and the phase as
+        # close to it, except for rule 1 (collinear or a pencil): that rule
+        # is the kernel's own, and the oracle fits such windows at whatever
+        # rounding picks.
+        rng = np.random.default_rng(seed)
+        c_a, c_b = contrasts
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=(4, pairs))
+        p = 0.5 + 0.5 * np.stack([c_a * np.cos(theta), c_b * np.cos(theta + phi)], axis=-1)
+        windows = list(rng.binomial(n0, p) / n0)
+        arc = rng.uniform(0.0, 2.0 * math.pi) + np.linspace(0.0, rng.uniform(1.0, 6.3), pairs)
+        windows.append(0.5 + 0.5 * np.column_stack([c_a * np.cos(arc), c_b * np.cos(arc + phi)]))
+        circle = np.column_stack([np.cos(theta[0]), np.sin(theta[0])])
+        windows.append(0.5 + 0.25 * circle + rng.normal(scale=1e-4, size=(pairs, 2)))
+        rows = [estimation._centred_rows(w)[0] for w in windows]
+        scatter = np.stack([estimation._scatter(r) for r in rows])
+        coeffs, status = estimation._fit_conics(scatter)
+        phases = estimation._phase(coeffs)
+        with mock.patch.object(estimation, "_ROOT_FLOOR", math.inf):
+            lapack, lapack_status = estimation._fit_conics(scatter)
+        assert np.array_equal(status, lapack_status)
+        assert np.all(np.abs(phases - estimation._phase(lapack))[status == 0] <= 1e-8)
+        if not 0.2 < phi < math.pi - 0.2:
+            return
+        for r, code, phase in zip(rows, status, phases):
+            if code != 1:
+                want, slow = oracle_fit(r[:, 3], r[:, 4])
+                assert code == want
+                assert want != 0 or abs(phase - slow) <= 1e-8
 
     @PROPERTY
     @given(
@@ -613,6 +697,61 @@ class TestDegenerateWindows:
         for pts in pencils:
             with pytest.raises(EllipseFitError, match="collinear or repeated"):
                 ellipse_fit(pts)
+
+    def test_closed_form_margins(self, monkeypatch):
+        # Both margins of the closed-form solve sit at least a factor of 10
+        # inside what it must tell apart: at a tenth of _ROOT_GAP and
+        # _ROOT_FLOOR every degenerate set above, and window 35 of the N0 2
+        # run (test_cli), still goes to LAPACK, to be judged as before the
+        # closed form; at ten times them the jackknife of 2000 shot-noise
+        # pairs and a record of 2000 ten-pair windows send no fit there.
+        t = np.linspace(0.0, 1.0, 20)
+        u = np.random.default_rng(0).uniform(size=20)
+        rng = np.random.default_rng(1139)
+        n = int(rng.integers(6, 60))
+        e = rng.uniform(2, 15)
+        v = rng.uniform(size=n)
+        degenerate = [
+            np.column_stack([t, 2.0 * t]),
+            np.column_stack([u, 3.0 * u - 0.2]),
+            np.column_stack([t, 2.0 * t + 0.1 + 1e-9 * np.random.default_rng(5).normal(size=20)]),
+            np.tile([[0.3, 0.7]], (20, 1)),
+            np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (5, 1)),
+            np.tile(noisy_ellipse(np.random.default_rng(8), 4, 0.0), (5, 1)),
+            *(four_on_a_line_plus_one(seed) for seed in (0, 4, 6)),
+            np.array([[0, 0], [0, 5], [0, 3], [5, 0], [5, 2], [5, 3]]) / 5,
+            np.column_stack([v, 0.7 * v + 0.2]) + rng.normal(size=(n, 2)) * 10.0 ** -e,
+        ]
+        rng = np.random.default_rng(0)
+        v = rng.uniform(size=int(rng.integers(6, 40)))
+        degenerate.append(np.column_stack([v, rng.uniform(-3, 3) * v + rng.uniform(-1, 1)]))
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                               "example_comparison.json")) as fh:
+            shipped = json.load(fh)
+        two = ComparisonConfig.from_dict(dict(shipped, N0=2, cycles=1000, seed=0,
+                                              noise={"kind": "depolarizing", "q": 0.0}))
+        degenerate.append(valid_pairs(run_comparison(two))[350:360])
+        scatter = np.stack([estimation._scatter(estimation._centred_rows(pts)[0])
+                            for pts in degenerate])
+        five = noisy_ellipse(np.random.default_rng(10), 5, 0.0)
+        pencil_jackknife = np.vstack([np.tile(five[:4], (5, 1)), five[4:]])
+
+        rng = np.random.default_rng(12)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=2000)
+        p = 0.5 + 0.5 * np.column_stack([0.9 * np.cos(theta), 0.85 * np.cos(theta + 1.3)])
+        shot_noise = rng.binomial(10_000, p) / 10_000
+        record = ComparisonConfig.from_dict(dict(shipped, N0=400, cycles=20_000))
+        cycles = valid_pairs(run_comparison(record))
+
+        gap, floor = estimation._ROOT_GAP, estimation._ROOT_FLOOR
+        monkeypatch.setattr(estimation, "_ROOT_GAP", gap / 10.0)
+        monkeypatch.setattr(estimation, "_ROOT_FLOOR", floor / 10.0)
+        assert lapack_rows(monkeypatch, lambda: estimation._fit_conics(scatter)) == len(degenerate)
+        assert lapack_rows(monkeypatch, lambda: ellipse_phase_jackknife(pencil_jackknife)) == 22
+        monkeypatch.setattr(estimation, "_ROOT_GAP", gap * 10.0)
+        monkeypatch.setattr(estimation, "_ROOT_FLOOR", floor * 10.0)
+        assert lapack_rows(monkeypatch, lambda: ellipse_phase_jackknife(shot_noise)) == 0
+        assert lapack_rows(monkeypatch, lambda: phase_series_from_cycles(cycles, 10)) == 0
 
     def test_non_finite_cycles_rejected(self):
         cycles = noisy_ellipse(np.random.default_rng(8), 40, 0.01)
