@@ -298,7 +298,11 @@ def _pencil_eig(m, xx, yy, xy, scale):
     Returns the vectors, shape (k, 3, 3) with root j's in row j, and whether
     each fit is certified (_ROOT_GAP, _ROOT_FLOOR): the vectors of the others
     are not to be used. Cubes are written as products and angles found by
-    square roots or math.acos, so no bit follows numpy's SIMD dispatch.
+    square roots, math.acos and, for the trisected roots, np.cos, whose
+    float64 bits were checked unchanged with NPY_DISABLE_CPU_FEATURES set
+    to "X86_V3 X86_V4 AVX512_ICL AVX512_SPR" (10^6 inputs, numpy 2.4.6), so
+    no bit follows numpy's SIMD dispatch; the byte-contract test
+    test_outputs_do_not_follow_numpy_simd_dispatch guards this.
     """
     # cosine and sine of the principal-axis angle, from its double angle
     r = np.sqrt((xx - yy) * (xx - yy) + 4.0 * xy * xy)
@@ -347,19 +351,6 @@ def _null_vectors(m00, m01, m02, m11, m12, m22, lam):
     )
 
 
-def _no_pencil(m, n, xx, yy):
-    """Whether each fit's reduced scatter m (k, 3, 3) fixes a single conic
-    (_PENCIL), given its point count n and second moments xx, yy. u is m with
-    x and y in units of their spread; e2 sums its principal 2x2 minors, so
-    e2 / tr is within a factor of 3 of its middle eigenvalue. A non-finite m
-    fails this test too."""
-    w = n[:, None] / np.stack([xx, np.sqrt(xx * yy), yy], axis=1)
-    u = m * w[:, :, None] * w[:, None, :]
-    tr = np.trace(u, axis1=1, axis2=2)
-    e2 = (tr * tr - np.einsum("kij,kji->k", u, u)) / 2.0
-    return (tr > 0.0) & (e2 > _PENCIL * n * tr)
-
-
 def _fit_conics(scatter: np.ndarray):
     """Ellipse-constrained least-squares conics from stacked scatter matrices.
 
@@ -369,20 +360,23 @@ def _fit_conics(scatter: np.ndarray):
     per fit: 0 where the fit is accepted, else its key in _REJECTED, with
     that row of coefficients NaN. One rejected fit never fails the others.
 
-    Fits whose points are collinear, or lie on every conic of a pencil, are
-    rejected first, both read off the scatter matrix alone. Every other fit
-    is the stabilized partitioned solve of the 4AC - B^2 = 1 generalized
-    eigenproblem (Halir & Flusser): the linear part is eliminated through
-    the 3x3 block solve, leaving a 3x3 reduced eigenproblem. Both are solved
-    in closed form, the block by its adjugate and the eigenproblem by
-    _pencil_eig, for every fit whose roots that certifies; every other fit,
-    and every one rejected as collinear or a pencil, is solved and judged
-    with LAPACK's solve and eig as if no closed form had run, so noiseless
-    arcs and the degenerate sets are decided by LAPACK alone. The eigenvector
-    of an elliptical eigenpair has arbitrary sign while the phase readout is
-    sign-sensitive, so it is canonicalized to A >= 0; when rounding lets more
-    than one eigenpair satisfy the ellipse inequality, the candidate with
-    the smallest algebraic residual a^T S a is kept. A conic whose unit-norm
+    Each fit is judged once, in this order. A fit whose points are collinear
+    is rejected first, read off the scatter matrix alone, and not solved.
+    Every other fit is the stabilized partitioned solve of the 4AC - B^2 = 1
+    generalized eigenproblem (Halir & Flusser): the linear part is
+    eliminated through the 3x3 block solve, leaving a 3x3 reduced
+    eigenproblem. Both are solved in closed form, the block by its adjugate
+    and the eigenproblem by _pencil_eig, for every fit whose roots that
+    certifies; every other fit is solved with LAPACK's solve and eig as if
+    no closed form had run, so noiseless arcs and pencils are decided by
+    LAPACK alone. A fit whose points lie on every conic of a pencil is then
+    rejected, read off the reduced matrix of the solve it ended with, and
+    the eigenpairs of the rest are judged. An eigenpair with a complex root
+    is no candidate. The eigenvector of an elliptical eigenpair has
+    arbitrary sign while the phase readout is sign-sensitive, so it is
+    canonicalized to A >= 0; when rounding lets more than one eigenpair
+    satisfy the ellipse inequality, the candidate with the smallest
+    algebraic residual a^T S a is kept. A conic whose unit-norm
     discriminant is within 1e-10 of zero (a degenerate conic from nearly
     collinear points that rounding tipped into ellipse form), or that has
     no real points, is rejected. The frame fixes the points' spread, so
@@ -406,31 +400,32 @@ def _fit_conics(scatter: np.ndarray):
         adj = np.stack(adj, axis=1)[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
         t = -(adj @ s2t) / det[:, None, None]
         m = s1 + s2 @ t
-        ok = (status == 0) & _no_pencil(m, n, xx, yy)
         a1, certified = _pencil_eig(m, xx, yy, xy, np.trace(s1, axis1=1, axis2=2))
-        # a fit not certified, or rejected as collinear or a pencil, is
-        # solved and judged by LAPACK alone, as before the closed form
-        lapack = ~(ok & certified)
+        # a fit the closed form does not certify is solved and judged by
+        # LAPACK alone; a collinear one is not solved, as its linear block is
+        # singular and one singular matrix would fail the whole stacked solve
+        lapack = (status == 0) & ~certified
         if lapack.any():
-            # a collinear fit's linear block is singular, and one singular
-            # matrix would fail the whole stacked solve: solve a placeholder
-            s3l = np.where((status[lapack] == 1)[:, None, None], np.eye(3), s3[lapack])
-            t[lapack] = -np.linalg.solve(s3l, s2t[lapack])
+            t[lapack] = -np.linalg.solve(s3[lapack], s2t[lapack])
             m[lapack] = s1[lapack] + s2[lapack] @ t[lapack]
-            ok[lapack] = (status[lapack] == 0) & _no_pencil(
-                m[lapack], n[lapack], xx[lapack], yy[lapack]
-            )
-        status[~ok] = 1
-        # a certified fit's roots are real
-        real = np.ones((k, 3), dtype=bool)
-        lapack &= ok
+        # the pencil rule (_PENCIL), on the reduced scatter each fit ends
+        # with: u is m with x and y in units of their spread, and e2 sums its
+        # principal 2x2 minors, so e2 / tr is within a factor of 3 of its
+        # middle eigenvalue. A non-finite m fails this test too.
+        w = n[:, None] / np.stack([xx, np.sqrt(xx * yy), yy], axis=1)
+        u = m * w[:, :, None] * w[:, None, :]
+        tr = np.trace(u, axis1=1, axis2=2)
+        e2 = (tr * tr - np.einsum("kij,kji->k", u, u)) / 2.0
+        status[(status == 0) & ~((tr > 0.0) & (e2 > _PENCIL * n * tr))] = 1
+        lapack &= status == 0
         if lapack.any():
             mr = m[lapack]
             reduced = np.stack([mr[:, 2] / 2.0, -mr[:, 1], mr[:, 0] / 2.0], axis=1)
             eigvals, eigvecs = np.linalg.eig(reduced)
-            a1[lapack] = np.swapaxes(np.real(eigvecs), 1, 2)
             re, im = np.real(eigvals), np.imag(eigvals)
-            real[lapack] = np.abs(im) <= 1e-8 * np.maximum(1.0, np.abs(re))
+            # a complex root's candidate is NaN, which the cost test drops
+            real = np.abs(im) <= 1e-8 * np.maximum(1.0, np.abs(re))
+            a1[lapack] = np.where(real[:, :, None], np.swapaxes(np.real(eigvecs), 1, 2), np.nan)
 
         # candidate j of fit i is a6[i, j]: the eigenvector and its linear part
         a6 = np.concatenate([a1, a1 @ np.swapaxes(t, 1, 2)], axis=-1)
@@ -438,7 +433,7 @@ def _fit_conics(scatter: np.ndarray):
         a6 = np.where(a6[..., :1] < 0.0, -a6, a6)
         cost = np.einsum("kjl,kjl->kj", a6 @ scatter, a6)
         elliptic = 4.0 * a1[..., 0] * a1[..., 2] - a1[..., 1] ** 2 > 0.0
-        cost = np.where(real & elliptic & (cost < np.inf), cost, np.inf)
+        cost = np.where(elliptic & (cost < np.inf), cost, np.inf)
         best = np.argmin(cost, axis=1)
         coeffs = a6[rows, best]
         # a non-finite candidate has a NaN cost, set to inf above
@@ -537,10 +532,13 @@ def ellipse_phase_jackknife(points) -> tuple[float, float]:
     matrix in its frame downdated by that point's row, S - d_i d_i^T, equal
     to refitting the subset to rounding. Rejected deletions are dropped.
     """
-    rows, total, conic, _ = _fit_one(points)
+    pts = np.asarray(points, dtype=float)
+    # counted before the fit, so that too few points is a usage error
+    # whatever their configuration
+    if pts.ndim == 2 and len(pts) < _CONIC_DOF + 1:
+        raise ValueError(f"jackknife needs at least {_CONIC_DOF + 1} points, got {len(pts)}")
+    rows, total, conic, _ = _fit_one(pts)
     n = len(rows)
-    if n < _CONIC_DOF + 1:
-        raise ValueError(f"jackknife needs at least {_CONIC_DOF + 1} points, got {n}")
     loo = _fit_phases(n, lambda lo, hi: total - rows[lo:hi, :, None] * rows[lo:hi, None, :])
     good = loo[np.isfinite(loo)]
     m = good.size

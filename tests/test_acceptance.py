@@ -101,7 +101,7 @@ def test_3_quantum_information_factorizes():
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         h = 0.5 * (h + h.conj().T)
         q = float(rng.uniform(0.0, 0.95))
-        direct = qfi_depolarized(rho, h, q, method="direct")
+        direct = qfi_depolarized(rho, h, q)
         scaled = (1.0 - q) ** 2 * qfi_pure_generator(rho, h)
         worst = max(worst, abs(direct - scaled))
     ok = worst < 1e-10

@@ -212,9 +212,12 @@ class TestEllipseFit:
     def test_too_few_points_is_a_usage_error(self):
         with pytest.raises(ValueError):
             ellipse_fit(ellipse_points(1.0, n=5))
-        # six points fit, but a deletion would leave five
-        with pytest.raises(ValueError, match="jackknife needs at least 7"):
-            ellipse_phase_jackknife(ellipse_points(1.0, n=6))
+        # six points fit, but a deletion would leave five; six collinear
+        # points are counted before they are fitted
+        t = np.linspace(0.0, 1.0, 6)
+        for pts in (ellipse_points(1.0, n=6), np.column_stack([t, 2.0 * t])):
+            with pytest.raises(ValueError, match="jackknife needs at least 7"):
+                ellipse_phase_jackknife(pts)
 
     def test_bad_shapes_and_non_finite_rejected(self):
         with pytest.raises(ValueError):

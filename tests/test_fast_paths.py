@@ -189,23 +189,26 @@ class TestAgainstOracles:
         pairs=st.integers(6, 400),
         contrasts=st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)),
         phi=st.floats(1e-3, math.pi - 1e-3),
+        lattice=st.integers(2, 20),
     )
-    def test_conic_kernel(self, seed, n0, pairs, contrasts, phi):
+    def test_conic_kernel(self, seed, n0, pairs, contrasts, phi, lattice):
         # Four shot-noise windows, a noiseless arc and a near-circle in one
-        # stack, so that closed-form and LAPACK fits share a call. phi stays
-        # 1e-3 from 0 and pi, where a noiseless arc is a line. Every status
-        # must be the one the kernel gives with LAPACK alone (no fit
-        # certified), and every phase within 1e-8 rad of it: on thin
-        # ellipses (phi near 0 or pi) and windows of few pairs rounding
-        # alone moves a phase by up to ~1e-9 rad, in LAPACK as in the closed
-        # form, each against a 50-digit solve of the same scatter matrix
-        # (20000 such windows); a wrong root or vector moves it by orders of
-        # magnitude more. Within 0.2 of 0 and pi the oracle is no reference:
-        # there it and LAPACK alone already differ in status or by 1e-7 rad.
-        # Elsewhere the status must be the oracle's too, and the phase as
-        # close to it, except for rule 1 (collinear or a pencil): that rule
-        # is the kernel's own, and the oracle fits such windows at whatever
-        # rounding picks.
+        # stack, so that closed-form and LAPACK fits share a call, and with
+        # them the degenerate sets: an exact line, one to five points repeated,
+        # four points repeated (a pencil), a window of N0 = `lattice` atoms,
+        # whose pairs sit on a coarse lattice, and a near line. phi stays 1e-3
+        # from 0 and pi, where a noiseless arc is a line. Every status must be
+        # the one the kernel gives with LAPACK alone (no fit certified), and
+        # every phase within 1e-8 rad of it: on thin ellipses (phi near 0 or
+        # pi) and windows of few pairs rounding alone moves a phase by up to
+        # ~1e-9 rad, in LAPACK as in the closed form, each against a 50-digit
+        # solve of the same scatter matrix (20000 such windows); a wrong root
+        # or vector moves it by orders of magnitude more. Within 0.2 of 0 and
+        # pi the oracle is no reference: there it and LAPACK alone already
+        # differ in status or by 1e-7 rad. Elsewhere the status must be the
+        # oracle's too, and the phase as close to it, except for rule 1
+        # (collinear or a pencil): that rule is the kernel's own, and the
+        # oracle fits such windows at whatever rounding picks.
         rng = np.random.default_rng(seed)
         c_a, c_b = contrasts
         theta = rng.uniform(0.0, 2.0 * math.pi, size=(4, pairs))
@@ -215,6 +218,13 @@ class TestAgainstOracles:
         windows.append(0.5 + 0.5 * np.column_stack([c_a * np.cos(arc), c_b * np.cos(arc + phi)]))
         circle = np.column_stack([np.cos(theta[0]), np.sin(theta[0])])
         windows.append(0.5 + 0.25 * circle + rng.normal(scale=1e-4, size=(pairs, 2)))
+        line = rng.uniform(size=pairs)
+        line = np.column_stack([line, rng.uniform(-3, 3) * line + rng.uniform(-1, 1)])
+        windows.append(line)
+        windows.append(np.resize(rng.uniform(size=(rng.integers(1, 6), 2)), (pairs, 2)))
+        windows.append(np.resize(rng.uniform(size=(4, 2)), (pairs, 2)))
+        windows.append(rng.binomial(lattice, p[0]) / lattice)
+        windows.append(line + rng.normal(size=(pairs, 2)) * 10.0 ** -rng.uniform(2, 15))
         rows = [estimation._centred_rows(w)[0] for w in windows]
         scatter = np.stack([estimation._scatter(r) for r in rows])
         coeffs, status = estimation._fit_conics(scatter)
@@ -222,10 +232,15 @@ class TestAgainstOracles:
         with mock.patch.object(estimation, "_ROOT_FLOOR", math.inf):
             lapack, lapack_status = estimation._fit_conics(scatter)
         assert np.array_equal(status, lapack_status)
-        assert np.all(np.abs(phases - estimation._phase(lapack))[status == 0] <= 1e-8)
+        # The near line (last) is held to its status alone: at noise ~1e-3 it
+        # is a thin ellipse of few pairs whose phase, a few times the noise,
+        # both paths solve only to ~2e-7 rad of a 50-digit solve.
+        moved = np.abs(phases - estimation._phase(lapack))[:-1]
+        assert np.all(moved[status[:-1] == 0] <= 1e-8)
         if not 0.2 < phi < math.pi - 0.2:
             return
-        for r, code, phase in zip(rows, status, phases):
+        # the shot-noise windows, the arc and the near-circle
+        for r, code, phase in zip(rows[:6], status, phases):
             if code != 1:
                 want, slow = oracle_fit(r[:, 3], r[:, 4])
                 assert code == want
@@ -398,8 +413,10 @@ class TestAgainstOracles:
         rho_q = (1.0 - q) * rho + q * np.eye(2) / 2.0
         assert qfi_pure_generator(rho, generator) == pytest.approx(
             oracles.qfi(rho, generator), rel=1e-12, abs=1e-12)
-        assert qfi_depolarized(rho, generator, q, method="direct") == pytest.approx(
-            oracles.qfi(rho_q, generator), rel=1e-12, abs=1e-12)
+        depolarized = qfi_depolarized(rho, generator, q)
+        assert depolarized == pytest.approx(oracles.qfi(rho_q, generator), rel=1e-12, abs=1e-12)
+        assert depolarized == pytest.approx(
+            (1.0 - q) ** 2 * qfi_pure_generator(rho, generator), rel=1e-12, abs=1e-12)
 
     @settings(PROPERTY, max_examples=100)
     @given(
@@ -701,21 +718,24 @@ class TestDegenerateWindows:
     def test_closed_form_margins(self, monkeypatch):
         # Both margins of the closed-form solve sit at least a factor of 10
         # inside what it must tell apart: at a tenth of _ROOT_GAP and
-        # _ROOT_FLOOR every degenerate set above, and window 35 of the N0 2
-        # run (test_cli), still goes to LAPACK, to be judged as before the
-        # closed form; at ten times them the jackknife of 2000 shot-noise
-        # pairs and a record of 2000 ten-pair windows send no fit there.
+        # _ROOT_FLOOR every degenerate set above that is not collinear, and
+        # window 35 of the N0 2 run (test_cli), still goes to LAPACK, to be
+        # judged as before the closed form; at ten times them the jackknife
+        # of 2000 shot-noise pairs and a record of 2000 ten-pair windows send
+        # no fit there, nor do the collinear sets, rejected before any solve.
         t = np.linspace(0.0, 1.0, 20)
         u = np.random.default_rng(0).uniform(size=20)
         rng = np.random.default_rng(1139)
         n = int(rng.integers(6, 60))
         e = rng.uniform(2, 15)
         v = rng.uniform(size=n)
-        degenerate = [
+        lines = [
             np.column_stack([t, 2.0 * t]),
             np.column_stack([u, 3.0 * u - 0.2]),
             np.column_stack([t, 2.0 * t + 0.1 + 1e-9 * np.random.default_rng(5).normal(size=20)]),
             np.tile([[0.3, 0.7]], (20, 1)),
+        ]
+        degenerate = [
             np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (5, 1)),
             np.tile(noisy_ellipse(np.random.default_rng(8), 4, 0.0), (5, 1)),
             *(four_on_a_line_plus_one(seed) for seed in (0, 4, 6)),
@@ -724,15 +744,17 @@ class TestDegenerateWindows:
         ]
         rng = np.random.default_rng(0)
         v = rng.uniform(size=int(rng.integers(6, 40)))
-        degenerate.append(np.column_stack([v, rng.uniform(-3, 3) * v + rng.uniform(-1, 1)]))
+        lines.append(np.column_stack([v, rng.uniform(-3, 3) * v + rng.uniform(-1, 1)]))
         with open(os.path.join(os.path.dirname(__file__), os.pardir, "data",
                                "example_comparison.json")) as fh:
             shipped = json.load(fh)
         two = ComparisonConfig.from_dict(dict(shipped, N0=2, cycles=1000, seed=0,
                                               noise={"kind": "depolarizing", "q": 0.0}))
         degenerate.append(valid_pairs(run_comparison(two))[350:360])
-        scatter = np.stack([estimation._scatter(estimation._centred_rows(pts)[0])
-                            for pts in degenerate])
+        scatter, line_scatter = (
+            np.stack([estimation._scatter(estimation._centred_rows(pts)[0]) for pts in sets])
+            for sets in (degenerate, lines)
+        )
         five = noisy_ellipse(np.random.default_rng(10), 5, 0.0)
         pencil_jackknife = np.vstack([np.tile(five[:4], (5, 1)), five[4:]])
 
@@ -752,6 +774,8 @@ class TestDegenerateWindows:
         monkeypatch.setattr(estimation, "_ROOT_FLOOR", floor * 10.0)
         assert lapack_rows(monkeypatch, lambda: ellipse_phase_jackknife(shot_noise)) == 0
         assert lapack_rows(monkeypatch, lambda: phase_series_from_cycles(cycles, 10)) == 0
+        assert lapack_rows(monkeypatch, lambda: estimation._fit_conics(line_scatter)) == 0
+        assert np.all(estimation._fit_conics(line_scatter)[1] == 1)
 
     def test_non_finite_cycles_rejected(self):
         cycles = noisy_ellipse(np.random.default_rng(8), 40, 0.01)

@@ -225,15 +225,14 @@ class TestQuantumFisher:
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             h = 0.5 * (h + h.conj().T)
             q = float(rng.uniform(0.0, 0.95))
-            scaled = qfi_depolarized(rho, h, q, method="scaled")
-            direct = qfi_depolarized(rho, h, q, method="direct")
-            assert direct == pytest.approx(scaled, abs=1e-10)
+            scaled = (1.0 - q) ** 2 * qfi_pure_generator(rho, h)
+            assert qfi_depolarized(rho, h, q) == pytest.approx(scaled, abs=1e-10)
 
     def test_depolarized_scaling_factor_value(self):
         rho = bloch_density([1.0, 0.0, 0.0])
         base = qfi_pure_generator(rho, HALF_SIGMA_Z)
         assert qfi_depolarized(rho, HALF_SIGMA_Z, 0.3) == pytest.approx(0.49 * base, abs=1e-12)
-        assert qfi_depolarized(rho, HALF_SIGMA_Z, 0.1, method="direct") == pytest.approx(
+        assert qfi_depolarized(rho, HALF_SIGMA_Z, 0.1) == pytest.approx(
             0.81, abs=1e-12)
         assert qfi_depolarized(rho, HALF_SIGMA_Z, 0.0) == pytest.approx(base, abs=1e-12)
 
@@ -271,9 +270,7 @@ class TestQuantumFisher:
     def test_fully_depolarized_is_outside_the_domain(self):
         rho = bloch_density([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            qfi_depolarized(rho, HALF_SIGMA_Z, 1.0, method="direct")
-        with pytest.raises(ValueError, match="method"):
-            qfi_depolarized(rho, HALF_SIGMA_Z, 0.5, method="exact")
+            qfi_depolarized(rho, HALF_SIGMA_Z, 1.0)
 
     def test_invalid_density_matrix_rejected(self):
         with pytest.raises(ValueError):
