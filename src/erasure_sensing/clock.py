@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimation import EllipseFitError, phase_series_from_cycles
+from .estimation import _CONIC_DOF, EllipseFitError, phase_series_from_cycles
 from .states import ChannelKind, NoiseChannel, TWO_PI
 
 
@@ -466,11 +466,19 @@ def analyze_comparison(config: ComparisonConfig, window: int) -> ComparisonAnaly
     The valid pairs are fitted window by window of `window` cycles, and
     the Allan deviation of the phi_d series is taken with one window as the
     sample spacing; its sigmas and errors are then divided once by
-    2 pi T_c f0, to fractional frequency. Raises SimulationDegeneracyError
-    if more than 10% of cycles are invalid, EllipseFitError if more than
-    10% of the fit windows fail, and ValueError if a quotient overflows or
-    a nonzero one falls below the normal float range.
+    2 pi T_c f0, to fractional frequency. Raises ValueError before any
+    simulation if a window holds fewer cycles than a conic has degrees of
+    freedom or the run fills fewer windows than an Allan deviation needs;
+    SimulationDegeneracyError if more than 10% of cycles are invalid,
+    EllipseFitError if more than 10% of the fit windows fail, and
+    ValueError if a quotient overflows or a nonzero one falls below the
+    normal float range.
     """
+    if window < _CONIC_DOF or config.cycles // window < _ALLAN_MIN:
+        raise ValueError(
+            f"window {window} over {config.cycles} cycles: a window needs at least "
+            f"{_CONIC_DOF} cycles and the run at least {_ALLAN_MIN} full windows"
+        )
     cycles = run_comparison(config)
     stats = comparison_stats(cycles, config.n0)
     if stats["invalid_fraction"] > 0.10:
@@ -527,8 +535,9 @@ def instability_vs_error_rate(
 
     Raises ValueError, before any simulation, if kinds is empty, repeats a
     kind or holds anything but a ChannelKind, if a grid entry lies outside
-    [0, 0.95] or repeats another, or if the base config has no shot noise
-    (every window phase is then exact, so each sigma is fit rounding);
+    [0, 0.95] or repeats another, if the base config has no shot noise
+    (every window phase is then exact, so each sigma is fit rounding), or
+    if the window does not suit the run (analyze_comparison);
     SimulationDegeneracyError if more than 10% of cycles are invalid, and
     EllipseFitError if more than 10% of the fit windows fail.
     """

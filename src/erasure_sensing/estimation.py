@@ -9,9 +9,9 @@ a generalized eigenproblem on the scatter matrix) and reads the differential
 phase off the cross term, cos(phi_d) = -B / (2 sqrt(AC)). Every fit needs
 at least six points, the degrees of freedom of a conic, not on a line and
 not all on every conic of a pencil. Its 3x3 eigenproblem is solved in
-closed form (the roots of a cubic and the cross products of two rows) where
-its roots are real, set apart and clear of zero, and by LAPACK elsewhere:
-noiseless arcs, near-degenerate point sets and non-finite rows.
+closed form (the roots of a cubic and the cross product of two rows), and a
+fit is accepted only where its conic is elliptic by more than the rounding
+of that solve can move it.
 """
 
 from __future__ import annotations
@@ -187,21 +187,18 @@ _COLLINEAR = 1e-12
 
 # A fit's reduced problem m a = lam K a, with K the ellipse constraint
 # 4AC - B^2 = a^T K a on the quadratic part a = (A, B, C), is solved in
-# closed form (_pencil_eig) where that is certified. m is the quadratic
-# block s1 of the scatter matrix less a Schur term, and rounds at the scale
-# of s1, so the roots are judged against the trace of s1: they must lie more
-# than _ROOT_GAP of it apart, so that each has a well-conditioned null
-# vector, and more than _ROOT_FLOOR of it from zero, so that m is positive
-# definite past rounding. Every other fit goes to LAPACK: complex or
-# near-repeated roots, a near-singular m (noiseless arcs, line pairs,
-# near-collinear points) and non-finite rows. Shot-noise fits read at least
-# ~4e-4 and ~4e-6; the suite's degenerate sets (a line pair, an N0 2 window
-# through five lattice points) at most ~2e-9 and ~1e-9.
-_ROOT_GAP = 1e-6
-_ROOT_FLOOR = 1e-7
-
-# Root j of the cubic's trigonometric solution is at angle theta - 2 pi j / 3.
-_THIRDS = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
+# closed form (_pencil_eig). m rounds at the scale of the trace of the
+# quadratic block s1 it was reduced from, so to first order rounding moves
+# the unit vector of the largest root by eps over g, the gap from that root
+# to the next in units of that trace (Golub & Van Loan, Matrix Computations,
+# 7.2). A conic is accepted only where its unit-norm discriminant 4AC - B^2
+# exceeds _MARGIN such moves, so that rounding cannot have tipped its sign.
+# Read as disc g / eps, line pairs of lattice fractions reach ~20 at 6 to 39
+# pairs and ~190 at 10^5, as their rounding grows with the sums; shot-noise
+# windows of 20 or more atoms read at least ~4e6 and noiseless arcs of
+# 0.1 rad at least ~1e5. Noiseless ellipses within ~2e-3 of phi 0 or pi read
+# below it, and are rejected where rounding costs their phase ~1e-3 of itself.
+_MARGIN = 1000.0
 
 # The indices of a symmetric 3x3 matrix's six distinct entries, in the order
 # _adjugate takes and returns them.
@@ -276,32 +273,37 @@ def _adjugate(x00, x01, x02, x11, x12, x22):
 
 
 def _pencil_eig(m, xx, yy, xy, scale):
-    """Closed-form eigenvectors of the reduced problems m a = lam K a.
+    """Closed-form elliptic eigenvectors of the reduced problems m a = lam K a.
 
     m is (k, 3, 3), symmetric; xx, yy and xy are the second moments of each
     fit's points, and scale the trace of the scatter block that m was
-    reduced from, the scale at which m rounds. Each problem is solved in its
-    points' principal axes: the rotation of the conic onto them keeps
-    4AC - B^2, so it is a matrix Q with Q^T K Q = K, and m' = Q^T m Q has the
-    same roots with vectors a = Q a'. There the monomials of a thin ellipse
-    are not near collinear, nor is m' near rank one, where cross products
-    lose their accuracy. The roots are those of det(m' - lam K), the cubic
-    of K^-1 m': with s its mean root and y = lam - s, y^3 + p y + q = 0,
-    solved in the trigonometric form y = 2 rho cos(theta - 2 pi j / 3),
-    rho = sqrt(-p / 3), descending in j. The vector of a root is the longest
-    cross product of two rows of m' - lam K (Kopp, "Efficient numerical
+    reduced from, the scale at which m rounds. With m positive semidefinite
+    the largest root is the one whose vector is elliptic (4AC - B^2 > 0), so
+    it is the only one solved for. Each problem is solved in its points'
+    principal axes: the rotation of the conic onto them keeps 4AC - B^2, so
+    it is a matrix Q with Q^T K Q = K, and m' = Q^T m Q has the same roots
+    with vectors a = Q a'. There the monomials of a thin ellipse are not near
+    collinear, nor is m' near rank one, where cross products lose their
+    accuracy. The roots are those of det(m' - lam K), the cubic of K^-1 m':
+    with s its mean root and y = lam - s, y^3 + p y + q = 0, solved in the
+    trigonometric form y = 2 rho cos(theta - 2 pi j / 3), rho = sqrt(-p / 3),
+    descending in j. The vector of the largest root is the longest cross
+    product of two rows of m' - lam K (Kopp, "Efficient numerical
     diagonalization of hermitian 3x3 matrices", 2008). p and q round at the
     scale of m's entries, so a root far below them, as of a near-noiseless
     fit, is taken on to the Rayleigh quotient a^T m' a / a^T K a of its
     vector, accurate at the scale of the root, and its vector found again.
 
-    Returns the vectors, shape (k, 3, 3) with root j's in row j, and whether
-    each fit is certified (_ROOT_GAP, _ROOT_FLOOR): the vectors of the others
-    are not to be used. Cubes are written as products and angles found by
-    square roots, math.acos and, for the trisected roots, np.cos, whose
-    float64 bits were checked unchanged with NPY_DISABLE_CPU_FEATURES set
-    to "X86_V3 X86_V4 AVX512_ICL AVX512_SPR" (10^6 inputs, numpy 2.4.6), so
-    no bit follows numpy's SIMD dispatch; the byte-contract test
+    Returns the vectors, shape (k, 3), and the gap g = (y0 - y1) / scale
+    from the largest root to the next, NaN where p > 0 and two roots are
+    complex. The cosine of 3 theta is clipped to [-1, 1]: a circle's two
+    lower roots are equal, and rounding past 1 there must not cost its
+    largest root, while past -1 the two upper roots meet and g reads 0.
+    Cubes are written as products and angles found by square
+    roots, math.acos and np.cos, whose float64 bits were checked unchanged
+    with NPY_DISABLE_CPU_FEATURES set to "X86_V3 X86_V4 AVX512_ICL
+    AVX512_SPR" (10^6 inputs, numpy 2.4.6), so no bit follows numpy's SIMD
+    dispatch; the byte-contract test
     test_outputs_do_not_follow_numpy_simd_dispatch guards this.
     """
     # cosine and sine of the principal-axis angle, from its double angle
@@ -321,17 +323,14 @@ def _pencil_eig(m, xx, yy, xy, scale):
     q += (m00 * m12 * m12 + m22 * m01 * m01) / 4.0
     rho = np.sqrt(-p / 3.0)
     theta = _acos(np.clip(-q / (2.0 * rho * rho * rho), -1.0, 1.0)) / 3.0
-    y = 2.0 * rho[:, None] * np.cos(theta[:, None] - _THIRDS)
-    gap = np.minimum(y[:, 0] - y[:, 1], y[:, 1] - y[:, 2])
-    # one column per root
-    m00, m01, m02, m11, m12, m22 = (v[:, None] for v in (m00, m01, m02, m11, m12, m22))
-    a0, a1, a2 = _null_vectors(m00, m01, m02, m11, m12, m22, s[:, None] + y)
+    y0 = 2.0 * rho * np.cos(theta)
+    gap = (y0 - 2.0 * rho * np.cos(theta - 2.0 * math.pi / 3.0)) / scale
+    a0, a1, a2 = _null_vectors(m00, m01, m02, m11, m12, m22, s + y0)
     lam = m00 * a0 * a0 + m11 * a1 * a1 + m22 * a2 * a2
     lam += 2.0 * (m01 * a0 * a1 + m02 * a0 * a2 + m12 * a1 * a2)
     lam /= 4.0 * a0 * a2 - a1 * a1
-    certified = (gap > _ROOT_GAP * scale) & (np.abs(lam).min(axis=1) > _ROOT_FLOOR * scale)
-    vectors = np.stack(_null_vectors(m00, m01, m02, m11, m12, m22, lam), axis=-1)
-    return vectors @ np.swapaxes(rot, 1, 2), certified
+    vector = np.stack(_null_vectors(m00, m01, m02, m11, m12, m22, lam), axis=-1)
+    return (rot @ vector[:, :, None])[:, :, 0], gap
 
 
 def _null_vectors(m00, m01, m02, m11, m12, m22, lam):
@@ -360,31 +359,26 @@ def _fit_conics(scatter: np.ndarray):
     per fit: 0 where the fit is accepted, else its key in _REJECTED, with
     that row of coefficients NaN. One rejected fit never fails the others.
 
-    Each fit is judged once, in this order. A fit whose points are collinear
-    is rejected first, read off the scatter matrix alone, and not solved.
-    Every other fit is the stabilized partitioned solve of the 4AC - B^2 = 1
+    Each fit is the stabilized partitioned solve of the 4AC - B^2 = 1
     generalized eigenproblem (Halir & Flusser): the linear part is
     eliminated through the 3x3 block solve, leaving a 3x3 reduced
-    eigenproblem. Both are solved in closed form, the block by its adjugate
-    and the eigenproblem by _pencil_eig, for every fit whose roots that
-    certifies; every other fit is solved with LAPACK's solve and eig as if
-    no closed form had run, so noiseless arcs and pencils are decided by
-    LAPACK alone. A fit whose points lie on every conic of a pencil is then
-    rejected, read off the reduced matrix of the solve it ended with, and
-    the eigenpairs of the rest are judged. An eigenpair with a complex root
-    is no candidate. The eigenvector of an elliptical eigenpair has
-    arbitrary sign while the phase readout is sign-sensitive, so it is
-    canonicalized to A >= 0; when rounding lets more than one eigenpair
-    satisfy the ellipse inequality, the candidate with the smallest
-    algebraic residual a^T S a is kept. A conic whose unit-norm
-    discriminant is within 1e-10 of zero (a degenerate conic from nearly
-    collinear points that rounding tipped into ellipse form), or that has
-    no real points, is rejected. The frame fixes the points' spread, so
+    eigenproblem, and both are solved in closed form, the block by its
+    adjugate and the eigenproblem by _pencil_eig. Each fit is judged once,
+    by the first of these rules it fails:
+    1. its points are collinear (_COLLINEAR), read off the scatter matrix;
+    2. its points lie on every conic of a pencil (_PENCIL), read off the
+       reduced matrix (both status 1);
+    3. its vector or gap is not finite (status 2);
+    4. its unit-norm discriminant 4AC - B^2 does not exceed _MARGIN eps / g,
+       g the gap of _pencil_eig, so that rounding could have tipped it to
+       either sign, as at a line pair or a degenerate conic from nearly
+       collinear points (status 3);
+    5. its conic has no real points (status 4).
+    The vector has arbitrary sign while the phase readout is sign-sensitive,
+    so it is canonicalized to A >= 0. The frame fixes the points' spread, so
     these tests do not depend on where the points sit or on their units.
     """
-    k = scatter.shape[0]
-    rows = np.arange(k)
-    status = np.zeros(k, dtype=int)
+    status = np.zeros(scatter.shape[0], dtype=int)
     n = scatter[:, 5, 5]
     s1, s2, s3 = scatter[:, :3, :3], scatter[:, :3, 3:], scatter[:, 3:, 3:]
     with np.errstate(all="ignore"):
@@ -393,56 +387,31 @@ def _fit_conics(scatter: np.ndarray):
         xx, yy, xy = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
         status[xx * yy - xy * xy <= _COLLINEAR * xx * yy] = 1
         # t = -s3^-1 s2^T, through the adjugate of the symmetric s3
-        s2t = np.swapaxes(s2, 1, 2)
         adj = _adjugate(*(s3[:, i, j] for i, j in _UPPER))
         det = s3[:, 0, 0] * adj[0] + s3[:, 0, 1] * adj[1] + s3[:, 0, 2] * adj[2]
         # the six distinct entries laid out as the full symmetric matrix
         adj = np.stack(adj, axis=1)[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
-        t = -(adj @ s2t) / det[:, None, None]
+        t = -(adj @ np.swapaxes(s2, 1, 2)) / det[:, None, None]
         m = s1 + s2 @ t
-        a1, certified = _pencil_eig(m, xx, yy, xy, np.trace(s1, axis1=1, axis2=2))
-        # a fit the closed form does not certify is solved and judged by
-        # LAPACK alone; a collinear one is not solved, as its linear block is
-        # singular and one singular matrix would fail the whole stacked solve
-        lapack = (status == 0) & ~certified
-        if lapack.any():
-            t[lapack] = -np.linalg.solve(s3[lapack], s2t[lapack])
-            m[lapack] = s1[lapack] + s2[lapack] @ t[lapack]
-        # the pencil rule (_PENCIL), on the reduced scatter each fit ends
-        # with: u is m with x and y in units of their spread, and e2 sums its
-        # principal 2x2 minors, so e2 / tr is within a factor of 3 of its
-        # middle eigenvalue. A non-finite m fails this test too.
+        # the pencil rule (_PENCIL): u is m with x and y in units of their
+        # spread, and e2 sums its principal 2x2 minors, so e2 / tr is within
+        # a factor of 3 of its middle eigenvalue. A non-finite m fails this
+        # test too.
         w = n[:, None] / np.stack([xx, np.sqrt(xx * yy), yy], axis=1)
         u = m * w[:, :, None] * w[:, None, :]
         tr = np.trace(u, axis1=1, axis2=2)
         e2 = (tr * tr - np.einsum("kij,kji->k", u, u)) / 2.0
         status[(status == 0) & ~((tr > 0.0) & (e2 > _PENCIL * n * tr))] = 1
-        lapack &= status == 0
-        if lapack.any():
-            mr = m[lapack]
-            reduced = np.stack([mr[:, 2] / 2.0, -mr[:, 1], mr[:, 0] / 2.0], axis=1)
-            eigvals, eigvecs = np.linalg.eig(reduced)
-            re, im = np.real(eigvals), np.imag(eigvals)
-            # a complex root's candidate is NaN, which the cost test drops
-            real = np.abs(im) <= 1e-8 * np.maximum(1.0, np.abs(re))
-            a1[lapack] = np.where(real[:, :, None], np.swapaxes(np.real(eigvecs), 1, 2), np.nan)
 
-        # candidate j of fit i is a6[i, j]: the eigenvector and its linear part
-        a6 = np.concatenate([a1, a1 @ np.swapaxes(t, 1, 2)], axis=-1)
-        a6 /= np.linalg.norm(a6, axis=-1, keepdims=True)
-        a6 = np.where(a6[..., :1] < 0.0, -a6, a6)
-        cost = np.einsum("kjl,kjl->kj", a6 @ scatter, a6)
-        elliptic = 4.0 * a1[..., 0] * a1[..., 2] - a1[..., 1] ** 2 > 0.0
-        cost = np.where(elliptic & (cost < np.inf), cost, np.inf)
-        best = np.argmin(cost, axis=1)
-        coeffs = a6[rows, best]
-        # a non-finite candidate has a NaN cost, set to inf above
-        status[(status == 0) & ~(cost[rows, best] < np.inf)] = 2
-
+        a1, gap = _pencil_eig(m, xx, yy, xy, np.trace(s1, axis1=1, axis2=2))
+        coeffs = np.concatenate([a1, (t @ a1[:, :, None])[:, :, 0]], axis=1)
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        coeffs = np.where(coeffs[:, :1] < 0.0, -coeffs, coeffs)
+        status[(status == 0) & ~(np.isfinite(coeffs).all(axis=1) & np.isfinite(gap))] = 2
         a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
         # with unit norm and A >= 0, this also rejects A <= 0 or C <= 0
-        not_ellipse = b * b - 4.0 * a * c >= -1e-10
-        status[(status == 0) & not_ellipse] = 3
+        elliptic = 4.0 * a * c - b * b > _MARGIN * np.finfo(float).eps / gap
+        status[(status == 0) & ~elliptic] = 3
         status[(status == 0) & (_centre_and_scale(coeffs)[2] <= 0.0)] = 4
     coeffs[status != 0] = np.nan
     return coeffs, status

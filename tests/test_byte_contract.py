@@ -11,11 +11,13 @@ another numpy may differ; the numpy 2.2.6 leg of CI is unverified. Every
 output read off ellipse fits (seven rows: all but cycles.csv and the allan
 run) also follows the BLAS kernel, which numpy's OpenBLAS picks per CPU at
 run time, so the runs go in a child Python with OPENBLAS_CORETYPE=Haswell,
-an AVX2 kernel that every x86-64 CI runner can run. OpenBLAS's thread count
-does not move them. Nor does numpy's SIMD dispatch: the fits take their
-angles with math.acos and their cubes as products, never through the numpy
-functions whose last bit follows it (arccos, arctan2, cbrt, power), and a
-second test reruns the five with numpy's AVX-512 paths switched off.
+an AVX2 kernel that every x86-64 CI runner can run. Past the scatter
+product every fit is solved in closed form, with no LAPACK call. OpenBLAS's
+thread count does not move them: the table is checked at its default and at
+one thread. Nor does numpy's SIMD dispatch: the fits take their angles with
+math.acos and their cubes as products, never through the numpy functions
+whose last bit follows it (arccos, arctan2, cbrt, power), and a second test
+reruns the five with numpy's AVX-512 paths switched off.
 """
 
 import hashlib
@@ -47,12 +49,12 @@ DIGESTS = {
     "simulate/allan.json": "8fa3c902e5e4e85b1f5f006e74ae7e0694c0e2959754ff81089d6e2ff3bd47d7",
     "simulate/cycles.csv": "35b255fe293511ebbafeb49745679d2a87d15a5469b190e3862ebda9651c26a3",
     "simulate/phases.csv": "3f9a9c7b0eab17222a5fae5f1253c7d4976cc799596b57e3aea8a810d6120436",
-    "simulate-window-10/allan.json": "a66cce5a80deec88b6d5a169aaa421d58a3a13429d73188acaa71604f7a10bb1",
+    "simulate-window-10/allan.json": "5fdbb2671518c9db8a2ff147f346fc06a4f6e341595248b4c249a1019a85760d",
     "simulate-window-10/cycles.csv": "35b255fe293511ebbafeb49745679d2a87d15a5469b190e3862ebda9651c26a3",
-    "simulate-window-10/phases.csv": "28665e8967baef1fdca0a5e366853eb80ad92c61bf99d3c2450402f20cb2f876",
-    "scaling/scaling.csv": "b20c0cac9e9bf76ec390de979ee8437f964a1037fa827424e2d2ac8d85286009",
-    "scaling/scaling_fit.json": "2587f4dd0b1a48f9d0f37dae73b859d3c959b41ec3e0728f8f5bf1c6c7cdd1ad",
-    "ellipse/ellipse.json": "85d547a6e0bff7845fc91bfad2d9f2327f140a765534d376728a6e69490dd5d6",
+    "simulate-window-10/phases.csv": "4fbc3a54b38981c3b45c24baf7ed0df23d7fcb86a79fc4ff8c26c6e68eea09b2",
+    "scaling/scaling.csv": "051cbbe4632cdf6e45d35b5a93a8f98173e5de2f6e15e10aa8cbcc2c15e707a2",
+    "scaling/scaling_fit.json": "8a0214cc30fb07259c732cede9355449d65b788bfc4b0213fdd335d7147f94ef",
+    "ellipse/ellipse.json": "25f481081be45c996bb17d9d3546bbcaac8ee98907a2e95a7dfd50289e4e65ce",
     "allan/allan.json": "825d57c2ab0880961c17c3e1853a919b84b814d8b5e29da5797a018c16518b51",
 }
 
@@ -91,8 +93,9 @@ def run_digests(tmp_path, **env) -> dict:
     return digests
 
 
-def test_outputs_match_the_committed_digests(tmp_path):
-    assert run_digests(tmp_path) == DIGESTS
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}], ids=["default", "one-thread"])
+def test_outputs_match_the_committed_digests(tmp_path, env):
+    assert run_digests(tmp_path, **env) == DIGESTS
 
 
 @pytest.mark.skipif(not all(__cpu_features__.get(f) for f in AVX512),

@@ -205,7 +205,7 @@ class TestSimulateCommand:
 
     def test_degenerate_configuration_exit_code(self, tmp_path, capsys):
         cfg = small_config(tmp_path, N0=2, cycles=200, noise={"kind": "erasure", "q": 0.9})
-        assert main(["simulate", cfg, "--out", str(tmp_path / "x")]) == 4
+        assert main(["simulate", cfg, "--window", "50", "--out", str(tmp_path / "x")]) == 4
 
     def test_invalid_config_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -465,6 +465,19 @@ class TestNonFiniteAndNonPositiveNumbers:
         cfg = small_config(tmp_path, **overrides)
         assert main([argv[0], cfg, *argv[1:], "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["simulate"], ["scaling", "--q-grid", "0"]])
+    @pytest.mark.parametrize("window", [5, 100_000])
+    def test_window_that_does_not_suit_the_run(self, command, window, tmp_path, capsys):
+        # a window below a conic's six cycles, or one that leaves fewer than
+        # the four windows an Allan deviation needs, is refused before the
+        # 300 000 cycles are simulated
+        out = tmp_path / "run"
+        cfg = small_config(tmp_path, cycles=300_000)
+        argv = [command[0], cfg, *command[1:], "--window", str(window), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"window {window} over 300000 cycles" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_nan_dead_time_in_config(self, tmp_path, capsys):

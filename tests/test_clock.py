@@ -611,7 +611,8 @@ class TestFrequencyConversion:
         dphi, t_c, f0 = 0.01, 2.0, 3.0
         series = 0.8 + rng.normal(scale=dphi, size=4000)
         monkeypatch.setattr(clock, "phase_series_from_cycles", lambda pairs, window: series)
-        sigma = analyze_comparison(config(T_c=t_c, f0=f0), window=1).allan.sigmas[0]
+        # the window sets the averaging time, not the deviation
+        sigma = analyze_comparison(config(T_c=t_c, f0=f0), window=6).allan.sigmas[0]
         target = dphi / (2.0 * math.pi * t_c * f0)
         assert sigma == pytest.approx(target, rel=0.10)
 

@@ -10,7 +10,6 @@ import dataclasses
 import json
 import math
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,6 +133,19 @@ def four_on_a_line_plus_one(seed, n=20):
     return five[np.concatenate([np.arange(5), rng.integers(0, 5, size=n - 5)])]
 
 
+def lattice_line_pairs(seed, count):
+    """count sets of 6 to 39 pairs on the lines x = 0 and x = 1, with y on a
+    lattice of step 1/k, k from 2 to 20, as two ensembles' fractions are:
+    every conic through them is the line pair x^2 - x or, on one line, any
+    conic through that line, so each fit must be rejected."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(count):
+        n, k = int(rng.integers(6, 40)), int(rng.integers(2, 21))
+        sets.append(np.column_stack([rng.integers(0, 2, n), rng.integers(0, k + 1, n) / k]))
+    return sets
+
+
 def assert_close(fast, slow):
     fast, slow = np.asarray(fast, dtype=float), np.asarray(slow, dtype=float)
     assert fast.shape == slow.shape
@@ -157,22 +169,6 @@ def oracle_fit(x, y):
     return 0, math.acos(min(1.0, max(-1.0, -b / (2.0 * math.sqrt(a * c)))))
 
 
-def lapack_rows(monkeypatch, fit) -> int:
-    """How many fits the conic kernel hands to LAPACK while fit() runs: each
-    one that the closed form does not certify passes once through solve."""
-    solved = []
-    solve = np.linalg.solve
-
-    def counting_solve(a, b):
-        solved.append(len(a))
-        return solve(a, b)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "solve", counting_solve)
-        fit()
-    return sum(solved)
-
-
 class TestAgainstOracles:
     @PROPERTY
     @given(seed=seeds, n=st.integers(7, 3000), noise=st.floats(1e-3, 3e-2))
@@ -193,22 +189,23 @@ class TestAgainstOracles:
     )
     def test_conic_kernel(self, seed, n0, pairs, contrasts, phi, lattice):
         # Four shot-noise windows, a noiseless arc and a near-circle in one
-        # stack, so that closed-form and LAPACK fits share a call, and with
-        # them the degenerate sets: an exact line, one to five points repeated,
-        # four points repeated (a pencil), a window of N0 = `lattice` atoms,
-        # whose pairs sit on a coarse lattice, and a near line. phi stays 1e-3
-        # from 0 and pi, where a noiseless arc is a line. Every status must be
-        # the one the kernel gives with LAPACK alone (no fit certified), and
-        # every phase within 1e-8 rad of it: on thin ellipses (phi near 0 or
-        # pi) and windows of few pairs rounding alone moves a phase by up to
-        # ~1e-9 rad, in LAPACK as in the closed form, each against a 50-digit
-        # solve of the same scatter matrix (20000 such windows); a wrong root
-        # or vector moves it by orders of magnitude more. Within 0.2 of 0 and
-        # pi the oracle is no reference: there it and LAPACK alone already
-        # differ in status or by 1e-7 rad. Elsewhere the status must be the
-        # oracle's too, and the phase as close to it, except for rule 1
-        # (collinear or a pencil): that rule is the kernel's own, and the
-        # oracle fits such windows at whatever rounding picks.
+        # stack, and with them the degenerate sets: an exact line, one to
+        # five points repeated, four points repeated (a pencil), a window of
+        # N0 = `lattice` atoms, whose pairs sit on a coarse lattice, and a
+        # near line. phi stays 1e-3 from 0 and pi, where a noiseless arc is
+        # a line. The line, the pencil and fewer than five repeated points
+        # fix no single conic and must be rejected. Five distinct points fix
+        # one, and a lattice window may fix an ellipse: where the kernel fits
+        # either, LAPACK's solve of the same points (tests/oracles.py) must
+        # fit it too, within 1e-8 rad; on windows of few pairs rounding
+        # alone moves a phase by up to ~1e-9 rad, in LAPACK as in the closed
+        # form, each against a 50-digit solve of the same scatter matrix
+        # (20000 such windows), while a wrong root or vector moves it by
+        # orders of magnitude more. Within 0.2 of 0 and pi the oracle is no
+        # reference for the rest. Elsewhere the status must be the oracle's
+        # too, and the phase as close to it, except for rule 1 (collinear or
+        # a pencil): that rule is the kernel's own, and the oracle fits such
+        # windows at whatever rounding picks.
         rng = np.random.default_rng(seed)
         c_a, c_b = contrasts
         theta = rng.uniform(0.0, 2.0 * math.pi, size=(4, pairs))
@@ -229,14 +226,12 @@ class TestAgainstOracles:
         scatter = np.stack([estimation._scatter(r) for r in rows])
         coeffs, status = estimation._fit_conics(scatter)
         phases = estimation._phase(coeffs)
-        with mock.patch.object(estimation, "_ROOT_FLOOR", math.inf):
-            lapack, lapack_status = estimation._fit_conics(scatter)
-        assert np.array_equal(status, lapack_status)
-        # The near line (last) is held to its status alone: at noise ~1e-3 it
-        # is a thin ellipse of few pairs whose phase, a few times the noise,
-        # both paths solve only to ~2e-7 rad of a 50-digit solve.
-        moved = np.abs(phases - estimation._phase(lapack))[:-1]
-        assert np.all(moved[status[:-1] == 0] <= 1e-8)
+        five = len(np.unique(windows[7], axis=0)) == 5
+        assert status[6] != 0 and (five or status[7] != 0) and status[8] != 0
+        for j in (7, 9):
+            if status[j] == 0:
+                want, slow = oracle_fit(rows[j][:, 3], rows[j][:, 4])
+                assert want == 0 and abs(phases[j] - slow) <= 1e-8
         if not 0.2 < phi < math.pi - 0.2:
             return
         # the shot-noise windows, the arc and the near-circle
@@ -632,30 +627,36 @@ class TestDegenerateWindows:
                 ellipse_fit(pts)
 
     def test_rounded_line_is_collinear(self):
-        # 34 points on a line of slope -1.1385, which rounds in floats: the
-        # pencil test misses them, and without _COLLINEAR the fitted conic
-        # is rejected as "degenerate or not elliptical" instead
+        # 400 lines whose slopes round in floats: the pencil test misses 4
+        # of them, and without _COLLINEAR their fitted conic is rejected as
+        # "degenerate or not elliptical" instead
         rng = np.random.default_rng(0)
-        n = int(rng.integers(6, 40))
-        t = rng.uniform(size=n)
-        a, b = rng.uniform(-3, 3), rng.uniform(-1, 1)
-        with pytest.raises(EllipseFitError, match="degenerate point configuration"):
-            ellipse_fit(np.column_stack([t, a * t + b]))
+        for _ in range(400):
+            n = int(rng.integers(6, 40))
+            t = rng.uniform(size=n)
+            a, b = rng.uniform(-3, 3), rng.uniform(-1, 1)
+            with pytest.raises(EllipseFitError, match="degenerate point configuration"):
+                ellipse_fit(np.column_stack([t, a * t + b]))
 
     def test_line_pair_is_not_an_ellipse(self):
         # six points on the lines x = 0 and x = 1 fix the line pair x^2 - x,
         # whose discriminant is zero: rounding tips it to either sign, and
-        # without the 1e-10 margin of status 3 it fits at pi/2
+        # without the margin of status 3 (_MARGIN) it fits at pi/2
         pts = np.array([[0, 0], [0, 5], [0, 3], [5, 0], [5, 2], [5, 3]]) / 5
         with pytest.raises(EllipseFitError, match="degenerate or not elliptical"):
             ellipse_fit(pts)
         fast, _ = self.series_of(pts, window=6)
         assert np.isnan(fast)
+        # and so does every line pair of fractions on a lattice
+        for pts in lattice_line_pairs(13, 200):
+            with pytest.raises(EllipseFitError):
+                ellipse_fit(pts)
 
     def test_near_collinear_points_have_no_real_elliptic_eigenpair(self):
-        # 22 points within ~3e-5 of a line: the only eigenpairs that read as
-        # elliptic are a complex pair, and without the 1e-8 test on their
-        # imaginary part the fit returns a phase near 7e-5
+        # 22 points within ~3e-5 of a line: rounding leaves the reduced
+        # problem with a complex pair of roots and no real elliptic
+        # eigenvector; the real part of the complex pair's vector would
+        # read as a phase near 7e-5
         rng = np.random.default_rng(1139)
         n = int(rng.integers(6, 60))
         e = rng.uniform(2, 15)
@@ -716,66 +717,49 @@ class TestDegenerateWindows:
                 ellipse_fit(pts)
 
     def test_closed_form_margins(self, monkeypatch):
-        # Both margins of the closed-form solve sit at least a factor of 10
-        # inside what it must tell apart: at a tenth of _ROOT_GAP and
-        # _ROOT_FLOOR every degenerate set above that is not collinear, and
-        # window 35 of the N0 2 run (test_cli), still goes to LAPACK, to be
-        # judged as before the closed form; at ten times them the jackknife
-        # of 2000 shot-noise pairs and a record of 2000 ten-pair windows send
-        # no fit there, nor do the collinear sets, rejected before any solve.
-        t = np.linspace(0.0, 1.0, 20)
-        u = np.random.default_rng(0).uniform(size=20)
-        rng = np.random.default_rng(1139)
-        n = int(rng.integers(6, 60))
-        e = rng.uniform(2, 15)
-        v = rng.uniform(size=n)
-        lines = [
-            np.column_stack([t, 2.0 * t]),
-            np.column_stack([u, 3.0 * u - 0.2]),
-            np.column_stack([t, 2.0 * t + 0.1 + 1e-9 * np.random.default_rng(5).normal(size=20)]),
-            np.tile([[0.3, 0.7]], (20, 1)),
-        ]
-        degenerate = [
-            np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (5, 1)),
-            np.tile(noisy_ellipse(np.random.default_rng(8), 4, 0.0), (5, 1)),
-            *(four_on_a_line_plus_one(seed) for seed in (0, 4, 6)),
-            np.array([[0, 0], [0, 5], [0, 3], [5, 0], [5, 2], [5, 3]]) / 5,
-            np.column_stack([v, 0.7 * v + 0.2]) + rng.normal(size=(n, 2)) * 10.0 ** -e,
-        ]
-        rng = np.random.default_rng(0)
-        v = rng.uniform(size=int(rng.integers(6, 40)))
-        lines.append(np.column_stack([v, rng.uniform(-3, 3) * v + rng.uniform(-1, 1)]))
-        with open(os.path.join(os.path.dirname(__file__), os.pardir, "data",
-                               "example_comparison.json")) as fh:
+        # _MARGIN sits at least a factor of 10 inside what it must tell
+        # apart: at a tenth of it the line pair, window 35 of the N0 2 run
+        # (test_cli) and line pairs of lattice fractions are still rejected;
+        # at ten times it the jackknife of 2000 shot-noise pairs, a record of
+        # 2000 ten-pair windows, noiseless arcs of 0.1 rad and the shipped
+        # pi/3 pairs fit the same.
+        data = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+        with open(os.path.join(data, "example_comparison.json")) as fh:
             shipped = json.load(fh)
         two = ComparisonConfig.from_dict(dict(shipped, N0=2, cycles=1000, seed=0,
                                               noise={"kind": "depolarizing", "q": 0.0}))
-        degenerate.append(valid_pairs(run_comparison(two))[350:360])
-        scatter, line_scatter = (
-            np.stack([estimation._scatter(estimation._centred_rows(pts)[0]) for pts in sets])
-            for sets in (degenerate, lines)
-        )
-        five = noisy_ellipse(np.random.default_rng(10), 5, 0.0)
-        pencil_jackknife = np.vstack([np.tile(five[:4], (5, 1)), five[4:]])
-
+        rejected = [
+            np.array([[0, 0], [0, 5], [0, 3], [5, 0], [5, 2], [5, 3]]) / 5,
+            valid_pairs(run_comparison(two))[350:360],
+            *lattice_line_pairs(14, 200),
+        ]
         rng = np.random.default_rng(12)
         theta = rng.uniform(0.0, 2.0 * math.pi, size=2000)
         p = 0.5 + 0.5 * np.column_stack([0.9 * np.cos(theta), 0.85 * np.cos(theta + 1.3)])
         shot_noise = rng.binomial(10_000, p) / 10_000
         record = ComparisonConfig.from_dict(dict(shipped, N0=400, cycles=20_000))
         cycles = valid_pairs(run_comparison(record))
+        t = 0.37 + np.linspace(0.0, 0.1, 20)
+        arcs = [np.column_stack([(1.0 + c * np.cos(t)) / 2.0, (1.0 + c * np.cos(t + phi_d)) / 2.0])
+                for phi_d in np.linspace(0.3, math.pi - 0.3, 5) for c in (0.5, 1.0)]
+        arcs.append(estimation.load_pairs_csv(os.path.join(data, "ellipse_pi_over_3.csv")))
 
-        gap, floor = estimation._ROOT_GAP, estimation._ROOT_FLOOR
-        monkeypatch.setattr(estimation, "_ROOT_GAP", gap / 10.0)
-        monkeypatch.setattr(estimation, "_ROOT_FLOOR", floor / 10.0)
-        assert lapack_rows(monkeypatch, lambda: estimation._fit_conics(scatter)) == len(degenerate)
-        assert lapack_rows(monkeypatch, lambda: ellipse_phase_jackknife(pencil_jackknife)) == 22
-        monkeypatch.setattr(estimation, "_ROOT_GAP", gap * 10.0)
-        monkeypatch.setattr(estimation, "_ROOT_FLOOR", floor * 10.0)
-        assert lapack_rows(monkeypatch, lambda: ellipse_phase_jackknife(shot_noise)) == 0
-        assert lapack_rows(monkeypatch, lambda: phase_series_from_cycles(cycles, 10)) == 0
-        assert lapack_rows(monkeypatch, lambda: estimation._fit_conics(line_scatter)) == 0
-        assert np.all(estimation._fit_conics(line_scatter)[1] == 1)
+        def fits():
+            return np.concatenate([
+                ellipse_phase_jackknife(shot_noise),
+                phase_series_from_cycles(cycles, 10),
+                [ellipse_fit(pts).phi_d for pts in arcs],
+            ])
+
+        at = fits()
+        assert np.isfinite(at).all()
+        margin = estimation._MARGIN
+        monkeypatch.setattr(estimation, "_MARGIN", margin / 10.0)
+        for pts in rejected:
+            with pytest.raises(EllipseFitError):
+                ellipse_fit(pts)
+        monkeypatch.setattr(estimation, "_MARGIN", 10.0 * margin)
+        assert np.array_equal(fits(), at)
 
     def test_non_finite_cycles_rejected(self):
         cycles = noisy_ellipse(np.random.default_rng(8), 40, 0.01)
