@@ -13,15 +13,17 @@ scaling curves, and interrogation-time optimization under dead time.
 A run is held as columns (CycleRecord), and analyze_comparison is the one
 path from a config to its Allan deviation, for `simulate` and for scaling.
 
-Determinism contract: cycle i draws, in a documented order
-(run_comparison), from its own counter-based stream
-Philox(SeedSequence(entropy=seed, spawn_key=(i,))), so results are
-bit-identical for a given config. The simulator does not build those
-sequences: it derives their Philox keys in vectorized chunks from numpy's
-pool for SeedSequence(seed) and one index word per cycle (_cycle_keys),
-and run_comparison's loop re-keys one generator per cycle, which yields
-the same bits. A run reads its channel only through (amplitude(q),
-survival(q)), so a scaling sweep simulates each distinct pair once.
+Determinism contract: every draw comes, in a documented order
+(run_comparison), from a counter-based stream Philox(SeedSequence(entropy=
+seed, spawn_key=key)), so results are bit-identical for a given config.
+Cycle i draws its laser phase and excitations from key (i,); a run that
+loses atoms draws the survivors of block b, the _BLOCK cycles from
+b * _BLOCK on, from key (b, 1), so the block size is part of the stream.
+The simulator derives the cycles' Philox keys a block at a time from
+numpy's pool for SeedSequence(seed) and one index word per cycle
+(_cycle_keys), and re-keys one generator per cycle, which yields the same
+bits. A run reads its channel only through (amplitude(q), survival(q)), so
+a scaling sweep simulates each distinct pair once.
 """
 
 from __future__ import annotations
@@ -209,14 +211,15 @@ class CycleRecord:
 
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, pool of 4
-# uint32 words), and the cycles whose Philox keys are derived at a time.
-# _SEEDED is the hash constant after the seed's 16 hashes (4 in, 12 mixes).
+# uint32 words). _SEEDED is the hash constant after the seed's 16 hashes
+# (4 in, 12 mixes).
 _MASK32 = 0xFFFFFFFF
 _MULT_A = 0x931E8875
 _SEEDED = 0x43B0D7E5 * pow(_MULT_A, 16, 1 << 32) & _MASK32
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_KEY_CHUNK = 4096
+# Cycles whose Philox keys are derived, and survivors drawn, at a time
+_BLOCK = 4096
 
 
 def _hashmix(value, const: int, mult: int):
@@ -268,19 +271,23 @@ def run_comparison(config: ComparisonConfig) -> CycleRecord:
     a stream that is a pure function of (seed, i), in this fixed order, on
     which every output depends: theta ~ U[0, 2 pi) (UniformRandomPerCycle
     only; FixedSweep sets theta = 2 pi i / cycles); then for ensemble a and
-    then b, survivors ~ Binomial(N0, survival) if the channel loses atoms,
-    and excitations ~ Binomial(survivors, p) with shot noise and
+    then b, excitations ~ Binomial(survivors, p) with shot noise and
     survivors > 0. Without shot noise a fraction is the Born probability p
-    itself. The channel enters only as (amplitude, survival), so channels
-    with equal pairs give equal runs: every kind at q = 0, where the pair
-    is (1, 1), and depolarizing at 2q beside dephasing at q.
+    itself. Survivors are N0 unless the channel loses atoms; then block b
+    of _BLOCK cycles draws them ~ Binomial(N0, survival) from its own
+    stream, spawn key (b, 1), in cycle order and ensemble a before b, and
+    every cycle's own stream stays as it is without loss. The channel
+    enters only as (amplitude, survival), so channels with equal pairs give
+    equal runs: every kind at q = 0, where the pair is (1, 1), and
+    depolarizing at 2q beside dephasing at q.
 
     One Philox generator serves every cycle: before each it is reset to the
     state a fresh Philox on that cycle's sequence starts in (counter 0,
     empty buffer, that cycle's key), which is bit-identical to building
     each cycle's generator from its sequence. The keys come from
-    _cycle_keys a chunk at a time, so memory stays bounded for any count.
-    A cycle index is one 32-bit spawn word, so cycles is at most 2^32.
+    _cycle_keys a block at a time, so memory stays bounded for any count.
+    A cycle index is one 32-bit spawn word, so cycles is at most 2^32 and
+    no two-word block key repeats a cycle's key.
     """
     q = config.noise.strength(config.t_c)
     kind = config.noise.kind
@@ -291,7 +298,7 @@ def run_comparison(config: ComparisonConfig) -> CycleRecord:
     # survives rounding: p needs no clamp
     sides = ((0.0, config.c_a * amplitude), (config.phi_d, config.c_b * amplitude))
     count = int(config.cycles)
-    theta, x, n = np.empty(count), np.empty((count, 2)), np.empty((count, 2), dtype=np.int64)
+    theta, x, n = np.empty(count), np.empty((count, 2)), np.full((count, 2), n0, dtype=np.int64)
     # memoryviews store a Python scalar without making a numpy scalar
     theta_at, x_at, n_at = memoryview(theta), memoryview(x.reshape(-1)), memoryview(n.reshape(-1))
     bitgen = np.random.Philox(0)
@@ -303,18 +310,20 @@ def run_comparison(config: ComparisonConfig) -> CycleRecord:
     fresh = {"bit_generator": "Philox", "state": philox, "buffer": [0, 0, 0, 0],
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     k = 0  # flat index of (cycle i, side) in x and n
-    for lo in range(0, count, _KEY_CHUNK):
-        keys = _cycle_keys(config.seed, lo, min(lo + _KEY_CHUNK, count)).tolist()
-        for i, key in enumerate(keys, lo):
+    for b, lo in enumerate(range(0, count, _BLOCK)):
+        hi = min(lo + _BLOCK, count)
+        if lossy:
+            block = np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(b, 1)))
+            n[lo:hi] = np.random.Generator(block).binomial(n0, survival, size=(hi - lo, 2))
+        for i, key in enumerate(_cycle_keys(config.seed, lo, hi).tolist(), lo):
             philox["key"] = key
             bitgen.state = fresh
             # bit-identical to rng.uniform(0.0, TWO_PI), which is 0.0 + TWO_PI * u
             th = TWO_PI * random() if random_phase else TWO_PI * i / count
             theta_at[i] = th
             for phi_off, scale in sides:
-                atoms = binomial(n0, survival) if lossy else n0
+                atoms = n_at[k]
                 p = 0.5 * (1.0 + scale * cos(th + phi_off))
-                n_at[k] = atoms
                 x_at[k] = (binomial(atoms, p) / atoms if atoms else nan) if shot_noise else p
                 k += 1
     return CycleRecord(theta=theta, x=x, n=n, valid=~np.isnan(x).any(axis=1))
@@ -470,9 +479,9 @@ def analyze_comparison(config: ComparisonConfig, window: int) -> ComparisonAnaly
     simulation if a window holds fewer cycles than a conic has degrees of
     freedom or the run fills fewer windows than an Allan deviation needs;
     SimulationDegeneracyError if more than 10% of cycles are invalid,
-    EllipseFitError if more than 10% of the fit windows fail, and
-    ValueError if a quotient overflows or a nonzero one falls below the
-    normal float range.
+    ValueError if the valid pairs fill too few windows, EllipseFitError if
+    more than 10% of the fit windows fail, and ValueError if a quotient
+    overflows or a nonzero one falls below the normal float range.
     """
     if window < _CONIC_DOF or config.cycles // window < _ALLAN_MIN:
         raise ValueError(
@@ -487,7 +496,14 @@ def analyze_comparison(config: ComparisonConfig, window: int) -> ComparisonAnaly
             f"q = {config.noise.strength(config.t_c)} "
             f"({config.noise.kind.value}); the configuration is degenerate"
         )
-    series = phase_series_from_cycles(valid_pairs(cycles), window)
+    pairs = valid_pairs(cycles)
+    if len(pairs) // window < _ALLAN_MIN:
+        raise ValueError(
+            f"window {window} over {len(pairs)} valid pairs: {config.cycles - len(pairs)} of "
+            f"{config.cycles} cycles lost every atom of an ensemble, and the run needs at "
+            f"least {_ALLAN_MIN} full windows"
+        )
+    series = phase_series_from_cycles(pairs, window)
     fitted = int(np.count_nonzero(~np.isnan(series)))
     if (series.size - fitted) / series.size > 0.10:
         raise EllipseFitError(f"only {fitted} of {series.size} fit windows gave a phase")

@@ -29,6 +29,9 @@ from erasure_sensing.states import ChannelKind
 # The library's tolerances, restated.
 _NEGATIVE_TOL = 1e-14
 _SUM_TOL = 1e-12
+# The cycles whose survivors one block stream draws, restated: part of the
+# stream.
+_BLOCK = 4096
 
 
 def solve_conic(x, y):
@@ -208,9 +211,21 @@ class CycleResult:
     valid: bool
 
 
-def simulate_cycle(cfg, amplitude, survival, i):
+def block_survivors(cfg, survival, b, size):
+    """(n_a, n_b) for each of the `size` cycles of block b, drawn one
+    scalar at a time from the block's own Philox stream keyed by (seed, b,
+    1), in cycle order and ensemble a before b; N0 where no atom is lost."""
+    if survival >= 1.0:
+        return [(cfg.n0, cfg.n0)] * size
+    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b, 1))
+    rng = np.random.Generator(np.random.Philox(ss))
+    return [tuple(int(rng.binomial(cfg.n0, survival)) for _ in range(2)) for _ in range(size)]
+
+
+def simulate_cycle(cfg, amplitude, survivors, i):
     """One cycle from its own Philox stream keyed by (seed, i), drawing
-    theta, then ensemble a (survivors, excitations), then ensemble b."""
+    theta, then ensemble a's excitations, then ensemble b's, over the
+    survivors its block drew."""
     ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
     rng = np.random.Generator(np.random.Philox(ss))
     if cfg.laser_phase_model is LaserPhaseModel.UNIFORM_RANDOM_PER_CYCLE:
@@ -219,13 +234,11 @@ def simulate_cycle(cfg, amplitude, survival, i):
         theta = 2.0 * math.pi * i / cfg.cycles
 
     xs = [0.0, 0.0]
-    ns = [cfg.n0, cfg.n0]
     valid = True
     for side, (phi_off, contrast) in enumerate(((0.0, cfg.c_a), (cfg.phi_d, cfg.c_b))):
-        n = int(rng.binomial(cfg.n0, survival)) if survival < 1.0 else cfg.n0
+        n = survivors[side]
         p = 0.5 * (1.0 + contrast * amplitude * math.cos(theta + phi_off))
         p = min(1.0, max(0.0, p))
-        ns[side] = n
         if not cfg.shot_noise:
             xs[side] = p
             continue
@@ -236,7 +249,8 @@ def simulate_cycle(cfg, amplitude, survival, i):
         xs[side] = int(rng.binomial(n, p)) / n
 
     return CycleResult(
-        index=i, theta=theta, x_a=xs[0], x_b=xs[1], n_a=ns[0], n_b=ns[1], valid=valid
+        index=i, theta=theta, x_a=xs[0], x_b=xs[1], n_a=survivors[0], n_b=survivors[1],
+        valid=valid,
     )
 
 
@@ -245,7 +259,12 @@ def run_comparison(cfg):
     q = cfg.noise.strength(cfg.t_c)
     kind = cfg.noise.kind
     amplitude, survival = kind.amplitude(q), kind.survival(q)
-    return [simulate_cycle(cfg, amplitude, survival, i) for i in range(cfg.cycles)]
+    results = []
+    for b, lo in enumerate(range(0, cfg.cycles, _BLOCK)):
+        hi = min(lo + _BLOCK, cfg.cycles)
+        survivors = block_survivors(cfg, survival, b, hi - lo)
+        results += [simulate_cycle(cfg, amplitude, survivors[i - lo], i) for i in range(lo, hi)]
+    return results
 
 
 def write_cycles_csv(path, cycles):

@@ -52,8 +52,8 @@ DIGESTS = {
     "simulate-window-10/allan.json": "5fdbb2671518c9db8a2ff147f346fc06a4f6e341595248b4c249a1019a85760d",
     "simulate-window-10/cycles.csv": "35b255fe293511ebbafeb49745679d2a87d15a5469b190e3862ebda9651c26a3",
     "simulate-window-10/phases.csv": "4fbc3a54b38981c3b45c24baf7ed0df23d7fcb86a79fc4ff8c26c6e68eea09b2",
-    "scaling/scaling.csv": "051cbbe4632cdf6e45d35b5a93a8f98173e5de2f6e15e10aa8cbcc2c15e707a2",
-    "scaling/scaling_fit.json": "8a0214cc30fb07259c732cede9355449d65b788bfc4b0213fdd335d7147f94ef",
+    "scaling/scaling.csv": "515d85eeedfe520ff9d3f8673bbba81c3f7148ef5b6cffdf292d78e1b3c58ad0",
+    "scaling/scaling_fit.json": "97baa51ff48c3081f523168908df2ec5d85cb800ea49b23a828b70c686244e37",
     "ellipse/ellipse.json": "25f481081be45c996bb17d9d3546bbcaac8ee98907a2e95a7dfd50289e4e65ce",
     "allan/allan.json": "825d57c2ab0880961c17c3e1853a919b84b814d8b5e29da5797a018c16518b51",
 }

@@ -207,6 +207,19 @@ class TestSimulateCommand:
         cfg = small_config(tmp_path, N0=2, cycles=200, noise={"kind": "erasure", "q": 0.9})
         assert main(["simulate", cfg, "--window", "50", "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("command", [["simulate"],
+                                         ["scaling", "--q-grid", "0.25", "--kind", "erasure"]])
+    def test_cycles_lost_below_four_windows_is_a_usage_error(self, command, tmp_path, capsys):
+        # 400 cycles fill four windows of 100, but at N0 3 and q 0.25 about
+        # 12 cycles lose an ensemble, and the valid pairs fill three
+        out = tmp_path / "run"
+        cfg = small_config(tmp_path, N0=3, cycles=400, noise={"kind": "erasure", "q": 0.25})
+        assert main([command[0], cfg, *command[1:], "--window", "100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "window 100 over 3" in err and "valid pairs" in err
+        assert "of 400 cycles lost every atom" in err
+        assert list(out.iterdir()) == []
+
     def test_invalid_config_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"phi_d": 1.0}))

@@ -1,6 +1,7 @@
 """Clock-comparison Monte Carlo: config parsing, per-cycle random streams,
 determinism, Allan deviation, scaling fits, and interrogation-time optimization."""
 
+import hashlib
 import json
 import math
 from dataclasses import fields, replace
@@ -179,17 +180,18 @@ class TestPerCycleStreams:
             keys = clock._cycle_keys(seed, i, i + 1)
             assert keys.dtype == np.uint64
             assert np.array_equal(keys, [seed_sequence_key(seed, i)])
-        for lo, hi in ((clock._KEY_CHUNK - 3, clock._KEY_CHUNK + 3), (2**32 - 64, 2**32)):
+        for lo, hi in ((clock._BLOCK - 3, clock._BLOCK + 3), (2**32 - 64, 2**32)):
             expected = [seed_sequence_key(seed, i) for i in range(lo, hi)]
             assert np.array_equal(clock._cycle_keys(seed, lo, hi), expected)
 
     def test_shared_generator_draws_each_cycles_fresh_stream(self):
         # run_comparison resets one generator per cycle. Each cycle leaves
-        # the generator's buffer part used, and the cycles cross a chunk of
-        # keys: every cycle must still draw exactly what the oracle's fresh
+        # the generator's buffer part used, and the cycles cross a block:
+        # every cycle must still draw exactly what the oracle's fresh
         # generator on that cycle's sequence draws. Erasure loses atoms, so
-        # a cycle makes all five draws.
-        cfg = config(cycles=clock._KEY_CHUNK + 2, noise={"kind": "erasure", "q": 0.3},
+        # each block draws its survivors from its own stream, and the run
+        # ends on a partial block.
+        cfg = config(cycles=clock._BLOCK + 2, noise={"kind": "erasure", "q": 0.3},
                      seed=20260823)
         fast = run_comparison(cfg)
         slow = oracles.run_comparison(cfg)
@@ -225,6 +227,80 @@ class TestPerCycleStreams:
             for kind, q in (("depolarizing", 0.4), ("dephasing", 0.2))
         )
         assert same_cycles(depolarizing, dephasing)
+
+
+class TestSurvivorStreams:
+    """A lossy run draws its survivors a block at a time from the block's
+    own stream, so every cycle's own stream is the one a lossless run
+    reads."""
+
+    @pytest.mark.parametrize("n, p", [(3, 0.75), (5, 0.02), (400, 0.7), (3000, 0.3),
+                                      (2**40, 0.5)])
+    def test_scalar_and_array_binomial_draws_consume_the_stream_alike(self, n, p):
+        # The oracle draws survivors one scalar at a time, the library as
+        # one array: both must read the same values and leave the stream in
+        # the same state, in numpy's inversion and BTPE regimes alike.
+        for spawn_key in ((0, 1), (3, 1)):
+            scalar, array = (
+                np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(entropy=20260823, spawn_key=spawn_key)))
+                for _ in range(2)
+            )
+            drawn = [[scalar.binomial(n, p) for _ in range(2)] for _ in range(37)]
+            assert np.array_equal(array.binomial(n, p, size=(37, 2)), drawn)
+            after = scalar.bit_generator.state, array.bit_generator.state
+            for field in ("counter", "key"):
+                assert np.array_equal(*(state["state"][field] for state in after))
+            for field in ("buffer", "buffer_pos", "has_uint32", "uinteger"):
+                assert np.array_equal(*(state[field] for state in after))
+            assert scalar.random() == array.random()
+
+    @pytest.mark.parametrize("seed", [0, 7, 20260823])
+    def test_survivors_never_touch_a_cycles_stream(self, seed):
+        # Erasure keeps the fringe, so a cycle that keeps every atom of both
+        # ensembles draws exactly what the lossless run draws in that cycle.
+        for model in ("UniformRandomPerCycle", "FixedSweep"):
+            shared = dict(N0=3, cycles=clock._BLOCK + 5, seed=seed, laser_phase_model=model)
+            lossless = run_comparison(config(**shared))
+            for noise in ({"kind": "erasure", "q": 0.2}, {"kind": "erasure", "gamma": 0.3}):
+                lossy = run_comparison(config(noise=noise, **shared))
+                assert np.array_equal(lossy.theta, lossless.theta)
+                kept = (lossy.n == 3).all(axis=1)
+                assert 0 < kept.sum() < kept.size
+                assert np.array_equal(lossy.x[kept], lossless.x[kept])
+
+    # SHA-256 of x then n, as bytes, of runs at N0 5 over 4100 cycles. A
+    # run that keeps its atoms draws no survivors, so where survivors are
+    # drawn must not move these bytes.
+    @pytest.mark.parametrize("seed, noise, digest", [
+        (0, {"kind": "depolarizing", "q": 0.3},
+         "ca9b63515a936a4536783eb078abcf496bbb080cdb80ae45e6be3affa094e6f4"),
+        (0, {"kind": "dephasing", "gamma": 0.4},
+         "0656662754f30e3313b969b69f1a2c608aeff3eb4e36a3cd016168dd8c6d5d5a"),
+        (7, {"kind": "depolarizing", "q": 0.3},
+         "0fee091de7e38e93e81a9321fccecc4077f1f425d1098ef338d0230c299d93d4"),
+        (7, {"kind": "dephasing", "gamma": 0.4},
+         "48b1cdba4701539c30555686117ea837e2b4ae8c57c1eea95ca98a12ddd1046e"),
+        (20260823, {"kind": "depolarizing", "q": 0.3},
+         "b78c915e675e94a85821892295cde929b6e1087dd1c23081ba31612916a488e7"),
+        (20260823, {"kind": "dephasing", "gamma": 0.4},
+         "d1c67100c620987658b90b12c78ccdb1df9c972ad7e2b51f2ad2ec3dea6af910"),
+    ])
+    def test_lossless_runs_keep_their_draws(self, seed, noise, digest):
+        run = run_comparison(config(N0=5, cycles=4100, seed=seed, noise=noise))
+        assert hashlib.sha256(run.x.tobytes() + run.n.tobytes()).hexdigest() == digest
+
+    def test_noiseless_lossy_run_gives_born_probabilities(self):
+        cfg = config(N0=3, cycles=500, noise={"kind": "erasure", "q": 0.3}, shot_noise=False,
+                     c_a=0.9, c_b=0.6, phi_d=1.1, seed=11)
+        run = run_comparison(cfg)
+        born = [[0.5 * (1.0 + c * math.cos(th + off)) for off, c in ((0.0, 0.9), (1.1, 0.6))]
+                for th in run.theta.tolist()]
+        assert np.array_equal(run.x, born)
+        block = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=11, spawn_key=(0, 1))))
+        assert np.array_equal(run.n, block.binomial(3, 0.7, size=(500, 2)))
+        assert (run.n == 0).any() and run.valid.all()
 
 
 class TestCycleModel:
@@ -292,6 +368,17 @@ class TestCycleModel:
         assert 0.5 < frac <= 1.0
         assert not np.any(results.valid & np.any(results.n == 0, axis=1))
         assert len(valid_pairs(results)) == np.count_nonzero(results.valid)
+
+    def test_lost_cycles_that_leave_too_few_windows_are_named(self):
+        # the window suits the 400 cycles, but the ~12 cycles that lose an
+        # ensemble leave three full windows of valid pairs
+        cfg = config(N0=3, cycles=400, noise={"kind": "erasure", "q": 0.25})
+        lost = int(np.count_nonzero(~run_comparison(cfg).valid))
+        assert lost > 0
+        message = (f"window 100 over {400 - lost} valid pairs: {lost} of 400 cycles lost "
+                   "every atom of an ensemble")
+        with pytest.raises(ValueError, match=message):
+            analyze_comparison(cfg, window=100)
 
 
 class TestAllanDeviation:
