@@ -11,7 +11,7 @@ and after all other outputs, so a manifest is a success marker and a
 complete record for reproducing the run. Numeric output uses full
 round-trip precision. Exit codes (_EXIT_CODES): 0 success, 2 usage or
 config error, 3 numerical singularity, 4 simulation degeneracy, 5 fit
-failure.
+failure, 6 out of memory.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ _EXIT_CODES = (
     (EllipseFitError, 5),
     (ValueError, 2),
     (OSError, 2),
+    (MemoryError, 6),
 )
 
 OUTPUT_ENV_VAR = "ERASURE_SENSING_OUT"

@@ -23,7 +23,13 @@ The simulator derives the cycles' Philox keys a block at a time from
 numpy's pool for SeedSequence(seed) and one index word per cycle
 (_cycle_keys), and re-keys one generator per cycle, which yields the same
 bits. A run reads its channel only through (amplitude(q), survival(q)), so
-a scaling sweep simulates each distinct pair once.
+a scaling sweep simulates each distinct pair once. One pass over the cycles
+(_simulate) serves several such pairs: per cycle the key is derived, the
+generator re-keyed, theta drawn and both cosines taken once, and each
+channel resumes from the state the theta draw leaves, so it consumes
+exactly the draws its own run does. A sweep runs its pairs in groups whose
+columns fit _GROUP_BYTES, at least one pair a group, so its memory is
+bounded by the larger of one run and that budget, whatever its pair count.
 """
 
 from __future__ import annotations
@@ -264,6 +270,103 @@ def _cycle_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
+# Bytes of cycle columns: theta, shared by every channel of one pass, and
+# each channel's x and n (two floats and two int64 per cycle) and valid
+_THETA_BYTES, _CHANNEL_BYTES = 8, 33
+# Column bytes one group of a scaling sweep's channels may hold
+_GROUP_BYTES = 32 << 20
+
+
+def _column_bytes(cycles: int, channels: int) -> int:
+    """Bytes of the columns one pass of `channels` channels over `cycles`
+    cycles holds."""
+    return cycles * (_THETA_BYTES + _CHANNEL_BYTES * channels)
+
+
+def _simulate(config: ComparisonConfig, channels) -> list[CycleRecord]:
+    """One CycleRecord per (amplitude, survival) channel, in the order
+    given, from one pass over the cycles of config, whose noise is not read.
+
+    Each record is bit for bit the run of config on that channel
+    (run_comparison). A cycle's key is derived, its generator re-keyed, its
+    theta drawn and both cosines taken once for every channel. With one
+    channel, theta is the first word of the cycle's fresh stream, and the
+    binomials go on from there. With several channels that draw, the
+    cycle's first Philox block is read whole, and before its binomials each
+    channel resets the generator to the state the theta draw leaves (counter
+    1, the cycle's key, that block, one word of it used); under FixedSweep,
+    which draws no theta, to the cycle's fresh state. So each channel
+    consumes exactly the draws it consumes alone. The records share one
+    theta column. Raises MemoryError, naming the cycles and the bytes,
+    where the columns (_column_bytes) cannot be allocated.
+    """
+    count, n0, phi_d = int(config.cycles), int(config.n0), config.phi_d
+    random_phase = config.laser_phase_model is LaserPhaseModel.UNIFORM_RANDOM_PER_CYCLE
+    shot_noise = config.shot_noise
+    several = shot_noise and len(channels) > 1
+    try:
+        theta = np.empty(count)
+        columns = [(np.empty((count, 2)), np.full((count, 2), n0, dtype=np.int64))
+                   for _ in channels]
+    except MemoryError:
+        raise MemoryError(
+            f"{count} cycles on {len(channels)} channel(s) need "
+            f"{_column_bytes(count, len(channels))} bytes of columns"
+        ) from None
+    # memoryviews store a Python scalar without making a numpy scalar; the
+    # fringe is (c * amplitude) * cos, and |(c * amplitude) * cos| <= 1
+    # survives rounding: p needs no clamp
+    theta_at = memoryview(theta)
+    sides = [(memoryview(x.reshape(-1)), memoryview(n.reshape(-1)),
+              config.c_a * amplitude, config.c_b * amplitude)
+             for (amplitude, _), (x, n) in zip(channels, columns)]
+    lossy = [(survival, n) for (_, survival), (_, n) in zip(channels, columns) if survival < 1.0]
+    bitgen = np.random.Philox(0)
+    binomial, raw = np.random.Generator(bitgen).binomial, bitgen.random_raw
+    cos, nan = math.cos, math.nan
+    # Plain lists, not the arrays bitgen.state returns: the setter reads
+    # them element by element, and Python ints are the cheapest to read.
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    # the state each channel's binomials start from
+    resume = dict(fresh, state={"counter": [1, 0, 0, 0], "key": None},
+                  buffer_pos=1) if random_phase else fresh
+    k = 0  # flat index of (cycle i, ensemble a) in x and n
+    for b, lo in enumerate(range(0, count, _BLOCK)):
+        hi = min(lo + _BLOCK, count)
+        for survival, n in lossy:
+            block = np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(b, 1)))
+            n[lo:hi] = np.random.Generator(block).binomial(n0, survival, size=(hi - lo, 2))
+        for i, key in enumerate(_cycle_keys(config.seed, lo, hi).tolist(), lo):
+            fresh["state"]["key"] = resume["state"]["key"] = key
+            bitgen.state = fresh
+            # a drawn theta is bit-identical to rng.uniform(0.0, TWO_PI),
+            # which is 0.0 + TWO_PI * ((raw >> 11) * 2^-53)
+            if not random_phase:
+                th = TWO_PI * i / count
+            elif several:
+                resume["buffer"] = words = raw(4).tolist()
+                th = TWO_PI * ((words[0] >> 11) * 2**-53)
+            else:
+                th = TWO_PI * ((raw() >> 11) * 2**-53)
+            theta_at[i] = th
+            cos_a, cos_b = cos(th), cos(th + phi_d)
+            for x_at, n_at, scale_a, scale_b in sides:
+                p_a, p_b = 0.5 * (1.0 + scale_a * cos_a), 0.5 * (1.0 + scale_b * cos_b)
+                if not shot_noise:
+                    x_at[k], x_at[k + 1] = p_a, p_b
+                    continue
+                if several:
+                    bitgen.state = resume
+                atoms = n_at[k]
+                x_at[k] = binomial(atoms, p_a) / atoms if atoms else nan
+                atoms = n_at[k + 1]
+                x_at[k + 1] = binomial(atoms, p_b) / atoms if atoms else nan
+            k += 2
+    return [CycleRecord(theta=theta, x=x, n=n, valid=~np.isnan(x).any(axis=1))
+            for x, n in columns]
+
+
 def run_comparison(config: ComparisonConfig) -> CycleRecord:
     """Simulate every cycle of the comparison into a CycleRecord.
 
@@ -281,52 +384,20 @@ def run_comparison(config: ComparisonConfig) -> CycleRecord:
     equal runs: every kind at q = 0, where the pair is (1, 1), and
     depolarizing at 2q beside dephasing at q.
 
-    One Philox generator serves every cycle: before each it is reset to the
-    state a fresh Philox on that cycle's sequence starts in (counter 0,
-    empty buffer, that cycle's key), which is bit-identical to building
-    each cycle's generator from its sequence. The keys come from
-    _cycle_keys a block at a time, so memory stays bounded for any count.
-    A cycle index is one 32-bit spawn word, so cycles is at most 2^32 and
-    no two-word block key repeats a cycle's key.
+    This is _simulate on the one channel. One Philox generator serves every
+    cycle: before each it is reset to the state a fresh Philox on that
+    cycle's sequence starts in (counter 0, empty buffer, that cycle's key),
+    which is bit-identical to building each cycle's generator from its
+    sequence, and theta is read off the stream's first raw word as
+    Generator.random reads it. The keys come from _cycle_keys a block at a
+    time. The columns take _column_bytes(cycles, 1), 41 bytes a cycle;
+    where they cannot be allocated, MemoryError names the cycles and the
+    bytes. A cycle index is one 32-bit spawn word, so cycles is at most
+    2^32 and no two-word block key repeats a cycle's key.
     """
     q = config.noise.strength(config.t_c)
     kind = config.noise.kind
-    amplitude, survival = kind.amplitude(q), kind.survival(q)
-    random_phase = config.laser_phase_model is LaserPhaseModel.UNIFORM_RANDOM_PER_CYCLE
-    lossy, shot_noise, n0 = survival < 1.0, config.shot_noise, int(config.n0)
-    # the fringe is (c * amplitude) * cos, and |(c * amplitude) * cos| <= 1
-    # survives rounding: p needs no clamp
-    sides = ((0.0, config.c_a * amplitude), (config.phi_d, config.c_b * amplitude))
-    count = int(config.cycles)
-    theta, x, n = np.empty(count), np.empty((count, 2)), np.full((count, 2), n0, dtype=np.int64)
-    # memoryviews store a Python scalar without making a numpy scalar
-    theta_at, x_at, n_at = memoryview(theta), memoryview(x.reshape(-1)), memoryview(n.reshape(-1))
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    random, binomial, cos, nan = rng.random, rng.binomial, math.cos, math.nan
-    # Plain lists, not the arrays bitgen.state returns: the setter reads
-    # them element by element, and Python ints are the cheapest to read.
-    philox = {"counter": [0, 0, 0, 0], "key": None}
-    fresh = {"bit_generator": "Philox", "state": philox, "buffer": [0, 0, 0, 0],
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    k = 0  # flat index of (cycle i, side) in x and n
-    for b, lo in enumerate(range(0, count, _BLOCK)):
-        hi = min(lo + _BLOCK, count)
-        if lossy:
-            block = np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(b, 1)))
-            n[lo:hi] = np.random.Generator(block).binomial(n0, survival, size=(hi - lo, 2))
-        for i, key in enumerate(_cycle_keys(config.seed, lo, hi).tolist(), lo):
-            philox["key"] = key
-            bitgen.state = fresh
-            # bit-identical to rng.uniform(0.0, TWO_PI), which is 0.0 + TWO_PI * u
-            th = TWO_PI * random() if random_phase else TWO_PI * i / count
-            theta_at[i] = th
-            for phi_off, scale in sides:
-                atoms = n_at[k]
-                p = 0.5 * (1.0 + scale * cos(th + phi_off))
-                x_at[k] = (binomial(atoms, p) / atoms if atoms else nan) if shot_noise else p
-                k += 1
-    return CycleRecord(theta=theta, x=x, n=n, valid=~np.isnan(x).any(axis=1))
+    return _simulate(config, [(kind.amplitude(q), kind.survival(q))])[0]
 
 
 def valid_pairs(cycles: CycleRecord) -> np.ndarray:
@@ -469,6 +540,17 @@ class ComparisonAnalysis:
     allan: AllanResult
 
 
+def _check_window(config: ComparisonConfig, window: int) -> None:
+    """ValueError unless a window holds at least as many cycles as a conic
+    has degrees of freedom and the run fills as many windows as an Allan
+    deviation needs."""
+    if window < _CONIC_DOF or config.cycles // window < _ALLAN_MIN:
+        raise ValueError(
+            f"window {window} over {config.cycles} cycles: a window needs at least "
+            f"{_CONIC_DOF} cycles and the run at least {_ALLAN_MIN} full windows"
+        )
+
+
 def analyze_comparison(config: ComparisonConfig, window: int) -> ComparisonAnalysis:
     """Simulate a comparison and analyze it end to end.
 
@@ -478,17 +560,20 @@ def analyze_comparison(config: ComparisonConfig, window: int) -> ComparisonAnaly
     2 pi T_c f0, to fractional frequency. Raises ValueError before any
     simulation if a window holds fewer cycles than a conic has degrees of
     freedom or the run fills fewer windows than an Allan deviation needs;
-    SimulationDegeneracyError if more than 10% of cycles are invalid,
-    ValueError if the valid pairs fill too few windows, EllipseFitError if
-    more than 10% of the fit windows fail, and ValueError if a quotient
-    overflows or a nonzero one falls below the normal float range.
+    MemoryError where the run's columns cannot be allocated
+    (run_comparison); SimulationDegeneracyError if more than 10% of cycles
+    are invalid, ValueError if the valid pairs fill too few windows,
+    EllipseFitError if more than 10% of the fit windows fail, and
+    ValueError if a quotient overflows or a nonzero one falls below the
+    normal float range.
     """
-    if window < _CONIC_DOF or config.cycles // window < _ALLAN_MIN:
-        raise ValueError(
-            f"window {window} over {config.cycles} cycles: a window needs at least "
-            f"{_CONIC_DOF} cycles and the run at least {_ALLAN_MIN} full windows"
-        )
-    cycles = run_comparison(config)
+    _check_window(config, window)
+    return _analyze(config, run_comparison(config), window)
+
+
+def _analyze(config: ComparisonConfig, cycles: CycleRecord, window: int) -> ComparisonAnalysis:
+    """analyze_comparison past the simulation, on the run `cycles` of
+    config; config's noise serves only the messages."""
     stats = comparison_stats(cycles, config.n0)
     if stats["invalid_fraction"] > 0.10:
         raise SimulationDegeneracyError(
@@ -540,20 +625,27 @@ def instability_vs_error_rate(
     """Fractional instability at the one-window averaging time versus q,
     for each channel kind: {kind: [ScalingPoint per q]} in the order given.
 
-    For each q the base config is rerun through analyze_comparison (same
-    seed, so curves for different q and different channels share their
-    random numbers) and the tau-one-window Allan point with its jackknife
-    error is reported. A run reads its channel only through
+    Each q runs the base config (same seed, so curves for different q and
+    different channels share their random numbers) through the analysis of
+    analyze_comparison, and the tau-one-window Allan point with its
+    jackknife error is reported. A run reads its channel only through
     (kind.amplitude(q), kind.survival(q)), so each distinct pair is
-    simulated once and serves every (kind, q) that repeats it. The
-    differential sqrt(2) penalty is implicit: both ensembles carry
-    independent projection noise.
+    simulated once and serves every (kind, q) that repeats it. The pairs
+    are simulated in groups, one pass over the cycles a group (_simulate),
+    each group as many pairs as _GROUP_BYTES of columns hold and at least
+    one; each record is analyzed in turn, and a group's records are dropped
+    before the next group is simulated. So the sweep holds at most the
+    larger of one run's columns and _GROUP_BYTES, whatever its pair count,
+    and its results, and the first (kind, q) to fail, are those of one run
+    per pair. The differential sqrt(2) penalty is implicit: both ensembles
+    carry independent projection noise.
 
     Raises ValueError, before any simulation, if kinds is empty, repeats a
     kind or holds anything but a ChannelKind, if a grid entry lies outside
     [0, 0.95] or repeats another, if the base config has no shot noise
     (every window phase is then exact, so each sigma is fit rounding), or
-    if the window does not suit the run (analyze_comparison);
+    if the window does not suit the run (analyze_comparison); MemoryError
+    where a group's columns cannot be allocated;
     SimulationDegeneracyError if more than 10% of cycles are invalid, and
     EllipseFitError if more than 10% of the fit windows fail.
     """
@@ -569,17 +661,24 @@ def instability_vs_error_rate(
             raise ValueError(f"q_grid entries must lie in [0, 0.95], got {q}")
     if len(set(qs)) != len(qs):
         raise ValueError("q_grid entries must be distinct")
-    runs = {}  # (amplitude, survival) -> (sigma, error) of its one run
-    curves = {kind: [] for kind in kinds}
-    for kind, points in curves.items():
+    _check_window(base, window)
+    configs = {}  # (amplitude, survival) -> the config of its first (kind, q)
+    for kind in kinds:
         for q in qs:
             pair = (kind.amplitude(q), kind.survival(q))
-            if pair not in runs:
-                cfg = replace(base, noise=NoiseChannel(kind, q=q))
-                allan = analyze_comparison(cfg, window).allan
-                runs[pair] = allan.sigmas[0], allan.errors[0]
-            points.append(ScalingPoint(q, *runs[pair]))
-    return curves
+            if pair not in configs:
+                configs[pair] = replace(base, noise=NoiseChannel(kind, q=q))
+    pairs = list(configs)
+    size = max(1, (_GROUP_BYTES // base.cycles - _THETA_BYTES) // _CHANNEL_BYTES)
+    runs = {}  # (amplitude, survival) -> (sigma, error) of its one run
+    for lo in range(0, len(pairs), size):
+        group = pairs[lo:lo + size]
+        records = _simulate(base, group)
+        for pair in group:
+            allan = _analyze(configs[pair], records.pop(0), window).allan
+            runs[pair] = allan.sigmas[0], allan.errors[0]
+    return {kind: [ScalingPoint(q, *runs[kind.amplitude(q), kind.survival(q)]) for q in qs]
+            for kind in kinds}
 
 
 def _positive_sigmas(sigmas) -> np.ndarray:

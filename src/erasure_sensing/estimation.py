@@ -167,10 +167,10 @@ class EllipseFitResult:
 # A conic has six coefficients, so a fit needs at least this many points.
 _CONIC_DOF = 6
 
-# Fits are solved this many at a time: the stacked design rows and scatter
-# matrices of one chunk stay a few MB however many windows or deletions a
-# call has.
-_CHUNK = 256
+# Fits are solved this many at a time: the stacked design rows of one chunk
+# stay a few MB however many windows or deletions a call has, 512 x 100 x 6
+# x 8 B = 2.4 MB at window 100.
+_CHUNK = 512
 
 # A fit whose reduced scatter matrix has a middle eigenvalue per point (to a
 # factor of 3) at most this is rejected: a whole pencil of conics passes

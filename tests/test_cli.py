@@ -207,6 +207,29 @@ class TestSimulateCommand:
         cfg = small_config(tmp_path, N0=2, cycles=200, noise={"kind": "erasure", "q": 0.9})
         assert main(["simulate", cfg, "--window", "50", "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the address-space limit is enforced on Linux")
+    def test_columns_past_the_memory_limit_exit_by_the_table(self, tmp_path):
+        # A legal 10^9-cycle run needs 41 GB of columns. The child caps its
+        # own address space at 3 GiB, so the allocation fails at once and
+        # touches no memory; the limit acts on the child alone.
+        cfg = small_config(tmp_path, cycles=10**9)
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                 "from erasure_sensing.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", child, "simulate", cfg, "--out", str(tmp_path / "x")],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 6, done.stderr
+        assert done.stderr == ("error: 1000000000 cycles on 1 channel(s) need "
+                               "41000000000 bytes of columns\n")
+        assert list((tmp_path / "x").iterdir()) == []
+
     @pytest.mark.parametrize("command", [["simulate"],
                                          ["scaling", "--q-grid", "0.25", "--kind", "erasure"]])
     def test_cycles_lost_below_four_windows_is_a_usage_error(self, command, tmp_path, capsys):
@@ -303,13 +326,13 @@ class TestScalingCommand:
         # At q = 0 every kind has amplitude and survival 1, so `scaling
         # --kind both` simulates that point once and gives it to both kinds.
         calls = []
-        run_comparison = clock.run_comparison
+        simulate = clock._simulate
 
-        def counted(config, *args, **kwargs):
-            calls.append(config.noise)
-            return run_comparison(config, *args, **kwargs)
+        def counted(config, channels):
+            calls.extend(channels)
+            return simulate(config, channels)
 
-        monkeypatch.setattr(clock, "run_comparison", counted)
+        monkeypatch.setattr(clock, "_simulate", counted)
         cfg = small_config(tmp_path)
         for name, grid, runs in (("zero", [0.0, 0.2, 0.4], 5), ("no_zero", [0.1, 0.2, 0.4], 6)):
             calls.clear()

@@ -571,7 +571,7 @@ class TestFloorsAndFits:
 
     def test_whole_q_grid_checked_before_simulating(self, monkeypatch):
         runs = []
-        monkeypatch.setattr(clock, "run_comparison", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr(clock, "_simulate", lambda config, channels: runs.extend(channels))
         erasure = [ChannelKind.ERASURE]
         with pytest.raises(ValueError, match="0.99"):
             instability_vs_error_rate(config(), [0.0, 0.3, 0.99], erasure)
@@ -593,19 +593,40 @@ class TestFloorsAndFits:
         kinds = [ChannelKind.DEPOLARIZING, ChannelKind.DEPHASING]
         alone = {kind: instability_vs_error_rate(cfg, grid, [kind])[kind] for kind in kinds}
         runs = []
-        run_comparison = clock.run_comparison
+        simulate = clock._simulate
 
-        def counted(config):
-            runs.append(config.noise)
-            return run_comparison(config)
+        def counted(config, channels):
+            runs.extend(channels)
+            return simulate(config, channels)
 
-        monkeypatch.setattr(clock, "run_comparison", counted)
+        monkeypatch.setattr(clock, "_simulate", counted)
         curves = instability_vs_error_rate(cfg, grid, kinds)
         assert len(runs) == 4
         assert list(curves) == kinds
         for kind in kinds:
             assert [p.q for p in curves[kind]] == grid
             assert curves[kind] == alone[kind]
+
+    def test_sweep_split_by_the_budget_gives_the_same_curves(self, monkeypatch):
+        # five distinct pairs, run one to a group, in groups of 2, 2 and 1,
+        # and all in one group: the curves are the same
+        cfg = config(N0=400, cycles=1000, c_a=0.5, c_b=0.5, seed=9)
+        grid = [0.0, 0.2, 0.4]
+        kinds = [ChannelKind.ERASURE, ChannelKind.DEPOLARIZING]
+        groups = []
+        simulate = clock._simulate
+
+        def counted(config, channels):
+            groups.append(len(channels))
+            return simulate(config, channels)
+
+        monkeypatch.setattr(clock, "_simulate", counted)
+        curves = []
+        for budget in (1, clock._column_bytes(cfg.cycles, 2), clock._column_bytes(cfg.cycles, 5)):
+            monkeypatch.setattr(clock, "_GROUP_BYTES", budget)
+            curves.append(instability_vs_error_rate(cfg, grid, kinds))
+        assert groups == [1, 1, 1, 1, 1, 2, 2, 1, 5]
+        assert curves[0] == curves[1] == curves[2]
 
     def test_scaling_exponents_do_not_depend_on_the_units(self):
         # T_c f0 only divides every sigma, so the exponents are the same at

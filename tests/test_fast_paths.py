@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from erasure_sensing import cli
+from erasure_sensing import cli, clock
 from erasure_sensing.clock import (
     ComparisonConfig,
     CycleRecord,
@@ -348,6 +348,47 @@ class TestAgainstOracles:
             column = getattr(fast, name)
             assert column.shape == expected.shape and column.dtype.kind == expected.dtype.kind
             assert np.array_equal(column, expected, equal_nan=True), name
+
+    # One pass over the cycles serves several channels, lossy and lossless,
+    # repeated or not: each record equals the channel's own run and the
+    # per-cycle loop's, bit for bit. Every run here ends in a partial block;
+    # the example's crosses into a second one.
+    @PROPERTY
+    @example(seed=20260823, n0=300, cycles=clock._BLOCK + 3, shot_noise=True,
+             model=LaserPhaseModel.UNIFORM_RANDOM_PER_CYCLE,
+             noises=[(ChannelKind.ERASURE, 0.3), (ChannelKind.DEPOLARIZING, 0.2),
+                     (ChannelKind.ERASURE, 0.0)])
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n0=st.integers(1, 4) | st.integers(1000, 5000),
+        cycles=st.integers(1, 150),
+        shot_noise=st.booleans(),
+        model=st.sampled_from(list(LaserPhaseModel)),
+        noises=st.lists(st.tuples(kinds, st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.95)),
+                        min_size=1, max_size=4),
+    )
+    def test_one_pass_serves_every_channel(self, seed, n0, cycles, shot_noise, model, noises):
+        base = ComparisonConfig(
+            phi_d=1.1, n0=n0, t_c=1.0, t_d=0.0, f0=1.0, cycles=cycles,
+            noise=NoiseChannel(ChannelKind.ERASURE, q=0.0), c_a=0.9, c_b=0.7,
+            laser_phase_model=model, seed=seed, shot_noise=shot_noise,
+        )
+        pairs = [(kind.amplitude(q), kind.survival(q)) for kind, q in noises]
+        records = clock._simulate(base, pairs)
+        assert len(records) == len(noises)
+        for record, (kind, q) in zip(records, noises):
+            cfg = dataclasses.replace(base, noise=NoiseChannel(kind, q=q))
+            alone = run_comparison(cfg)
+            slow = oracles.run_comparison(cfg)
+            expected = {
+                "theta": [r.theta for r in slow],
+                "x": [(r.x_a, r.x_b) for r in slow],
+                "n": [(r.n_a, r.n_b) for r in slow],
+                "valid": [r.valid for r in slow],
+            }
+            for name, column in expected.items():
+                assert np.array_equal(getattr(record, name), getattr(alone, name), equal_nan=True)
+                assert np.array_equal(getattr(record, name), column, equal_nan=True), name
 
     @settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
