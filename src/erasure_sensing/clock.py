@@ -681,13 +681,15 @@ def instability_vs_error_rate(
             for kind in kinds}
 
 
-def _positive_sigmas(sigmas) -> np.ndarray:
-    """sigmas as a float array; ValueError unless each is positive, so
-    that it has a log."""
-    sigmas = np.asarray(sigmas, dtype=float)
+def _fit_points(qs, sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """qs and sigmas as float arrays; ValueError unless each q is finite and
+    in [0, 1) and each sigma positive, so that 1 - q and sigma have logs."""
+    qs, sigmas = np.asarray(qs, dtype=float), np.asarray(sigmas, dtype=float)
+    if not np.all((qs >= 0.0) & (qs < 1.0)):
+        raise ValueError(f"a power-law fit needs every q in [0, 1), got {qs.tolist()}")
     if not np.all(sigmas > 0.0):
         raise ValueError(f"a power-law fit needs positive sigmas, got {sigmas.tolist()}")
-    return sigmas
+    return qs, sigmas
 
 
 def _sigma0(log_sigma0: float) -> float:
@@ -706,12 +708,11 @@ def fit_loglog_exponent(qs, sigmas) -> tuple[float, float, float]:
     Fits log(sigma) = log(sigma0) + b * log(1 - q) by ordinary least
     squares and returns (b, stderr_b, sigma0). The erasure channel should
     give b near -1/2 and depolarizing near -1. Needs at least 3 points at
-    two or more distinct q, since the slope is undefined at one q, and
-    positive sigmas (_positive_sigmas); a sigma0 past the float range
-    raises ValueError.
+    two or more distinct q, since the slope is undefined at one q, every q
+    in [0, 1) and positive sigmas (_fit_points); a sigma0 past the float
+    range raises ValueError.
     """
-    qs = np.asarray(qs, dtype=float)
-    sigmas = _positive_sigmas(sigmas)
+    qs, sigmas = _fit_points(qs, sigmas)
     if qs.size != sigmas.size or qs.size < 3:
         raise ValueError("need at least 3 (q, sigma) points")
     if qs.min() == qs.max():
@@ -731,10 +732,10 @@ def fit_fixed_form_intercept(qs, sigmas, exponent: float) -> float:
     The exponent is pinned (-kind.decay_exponent(): -1/2 for erasure, -1
     for depolarizing) and the instability at q = 0 is the only free
     parameter, fitted by least squares in log space. Raises ValueError
-    unless every sigma is positive and sigma0 is a finite float.
+    unless every q is in [0, 1), every sigma is positive and sigma0 is a
+    finite float.
     """
-    qs = np.asarray(qs, dtype=float)
-    sigmas = _positive_sigmas(sigmas)
+    qs, sigmas = _fit_points(qs, sigmas)
     return _sigma0(np.mean(np.log(sigmas) - exponent * np.log1p(-qs)))
 
 

@@ -182,7 +182,13 @@ _PENCIL = 1e-9
 
 # Points whose x-y correlation r has 1 - r^2 at or below this lie on a line
 # to working precision. Every conic through them fits, so the solve would
-# return whichever one rounding picks; such a fit is rejected instead.
+# return whichever one rounding picks; such a fit is rejected instead. The
+# pencil rule and the margin do not see this: on a line the linear block of
+# the scatter matrix is singular to working precision, so the reduced matrix
+# is formed by cancellation and holds rounding, which can pass both. Without
+# this rule 7 of 8000 exact lines at scales 1e-6 to 1e6 with offsets up to
+# 1e6, and jackknife deletions that leave four distinct points on a line,
+# were fitted as thin ellipses.
 _COLLINEAR = 1e-12
 
 # A fit's reduced problem m a = lam K a, with K the ellipse constraint
@@ -207,7 +213,6 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 # Why a fit is rejected, by the status code _fit_conics gives it.
 _REJECTED = {
     1: "no ellipse: degenerate point configuration (collinear or repeated, or a pencil)",
-    2: "no ellipse: fit produced no elliptical solution",
     3: "no ellipse: fitted conic is degenerate or not elliptical",
     4: "no ellipse: fitted conic has no real points",
 }
@@ -368,12 +373,11 @@ def _fit_conics(scatter: np.ndarray):
     1. its points are collinear (_COLLINEAR), read off the scatter matrix;
     2. its points lie on every conic of a pencil (_PENCIL), read off the
        reduced matrix (both status 1);
-    3. its vector or gap is not finite (status 2);
-    4. its unit-norm discriminant 4AC - B^2 does not exceed _MARGIN eps / g,
+    3. its unit-norm discriminant 4AC - B^2 does not exceed _MARGIN eps / g,
        g the gap of _pencil_eig, so that rounding could have tipped it to
-       either sign, as at a line pair or a degenerate conic from nearly
-       collinear points (status 3);
-    5. its conic has no real points (status 4).
+       either sign, as at a line pair, a degenerate conic from nearly
+       collinear points, or a vector or gap that is not finite (status 3);
+    4. its conic has no real points (status 4).
     The vector has arbitrary sign while the phase readout is sign-sensitive,
     so it is canonicalized to A >= 0. The frame fixes the points' spread, so
     these tests do not depend on where the points sit or on their units.
@@ -407,9 +411,13 @@ def _fit_conics(scatter: np.ndarray):
         coeffs = np.concatenate([a1, (t @ a1[:, :, None])[:, :, 0]], axis=1)
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
         coeffs = np.where(coeffs[:, :1] < 0.0, -coeffs, coeffs)
-        status[(status == 0) & ~(np.isfinite(coeffs).all(axis=1) & np.isfinite(gap))] = 2
         a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-        # with unit norm and A >= 0, this also rejects A <= 0 or C <= 0
+        # with unit norm and A >= 0, this also rejects A <= 0 or C <= 0. It
+        # rejects a non-finite vector or gap too: a non-finite coefficient
+        # leaves A, B and C NaN or 0 after the norm, and the gap, never
+        # negative, lets nothing pass where it is NaN (a complex pair of
+        # roots) or 0; a gap of +inf needs an infinite m, which the pencil
+        # rule has rejected
         elliptic = 4.0 * a * c - b * b > _MARGIN * np.finfo(float).eps / gap
         status[(status == 0) & ~elliptic] = 3
         status[(status == 0) & (_centre_and_scale(coeffs)[2] <= 0.0)] = 4

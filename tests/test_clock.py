@@ -546,6 +546,15 @@ class TestFloorsAndFits:
         assert fit_loglog_exponent([0.0, 0.0, 0.75], [2.0, 2.0, 4.0])[0] == pytest.approx(
             -0.5, abs=1e-12)
 
+    def test_fits_need_every_q_in_unit_interval(self):
+        # log(1 - q) is -inf at q = 1 and NaN past it, and q < 0 is no error rate
+        for q in (-0.1, 1.0, 1.5, math.nan):
+            qs = [0.0, 0.5, q]
+            with pytest.raises(ValueError, match=r"every q in \[0, 1\)"):
+                fit_loglog_exponent(qs, [1.0, 2.0, 3.0])
+            with pytest.raises(ValueError, match=r"every q in \[0, 1\)"):
+                fit_fixed_form_intercept(qs, [1.0, 2.0, 3.0], -0.5)
+
     def test_fixed_form_intercept(self):
         qs = np.array([0.0, 0.3, 0.6])
         sigmas = 1.7 * (1.0 - qs) ** (-1.0)

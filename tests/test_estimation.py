@@ -262,6 +262,20 @@ class TestJackknife:
         _, err = ellipse_phase_jackknife(ellipse_points(0.8, n=60))
         assert err < 1e-6
 
+    def test_too_few_successful_refits_is_a_fit_error(self):
+        # four distinct points on a line, one of them doubled, and two off
+        # it: the full set passes, but every deletion leaves four points on
+        # a line (a pencil) or a conic the margin rejects
+        pts = [[0.309250930137852, -0.42472765942364665]] * 2 + [
+            [0.8677583848133258, -1.0652582958310313],
+            [0.4322513518895812, -0.5657920942194024],
+            [0.4240097037681392, -0.55634006618991],
+            [0.5683448252432424, 0.8090840414147155],
+            [0.93519882881573, 0.3914773740253108],
+        ]
+        with pytest.raises(EllipseFitError, match="too few successful refits"):
+            ellipse_phase_jackknife(pts)
+
     def test_error_bar_tracks_window_scatter(self):
         # jackknife error from one window should sit within a factor two of
         # the scatter of independent same-size windows

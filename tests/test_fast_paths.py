@@ -156,11 +156,12 @@ def assert_close(fast, slow):
 
 def oracle_fit(x, y):
     """Status and phase of the LAPACK oracle's conic through frame points
-    (x, y), judged by the kernel's rules 2 to 4 (estimation._REJECTED)."""
+    (x, y), judged by the kernel's margin and real-points rules, statuses 3
+    and 4 (estimation._REJECTED); no elliptic solution fails the margin."""
     try:
         conic = oracles.solve_conic(x, y)
     except EllipseFitError:
-        return 2, math.nan
+        return 3, math.nan
     a, b, c = conic[:3]
     if b * b - 4.0 * a * c >= -1e-10:
         return 3, math.nan
@@ -678,6 +679,35 @@ class TestDegenerateWindows:
             a, b = rng.uniform(-3, 3), rng.uniform(-1, 1)
             with pytest.raises(EllipseFitError, match="degenerate point configuration"):
                 ellipse_fit(np.column_stack([t, a * t + b]))
+        # and every fit is rejected over the rest of the domain _COLLINEAR
+        # guards: lines within 1e-15 to 1e-7 of straight, and lines at
+        # scales 1e-6 to 1e6 with offsets up to 1e6, where rounding the
+        # offset leaves a staircase of the line's points
+        for _ in range(400):
+            n = int(rng.integers(6, 40))
+            t = rng.uniform(size=n)
+            line = np.column_stack([t, rng.uniform(-3, 3) * t + rng.uniform(-1, 1)])
+            with pytest.raises(EllipseFitError, match="no ellipse"):
+                ellipse_fit(line + rng.normal(size=(n, 2)) * 10.0 ** -rng.uniform(7, 15))
+            scale, offset = 10.0 ** rng.uniform(-6, 6), rng.uniform(-1e6, 1e6, size=2)
+            with pytest.raises(EllipseFitError, match="no ellipse"):
+                ellipse_fit(line * scale + offset)
+
+    def test_deletion_that_leaves_a_line_is_collinear(self):
+        # Deleting the fifth point of four on a line plus one leaves points
+        # on a line. The linear block of their scatter matrix is then
+        # singular to working precision, so the reduced matrix is rounding:
+        # without _COLLINEAR 11 of the 288 such deletions here pass the
+        # pencil rule and the margin, and the jackknife would count a phase
+        # read off them.
+        for seed in range(200):
+            for n in (6, 7):
+                pts = four_on_a_line_plus_one(seed, n)
+                rows, _ = estimation._centred_rows(pts)
+                total = estimation._scatter(rows)
+                _, status = estimation._fit_conics(total - rows[:, :, None] * rows[:, None, :])
+                if (pts == pts[4]).all(axis=1).sum() == 1:
+                    assert status[4] == 1
 
     def test_line_pair_is_not_an_ellipse(self):
         # six points on the lines x = 0 and x = 1 fix the line pair x^2 - x,
@@ -693,18 +723,27 @@ class TestDegenerateWindows:
             with pytest.raises(EllipseFitError):
                 ellipse_fit(pts)
 
-    def test_near_collinear_points_have_no_real_elliptic_eigenpair(self):
+    def test_near_collinear_points_have_no_real_elliptic_eigenpair(self, monkeypatch):
         # 22 points within ~3e-5 of a line: rounding leaves the reduced
-        # problem with a complex pair of roots and no real elliptic
-        # eigenvector; the real part of the complex pair's vector would
-        # read as a phase near 7e-5
+        # problem with a complex pair of roots, so _pencil_eig's gap is NaN
+        # and no real elliptic eigenvector passes the margin; the real part
+        # of the complex pair's vector would read as a phase near 7e-5
         rng = np.random.default_rng(1139)
         n = int(rng.integers(6, 60))
         e = rng.uniform(2, 15)
         t = rng.uniform(size=n)
         pts = np.column_stack([t, 0.7 * t + 0.2]) + rng.normal(size=(n, 2)) * 10.0 ** -e
-        with pytest.raises(EllipseFitError, match="no elliptical solution"):
+        gaps, pencil_eig = [], estimation._pencil_eig
+
+        def recorded(*args):
+            vectors, gap = pencil_eig(*args)
+            gaps.append(gap)
+            return vectors, gap
+
+        monkeypatch.setattr(estimation, "_pencil_eig", recorded)
+        with pytest.raises(EllipseFitError, match="degenerate or not elliptical"):
             ellipse_fit(pts)
+        assert len(gaps) == 1 and np.isnan(gaps[0]).all()
         fast, _ = self.series_of(pts, window=n)
         assert np.isnan(fast)
 
