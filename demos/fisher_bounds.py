@@ -3,7 +3,7 @@ Fisher information of noisy Ramsey readout
 ==========================================
 
 Compares the closed-form information of the three noise channels against a
-finite-difference evaluation of the outcome model, and shows the one
+parameter-shift evaluation of the outcome model, and shows the one
 qualitative difference that drives everything else in this package: fringe
 channels lose information quadratically near their nodes, while the
 erasure channel keeps a flat 1 - q at every readout angle.
@@ -32,8 +32,9 @@ for d in deltas:
     print(f"{d:8.3f} {fisher_depolarizing(q, d):14.6f} "
           f"{fisher_dephasing(q, d):12.6f} {fisher_erasure(q, d):10.6f}")
 
-# the numeric oracle: central differences through the outcome probabilities
-print("\nclosed form vs finite differences at delta = pi/2:")
+# the numeric oracle: the parameter-shift rule, exact for the first-harmonic
+# outcome probabilities
+print("\nclosed form vs parameter shift at delta = pi/2:")
 for kind, closed in (
     (ChannelKind.DEPOLARIZING, fisher_depolarizing(q, math.pi / 2)),
     (ChannelKind.DEPHASING, fisher_dephasing(q, math.pi / 2)),

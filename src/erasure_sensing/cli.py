@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--numeric",
         action="store_true",
-        help="also evaluate the central-difference oracle and print the difference",
+        help="also evaluate the parameter-shift oracle and print the difference",
     )
     add_out(p)
     p.set_defaults(func=cmd_fisher)

@@ -2,9 +2,9 @@
 
 Closed-form classical Fisher information of any channel, read off the
 channel contract on `ChannelKind` as survival times the fringe information
-at the channel's amplitude; a central-difference numeric evaluator with
-one fixed step (_STEP) that serves as the oracle for the closed forms; and
-the single-qubit quantum Fisher information
+at the channel's amplitude; a parameter-shift numeric evaluator, exact to
+rounding on every outcome model here, that serves as the oracle for the
+closed forms; and the single-qubit quantum Fisher information
 F = 4 (2 tr(rho^2) - 1) |<eta_0| H |eta_1>|^2, evaluated in Bloch form as
 4 |h x r|^2, with its depolarized form (1 - q)^2 F.
 
@@ -27,9 +27,6 @@ _PROB_FLOOR = 1e-14
 _DEGENERACY_GAP = 1e-10
 
 _HERMITIAN_TOL = 1e-12
-# Central-difference step of the numeric oracle; it balances truncation
-# against rounding at double precision.
-_STEP = 1e-5
 
 
 class SingularFisherError(ArithmeticError):
@@ -51,39 +48,41 @@ def channel_outcome_model(
     The model prepares |+>, rotates its Bloch vector to (cos phi, sin phi,
     0), applies the channel at strength q and measures in the basis
     |+/- theta> = (|0> +/- e^{i theta} |1>) / sqrt(2), theta taken mod
-    2 pi, with the leak level resolved as its own outcome: p_erasure is the
-    leak weight w and p_+/- = (1 - w)(1 +/- r . (cos theta, sin theta)) / 2.
-    Depolarizing shrinks the Bloch vector r by 1 - q, dephasing shrinks its
-    transverse part by 1 - 2q, and erasure moves weight q to the leak level
-    and leaves r as it was. These formulas are written on the state,
-    independently of ChannelKind.amplitude and .survival, so each checks
-    the other. A q outside [0, 1], an unknown kind or a non-finite theta
-    raises ValueError here, a non-finite phi when the model is called.
+    2 pi, with the leak level resolved as its own outcome. Each channel
+    keeps the transverse Bloch vector with weight k, flips it with weight f
+    and moves weight w to the leak level, so on the half angle
+    d = (phi - theta) / 2
+        p_+ = k cos^2 d + f sin^2 d,  p_- = k sin^2 d + f cos^2 d,  p_e = w,
+    with (k, f, w) = (1 - q/2, q/2, 0) for depolarizing, (1 - q, q, 0) for
+    dephasing (a Z error) and (1 - q, 0, q) for erasure. No term cancels,
+    so every p is a non-negative float and none is -0.0, near the fringe
+    nodes too. These weights are written on the state, independently of
+    ChannelKind.amplitude and .survival, so each checks the other. A q
+    outside [0, 1], an unknown kind or a non-finite theta raises ValueError
+    here, a non-finite phi when the model is called.
     """
-    q = float(q)
+    # + 0.0 turns a -0.0 strength into 0.0, so no weight is a negative zero
+    q = float(q) + 0.0
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     if kind is ChannelKind.DEPOLARIZING:
-        shrink, w = 1.0 - q, 0.0
+        keep, flip, w = 1.0 - q / 2.0, q / 2.0, 0.0
     elif kind is ChannelKind.DEPHASING:
-        shrink, w = 1.0 - 2.0 * q, 0.0
+        keep, flip, w = 1.0 - q, q, 0.0
     elif kind is ChannelKind.ERASURE:
-        shrink, w = 1.0, q
+        keep, flip, w = 1.0 - q, 0.0, q
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     theta %= TWO_PI
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    fringe = 1.0 - w
 
     def model(phi: float) -> OutcomeDistribution:
-        proj = shrink * math.cos(phi) * cos_t + shrink * math.sin(phi) * sin_t
+        half = (phi - theta) / 2.0
+        c2, s2 = math.cos(half) ** 2, math.sin(half) ** 2
         return OutcomeDistribution(
-            p_plus=fringe * (1.0 + proj) / 2.0,
-            p_minus=fringe * (1.0 - proj) / 2.0,
-            p_erasure=w,
+            p_plus=keep * c2 + flip * s2, p_minus=keep * s2 + flip * c2, p_erasure=w
         )
 
     return model
@@ -92,22 +91,32 @@ def channel_outcome_model(
 def classical_fisher_numeric(
     model: Callable[[float], OutcomeDistribution], phi: float
 ) -> float:
-    """Central-difference Fisher information sum_x (d_phi p_x)^2 / p_x.
+    """Parameter-shift Fisher information sum_x (d_phi p_x)^2 / p_x.
+
+    From the model at phi and phi +/- pi/2, p' = (p(phi + pi/2) -
+    p(phi - pi/2)) / 2 and p'' = (p(phi + pi/2) + p(phi - pi/2)) / 2 -
+    p(phi). Both are exact for a model that is a first harmonic in phi,
+    a + b cos phi + c sin phi, as every channel_outcome_model is; a model
+    of any other shape gets no such guarantee. Where phi +/- pi/2 rounds
+    back to phi (|phi| >= 2^54) there is no shift to take, and ValueError
+    names phi. Below that the shifts round to a multiple of phi's ulp,
+    so the result drifts from the closed form as phi grows: at
+    depolarizing q = 0.2, by 3e-8 at 1e13 and by 1.7e-3 at 1e15.
 
     The floor is _PROB_FLOOR times the weight 1 - p_erasure left to the
     fringe outcomes, so a fringe scaled down by erasure keeps its regular
     points. An outcome with p below the floor contributes the quadratic-zero
     limit 2 p'' of p'^2 / p: near such a zero p'^2 = 2 p'' p <= 2 p'' floor,
     so a slope with p'^2 > 4 max(p'', 0) floor (a factor 2 of slack) raises
-    SingularFisherError. The differences are taken at phi +/- 1e-5.
-
-    Near fringe nodes it is no oracle: within ~2.3e-7 rad of a full-contrast
-    node channel_outcome_model forms p by cancellation, so it is off by up
-    to ~7e-3; within ~1e-7 rad of a depolarizing or dephasing node at
-    q <= 1e-14 it returns the quadratic-zero limit ~1 where the information
-    falls to 0.
+    SingularFisherError. So where a channel's flip weight f lies below the
+    floor (q below ~2e-14), within ~2e-7 rad of a fringe node, the limit ~1
+    stands in for an information that falls to 0 at the node.
     """
-    at, above, below = model(phi), model(phi + _STEP), model(phi - _STEP)
+    at = model(phi)
+    up, down = phi + math.pi / 2.0, phi - math.pi / 2.0
+    if phi in (up, down):
+        raise ValueError(f"phi = {phi} is too large: phi +/- pi/2 rounds back to phi")
+    above, below = model(up), model(down)
     outcomes = (
         (at.p_plus, above.p_plus, below.p_plus),
         (at.p_minus, above.p_minus, below.p_minus),
@@ -116,8 +125,8 @@ def classical_fisher_numeric(
     floor = _PROB_FLOOR * (1.0 - at.p_erasure)
     total = 0.0
     for x, (p0, pp, pm) in enumerate(outcomes):
-        deriv = (pp - pm) / (2.0 * _STEP)
-        second = (pp - 2.0 * p0 + pm) / _STEP**2
+        deriv = (pp - pm) / 2.0
+        second = (pp + pm) / 2.0 - p0
         if p0 > floor:
             total += deriv**2 / p0
         elif deriv**2 <= 4.0 * max(second, 0.0) * floor:

@@ -10,8 +10,9 @@ that turns a decay gamma * T into q, and the information exponent of that
 decay; `NoiseChannel` is a configured channel, a kind with a fixed q or a
 rate gamma. Every consumer reads the physics from the contract except the
 numeric Fisher oracle, whose outcome model (`fisher.channel_outcome_model`)
-writes each channel on the atom's Bloch vector and leak weight
-independently of the contract, so each is checked against the other.
+writes each channel as the weights with which it keeps, flips and leaks
+the atom's transverse Bloch vector, independently of the contract, so each
+is checked against the other.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
-# Probabilities this far below zero are treated as floating-point debris at
-# fringe extrema and clamped to zero; anything worse is a real error.
-_NEGATIVE_TOL = 1e-14
 _SUM_TOL = 1e-12
 
 
@@ -111,7 +109,8 @@ class NoiseChannel:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities over the three terminal outcomes {plus, minus, erasure}."""
+    """Probabilities over the three terminal outcomes {plus, minus, erasure}:
+    each finite and not below 0.0, summing to 1 within 1e-12."""
 
     p_plus: float
     p_minus: float
@@ -124,14 +123,11 @@ class OutcomeDistribution:
             p = float(v)
             if not math.isfinite(p):
                 raise ValueError(f"{name} must be finite")
-            # max(p, 0.0) without the call: debris clamps to 0.0, and -0.0,
-            # which is not below 0.0, stays -0.0
+            # -0.0 is not below 0.0, so it passes and stays -0.0
             if p < 0.0:
-                if p < -_NEGATIVE_TOL:
-                    raise ValueError(f"{name} = {p} is negative")
-                p = 0.0
-            # float() hands back a float as itself, so only a converted or
-            # clamped value is written back
+                raise ValueError(f"{name} = {p} is negative")
+            # float() hands back a float as itself, so only a converted
+            # value is written back
             if p is not v:
                 object.__setattr__(self, name, p)
             probs.append(p)

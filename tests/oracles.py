@@ -8,12 +8,11 @@ per deleted Allan block, one record object per simulated cycle, one repr
 per number written, and a golden-section search for the optimal
 interrogation time; plus a two-pass overlapping ADEV that reads no prefix
 sum, the paper's eigenvector form of the qubit quantum Fisher information,
-which the library evaluates in Bloch form; the array-form state chain,
-numeric Fisher information, closed-form information and count inversion,
-which the library evaluates in floats; and the validation of outcome
-distributions and count records as it was written before it read each field
-once. They are kept here, independent of the library code, only as test
-oracles.
+which the library evaluates in Bloch form; the array-form closed-form
+information and count inversion, which the library evaluates in floats;
+and the validation of outcome distributions and count records as it was
+written before it read each field once. They are kept here, independent of
+the library code, only as test oracles.
 """
 
 import math
@@ -23,11 +22,9 @@ import numpy as np
 
 from erasure_sensing.clock import LaserPhaseModel
 from erasure_sensing.estimation import EllipseFitError, PhaseEstimate
-from erasure_sensing.fisher import SingularFisherError
 from erasure_sensing.states import ChannelKind
 
-# The library's tolerances, restated.
-_NEGATIVE_TOL = 1e-14
+# The library's tolerance, restated.
 _SUM_TOL = 1e-12
 # The cycles whose survivors one block stream draws, restated: part of the
 # stream.
@@ -350,8 +347,8 @@ def qfi(rho, generator):
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Three outcome probabilities, each made a float and checked by name,
-    debris below zero clamped with max(p, 0.0), and the sum of the stored
-    fields checked."""
+    any value below zero rejected, and the sum of the stored fields
+    checked."""
 
     p_plus: float
     p_minus: float
@@ -362,9 +359,9 @@ class OutcomeDistribution:
             p = float(getattr(self, name))
             if not math.isfinite(p):
                 raise ValueError(f"{name} must be finite")
-            if p < -_NEGATIVE_TOL:
+            if p < 0.0:
                 raise ValueError(f"{name} = {p} is negative")
-            object.__setattr__(self, name, max(p, 0.0))
+            object.__setattr__(self, name, p)
         total = self.p_plus + self.p_minus + self.p_erasure
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
@@ -400,65 +397,6 @@ class CountRecord:
                 raise ValueError("q must be given for depolarizing/dephasing counts")
             if not 0.0 <= self.q <= 1.0:
                 raise ValueError("q must lie in [0, 1]")
-
-
-def outcome_model(kind, q, theta):
-    """phi -> OutcomeDistribution: |+>, a phase phi, the channel at
-    strength q and the |+/- theta> readout, each step on the numpy Bloch
-    vector."""
-
-    def model(phi):
-        c, s = math.cos(phi), math.sin(phi)
-        bx, by, bz = np.array([1.0, 0.0, 0.0])
-        bloch = np.array([bx * c - by * s, bx * s + by * c, bz])
-        w = 0.0
-        if not 0.0 <= float(q) <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-        if kind is ChannelKind.DEPOLARIZING:
-            bloch = (1.0 - q) * bloch
-        elif kind is ChannelKind.DEPHASING:
-            f = 1.0 - 2.0 * q
-            bloch = np.array([f * bloch[0], f * bloch[1], bloch[2]])
-        else:
-            w = w + q * (1.0 - w)
-        t = float(theta) % (2.0 * math.pi)
-        bx, by, _ = bloch
-        proj = bx * math.cos(t) + by * math.sin(t)
-        return OutcomeDistribution(
-            p_plus=(1.0 - w) * (1.0 + proj) / 2.0,
-            p_minus=(1.0 - w) * (1.0 - proj) / 2.0,
-            p_erasure=w,
-        )
-
-    return model
-
-
-def classical_fisher_numeric(model, phi):
-    """Central-difference Fisher information on the three outcome
-    probabilities as arrays, with the quadratic-zero limit below 1e-14
-    times the fringe weight 1 - p_erasure."""
-    step, floor = 1e-5, 1e-14
-
-    def probs(at):
-        d = model(at)
-        return np.array([d.p_plus, d.p_minus, d.p_erasure])
-
-    p0, pp, pm = probs(phi), probs(phi + step), probs(phi - step)
-    floor *= 1.0 - p0[2]
-    deriv = (pp - pm) / (2.0 * step)
-    second = (pp - 2.0 * p0 + pm) / step**2
-    total = 0.0
-    for x in range(3):
-        if p0[x] > floor:
-            total += deriv[x] ** 2 / p0[x]
-        elif deriv[x] ** 2 <= 4.0 * max(second[x], 0.0) * floor:
-            total += max(2.0 * second[x], 0.0)
-        else:
-            raise SingularFisherError(
-                f"singular Fisher evaluation: outcome {x} has p = {p0[x]} "
-                f"but slope {deriv[x]} at phi = {phi}"
-            )
-    return total
 
 
 def fisher_information(kind, q, delta):

@@ -96,6 +96,14 @@ class TestFisherCommand:
         assert float(fields["analytic"]) == 1.0 - 0.999999999999999
         assert float(fields["numeric"]) == pytest.approx(float(fields["analytic"]), rel=1e-9)
 
+    def test_numeric_phase_past_the_shift_rule_is_a_usage_error(self, tmp_path, capsys):
+        # from |phi| = 2^54 on, phi +/- pi/2 rounds back to phi
+        assert main(["fisher", "depolarizing", "-q", "0.2", "--phi", "2e16", "--numeric",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "phi = 2e+16" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_singular_evaluation_exit_code(self, tmp_path, capsys, monkeypatch):
         # no channel model has a slope at a zero of its probabilities, so
         # the oracle is made to raise to check the exit-code mapping

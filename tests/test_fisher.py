@@ -1,7 +1,8 @@
 """Classical and quantum Fisher information: closed forms, the numeric
-finite-difference oracle, and the singular/degenerate error paths."""
+parameter-shift oracle, and the singular/degenerate error paths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ class TestNumericOracleAgreement:
         assert classical_fisher_numeric(model, 1.0) == pytest.approx(0.6, abs=1e-6)
 
     def test_numeric_spot_values_at_tight_tolerance(self):
-        # away from nodes the central-difference error is ~1e-11, so these
+        # the parameter-shift rule is exact up to rounding, so these
         # hand-computed targets hold well below the generic 1e-6 agreement
         erasure = channel_outcome_model(ChannelKind.ERASURE, 0.36, 0.0)
         assert classical_fisher_numeric(erasure, 1.0) == pytest.approx(0.64, abs=1e-8)
@@ -189,6 +190,31 @@ class TestNumericOracleAgreement:
         # just off the node p ~ 2.5e-15 is below the floor with slope ~5e-8,
         # and p'^2 / p = (5e-8)^2 / 2.5e-15 = 1: the same removable limit
         assert classical_fisher_numeric(model, math.pi - 1e-7) == pytest.approx(1.0, abs=1e-5)
+
+    def test_exact_near_fringe_nodes(self):
+        # 1e-9 to 1e-3 rad from either node of the theta = 0.1 readout, on
+        # both sides: the half-angle model forms no p by cancellation, so
+        # no outcome near its zero loses the digits its slope is read from
+        offsets = [sign * 10.0**e for e in np.linspace(-9.0, -3.0, 61) for sign in (1, -1)]
+        cases = [(kind, q) for kind in ChannelKind for q in (0.0, 0.01, 0.1)]
+        for kind, q in cases + [(ChannelKind.DEPHASING, 1.0)]:
+            model = channel_outcome_model(kind, q, 0.1)
+            for node in (0.0, math.pi):
+                for offset in offsets:
+                    phi = 0.1 + node + offset
+                    assert classical_fisher_numeric(model, phi) == pytest.approx(
+                        fisher_information(kind, q, phi - 0.1), rel=0.0, abs=1e-8)
+
+    def test_large_phase(self):
+        # the shifts phi +/- pi/2 round to a multiple of phi's ulp (1.2e-4
+        # at 1e12); from 2^54 on they round back to phi, and there is no
+        # derivative to read
+        model = channel_outcome_model(ChannelKind.DEPOLARIZING, 0.2, 0.0)
+        assert classical_fisher_numeric(model, 1e12) == pytest.approx(
+            fisher_depolarizing(0.2, 1e12), rel=0.0, abs=1e-10)
+        for phi in (2e16, -2e16, 2.0**54):
+            with pytest.raises(ValueError, match=re.escape(f"phi = {phi!r} is too large")):
+                classical_fisher_numeric(model, phi)
 
     def test_non_finite_readout_angle_rejected(self):
         for theta in (math.nan, math.inf):

@@ -171,13 +171,25 @@ class TestMeasurement:
                 channel_outcome_model(kind, q, 0.0)(math.nan)
 
     def test_probabilities_form_a_simplex_everywhere(self):
+        # every p is +0.0 or above, never -0.0: copysign reads the sign of
+        # a zero, which a comparison with 0.0 does not
         rng = np.random.default_rng(7)
         kinds = list(ChannelKind)
+        points = []
         for _ in range(1000):
             kind = kinds[rng.integers(0, 3)]
             q = rng.uniform(0.0, 1.0)
             phi = rng.uniform(0.0, 2.0 * math.pi)
             theta = rng.uniform(0.0, 2.0 * math.pi)
+            points.append((kind, q, theta, phi))
+        # the edges: both zeros of q and of the angles, full strength, and
+        # phases on a fringe node or just off it
+        for kind in kinds:
+            for q in (0.0, -0.0, 1e-300, 0.5, 1.0):
+                for theta in (0.0, -0.0, 0.3):
+                    for offset in (0.0, -0.0, 1e-200, -1e-9, math.pi, -math.pi):
+                        points.append((kind, q, theta, theta + offset))
+        for kind, q, theta, phi in points:
             vals = probs(kind, q, theta, phi)
-            assert all(v >= -1e-14 for v in vals)
+            assert all(math.copysign(1.0, v) == 1.0 for v in vals), (kind, q, theta, phi)
             assert sum(vals) == pytest.approx(1.0, abs=1e-12)
