@@ -681,49 +681,60 @@ def instability_vs_error_rate(
             for kind in kinds}
 
 
-def _fit_points(qs, sigmas) -> tuple[np.ndarray, np.ndarray]:
-    """qs and sigmas as float arrays; ValueError unless each q is finite and
-    in [0, 1) and each sigma positive, so that 1 - q and sigma have logs."""
-    qs, sigmas = np.asarray(qs, dtype=float), np.asarray(sigmas, dtype=float)
-    if not np.all((qs >= 0.0) & (qs < 1.0)):
-        raise ValueError(f"a power-law fit needs every q in [0, 1), got {qs.tolist()}")
-    if not np.all(sigmas > 0.0):
-        raise ValueError(f"a power-law fit needs positive sigmas, got {sigmas.tolist()}")
-    return qs, sigmas
+def _fit_points(qs, sigmas) -> tuple[list[float], list[float]]:
+    """x = log(1 - q) and z = log(sigma) of each point, taken with
+    math.log1p and math.log; ValueError unless there is a q, each q is in
+    [0, 1) and each sigma positive and finite, so that every x and z is a
+    finite float."""
+    qs, sigmas = [float(q) for q in qs], [float(s) for s in sigmas]
+    if not qs or not all(0.0 <= q < 1.0 for q in qs):
+        raise ValueError(f"a power-law fit needs every q in [0, 1), got {qs}")
+    if not all(0.0 < s < math.inf for s in sigmas):
+        raise ValueError(f"a power-law fit needs positive sigmas, all finite, got {sigmas}")
+    return [math.log1p(-q) for q in qs], [math.log(s) for s in sigmas]
 
 
 def _sigma0(log_sigma0: float) -> float:
     """exp of a fitted log intercept; ValueError where it leaves the float
     range, as a fit extrapolated from sigmas near the largest float can."""
-    with np.errstate(over="ignore"):
-        sigma0 = float(np.exp(log_sigma0))
-    if not math.isfinite(sigma0):
-        raise ValueError(f"fitted sigma0 = exp({log_sigma0}) is not a finite float")
-    return sigma0
+    try:
+        return math.exp(log_sigma0)
+    except OverflowError:
+        raise ValueError(f"fitted sigma0 = exp({log_sigma0}) is not a finite float") from None
 
 
 def fit_loglog_exponent(qs, sigmas) -> tuple[float, float, float]:
     """Free log-log regression of sigma against (1 - q).
 
-    Fits log(sigma) = log(sigma0) + b * log(1 - q) by ordinary least
-    squares and returns (b, stderr_b, sigma0). The erasure channel should
-    give b near -1/2 and depolarizing near -1. Needs at least 3 points at
-    two or more distinct q, since the slope is undefined at one q, every q
-    in [0, 1) and positive sigmas (_fit_points); a sigma0 past the float
-    range raises ValueError.
+    Fits z = log(sigma0) + b x, x = log(1 - q) and z = log(sigma), by
+    ordinary least squares and returns (b, stderr_b, sigma0). The erasure
+    channel should give b near -1/2 and depolarizing near -1. The line is
+    the centred closed form: with dx = x - mean(x) and dz = z - mean(z),
+    b = sum(dx dz) / sum(dx dx), stderr_b = sqrt(sum(r r) / (n - 2) /
+    sum(dx dx)) for residuals r = dz - b dx, and sigma0 = exp(mean(z) - b
+    mean(x)). Every log, exp and sum comes from math (each sum is one
+    math.fsum, rounded once on every Python version), so no bit of the fit
+    follows LAPACK or numpy's SIMD dispatch. Needs at least 3 points at two
+    or more distinct q, since the slope is undefined at one q, every q in
+    [0, 1) and positive finite sigmas (_fit_points); q so close together
+    that sum(dx dx) is not a normal float count as one, and a sigma0 past
+    the float range raises ValueError.
     """
-    qs, sigmas = _fit_points(qs, sigmas)
-    if qs.size != sigmas.size or qs.size < 3:
+    x, z = _fit_points(qs, sigmas)
+    n = len(x)
+    if n != len(z) or n < 3:
         raise ValueError("need at least 3 (q, sigma) points")
-    if qs.min() == qs.max():
+    x_bar, z_bar = math.fsum(x) / n, math.fsum(z) / n
+    dx, dz = [v - x_bar for v in x], [v - z_bar for v in z]
+    sxx = math.fsum(d * d for d in dx)
+    # equal x are caught as such: their mean rounds, which leaves a dx of
+    # rounding error alone; a spread whose sum(dx dx) is below the least
+    # normal float, 2^-1022, holds too few digits to fit and counts as one q
+    if min(x) == max(x) or not sxx >= 2.0**-1022:
         raise ValueError("need at least 2 distinct q values")
-    x = np.log1p(-qs)
-    z = np.log(sigmas)
-    slope, intercept = np.polyfit(x, z, 1)
-    resid = z - (slope * x + intercept)
-    dof = qs.size - 2
-    var_slope = float(np.sum(resid**2) / dof / np.sum((x - x.mean()) ** 2))
-    return float(slope), math.sqrt(var_slope), _sigma0(intercept)
+    b = math.fsum(u * v for u, v in zip(dx, dz)) / sxx
+    rss = math.fsum(r * r for r in (v - b * u for u, v in zip(dx, dz)))
+    return b, math.sqrt(rss / (n - 2) / sxx), _sigma0(z_bar - b * x_bar)
 
 
 def fit_fixed_form_intercept(qs, sigmas, exponent: float) -> float:
@@ -731,12 +742,14 @@ def fit_fixed_form_intercept(qs, sigmas, exponent: float) -> float:
 
     The exponent is pinned (-kind.decay_exponent(): -1/2 for erasure, -1
     for depolarizing) and the instability at q = 0 is the only free
-    parameter, fitted by least squares in log space. Raises ValueError
-    unless every q is in [0, 1), every sigma is positive and sigma0 is a
-    finite float.
+    parameter, fitted by least squares in log space: sigma0 =
+    exp(mean(z - exponent x)) on the points of _fit_points, its sum one
+    math.fsum. Raises ValueError unless there is one sigma per q, every q
+    is in [0, 1), every sigma is positive and finite and sigma0 is a finite
+    float; the exponent is taken as the finite constant it is pinned to.
     """
-    qs, sigmas = _fit_points(qs, sigmas)
-    return _sigma0(np.mean(np.log(sigmas) - exponent * np.log1p(-qs)))
+    x, z = _fit_points(qs, sigmas)
+    return _sigma0(math.fsum(v - exponent * u for u, v in zip(x, z, strict=True)) / len(x))
 
 
 def crb_floor(

@@ -36,8 +36,9 @@ class CountRecord:
     """Terminal counts of one ensemble measurement, with the channel model
     the estimator should invert. q is the known channel strength for the
     depolarizing and dephasing kinds; the erasure kind ignores it and uses
-    the observed erased fraction instead. A kind that is not a ChannelKind
-    (a name string, say) is rejected."""
+    the observed erased fraction instead. Each count is stored as the
+    Python int it equals. A kind that is not a ChannelKind (a name string,
+    say) is rejected."""
 
     n_plus: int
     n_minus: int
@@ -50,7 +51,8 @@ class CountRecord:
         n_erasure = self.n_erasure
         counts = (self.n_plus, self.n_minus, n_erasure)
         for name, v in zip(("n_plus", "n_minus", "n_erasure"), counts):
-            # an int is whole as it stands
+            # an int is whole as it stands; any other whole number is stored
+            # as the int it equals, whose sums do not wrap as numpy's do
             if type(v) is not int:
                 try:
                     whole = v == int(v)
@@ -58,6 +60,7 @@ class CountRecord:
                     whole = False
                 if not whole:
                     raise ValueError(f"{name} must be a non-negative integer")
+                object.__setattr__(self, name, v := int(v))
             if v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
         if not math.isfinite(self.theta):
@@ -92,19 +95,19 @@ def mle_phase(counts: CountRecord) -> PhaseEstimate:
     A the channel's fringe amplitude at strength q. For erasure q is the
     observed erased fraction and A = 1: erased atoms carry no signal and
     are dropped. For depolarizing and dephasing q is the known strength
-    counts.q. Counts are read as Python ints and theta and q as Python
-    floats (q once, for the inversion and the information alike), so no
-    numpy type sets their range or precision. Arguments outside [-1, 1] are
-    clamped and flagged. The returned phase is the branch theta <= phi_hat
-    <= theta + pi (in [0, pi] for theta = 0); the standard error is
-    1 / sqrt(shots * F), F the channel's analytic Fisher information there.
+    counts.q. Counts are the Python ints CountRecord stores, and theta and
+    q are read as Python floats (q once, for the inversion and the
+    information alike), so no numpy type sets their range or precision.
+    Arguments outside [-1, 1] are clamped and flagged. The returned phase
+    is the branch theta <= phi_hat <= theta + pi (in [0, pi] for theta =
+    0); the standard error is 1 / sqrt(shots * F), F the channel's analytic
+    Fisher information there.
 
     Raises ValueError when the parameter is unidentifiable (depolarizing
     q = 1, dephasing q = 1/2) or when every atom was erased.
     """
-    # counts are added as Python ints, which do not wrap as numpy's do
-    n_plus, n_erasure = int(counts.n_plus), int(counts.n_erasure)
-    n_pm = n_plus + int(counts.n_minus)
+    n_plus, n_erasure = counts.n_plus, counts.n_erasure
+    n_pm = n_plus + counts.n_minus
     if n_pm < 1:
         raise ValueError("all counts erased: no +/- outcomes to invert")
     shots = n_pm + n_erasure

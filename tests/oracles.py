@@ -6,13 +6,15 @@ interrogation optimum: one full ellipse refit per fit window and per
 jackknife deletion, one deviation recomputed from the kept m-differences
 per deleted Allan block, one record object per simulated cycle, one repr
 per number written, and a golden-section search for the optimal
-interrogation time; plus a two-pass overlapping ADEV that reads no prefix
-sum, the paper's eigenvector form of the qubit quantum Fisher information,
-which the library evaluates in Bloch form; the array-form closed-form
-information and count inversion, which the library evaluates in floats;
-and the validation of outcome distributions and count records as it was
-written before it read each field once. They are kept here, independent of
-the library code, only as test oracles.
+interrogation time; the scaling exponent's line fitted by np.polyfit on
+numpy logs, which the library fits in closed form on math logs; plus a
+two-pass overlapping ADEV that reads no prefix sum, the paper's
+eigenvector form of the qubit quantum Fisher information, which the
+library evaluates in Bloch form; the array-form closed-form information
+and count inversion, which the library evaluates in floats; and the
+validation of outcome distributions and count records as it was written
+before it read each field once. They are kept here, independent of the
+library code, only as test oracles.
 """
 
 import math
@@ -333,6 +335,23 @@ def optimize_interrogation(gamma_d, t_d, kind):
     return t_star, sigma(t_star)
 
 
+def loglog_fit(qs, sigmas):
+    """(slope, stderr, sigma0) of the line log(sigma) = log(sigma0) + slope
+    log(1 - q), fitted by np.polyfit (a scaled Vandermonde matrix and
+    LAPACK's SVD least squares) on numpy logs, with the slope's OLS error."""
+    x, z = np.log1p(-np.asarray(qs, dtype=float)), np.log(np.asarray(sigmas, dtype=float))
+    slope, intercept = np.polyfit(x, z, 1)
+    resid = z - (slope * x + intercept)
+    var_slope = np.sum(resid**2) / (x.size - 2) / np.sum((x - x.mean()) ** 2)
+    return float(slope), math.sqrt(var_slope), float(np.exp(intercept))
+
+
+def fixed_form_intercept(qs, sigmas, exponent):
+    """sigma0 = exp(mean(log(sigma) - exponent log(1 - q))) on numpy logs."""
+    x = np.log1p(-np.asarray(qs, dtype=float))
+    return float(np.exp(np.mean(np.log(np.asarray(sigmas, dtype=float)) - exponent * x)))
+
+
 def qfi(rho, generator):
     """The paper's qubit quantum Fisher information
     4 (2 tr(rho^2) - 1) |<eta_0|H|eta_1>|^2, with rho's eigenvectors eta_0,
@@ -370,7 +389,7 @@ class OutcomeDistribution:
 @dataclass(frozen=True)
 class CountRecord:
     """Terminal counts with the channel to invert, each count checked by
-    name with v == int(v), stored as given."""
+    name with v == int(v) and stored as int(v)."""
 
     n_plus: int
     n_minus: int
@@ -388,6 +407,7 @@ class CountRecord:
                 whole = False
             if not whole or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
+            object.__setattr__(self, name, int(v))
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
         if self.kind is not ChannelKind.ERASURE and self.n_erasure > 0:

@@ -12,12 +12,17 @@ output read off ellipse fits (seven rows: all but cycles.csv and the allan
 run) also follows the BLAS kernel, which numpy's OpenBLAS picks per CPU at
 run time, so the runs go in a child Python with OPENBLAS_CORETYPE=Haswell,
 an AVX2 kernel that every x86-64 CI runner can run. Past the scatter
-product every fit is solved in closed form, with no LAPACK call. OpenBLAS's
-thread count does not move them: the table is checked at its default and at
-one thread. Nor does numpy's SIMD dispatch: the fits take their angles with
-math.acos and their cubes as products, never through the numpy functions
-whose last bit follows it (arccos, arctan2, cbrt, power), and a second test
-reruns the five with numpy's AVX-512 paths switched off.
+product every fit is solved in closed form, with no LAPACK call, and the
+scaling exponent in scaling_fit.json is a closed-form least-squares line on
+math logarithms, with no BLAS or LAPACK call at all. OpenBLAS's thread count
+does not move them: the table is checked at its default and at one thread.
+Nor does numpy's SIMD dispatch: the ellipse fits take their angles with
+math.acos and their cubes as products, and the scaling fit its logs and
+exponentials from math and its squares as products, never through the
+numpy functions whose last bit follows it (arccos, arctan2, cbrt, power,
+log, log1p, exp). A second test reruns the five with numpy's AVX-512 paths
+switched off, and a third refits 300 random sets there, since the one
+scaling run fits only three points.
 """
 
 import hashlib
@@ -27,6 +32,8 @@ import subprocess
 import sys
 
 import pytest
+
+from erasure_sensing.clock import fit_fixed_form_intercept, fit_loglog_exponent
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__
@@ -53,7 +60,7 @@ DIGESTS = {
     "simulate-window-10/cycles.csv": "35b255fe293511ebbafeb49745679d2a87d15a5469b190e3862ebda9651c26a3",
     "simulate-window-10/phases.csv": "4fbc3a54b38981c3b45c24baf7ed0df23d7fcb86a79fc4ff8c26c6e68eea09b2",
     "scaling/scaling.csv": "515d85eeedfe520ff9d3f8673bbba81c3f7148ef5b6cffdf292d78e1b3c58ad0",
-    "scaling/scaling_fit.json": "97baa51ff48c3081f523168908df2ec5d85cb800ea49b23a828b70c686244e37",
+    "scaling/scaling_fit.json": "4749eb0433fe1084e89a2c731c5f1ab56be77355d73228a8801dda057cb0aadd",
     "ellipse/ellipse.json": "25f481081be45c996bb17d9d3546bbcaac8ee98907a2e95a7dfd50289e4e65ce",
     "allan/allan.json": "825d57c2ab0880961c17c3e1853a919b84b814d8b5e29da5797a018c16518b51",
 }
@@ -98,7 +105,42 @@ def test_outputs_match_the_committed_digests(tmp_path, env):
     assert run_digests(tmp_path, **env) == DIGESTS
 
 
-@pytest.mark.skipif(not all(__cpu_features__.get(f) for f in AVX512),
-                    reason="numpy reports no AVX-512 dispatch on this CPU")
+needs_avx512 = pytest.mark.skipif(not all(__cpu_features__.get(f) for f in AVX512),
+                                  reason="numpy reports no AVX-512 dispatch on this CPU")
+
+
+@needs_avx512
 def test_outputs_do_not_follow_numpy_simd_dispatch(tmp_path):
     assert run_digests(tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512)) == DIGESTS
+
+
+def scaling_fits() -> list[str]:
+    """repr of both scaling fits of 300 sets of 3 to 9 q from {0, 0.1, ...,
+    0.9}, each set's sigmas a few percent off a power law, all drawn from
+    Python's own seeded generator so that every process fits the same
+    inputs."""
+    rng = random.Random(34)
+    fits = []
+    for _ in range(300):
+        qs = rng.sample([i / 10 for i in range(10)], rng.randint(3, 9))
+        exponent = rng.choice((-0.5, -1.0))
+        sigmas = [(1.0 - q) ** exponent * rng.lognormvariate(0.0, 0.05) for q in qs]
+        fits.append(repr((fit_loglog_exponent(qs, sigmas),
+                          fit_fixed_form_intercept(qs, sigmas, exponent))))
+    return fits
+
+
+@needs_avx512
+def test_scaling_fits_do_not_follow_numpy_simd_dispatch():
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), here, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import test_byte_contract as t; print(*t.scaling_fits(), sep='\\n')"],
+        env=dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == scaling_fits()

@@ -374,6 +374,26 @@ class TestScalingCommand:
         assert "distinct" in capsys.readouterr().err
         assert list(tmp_path.glob("scaling*")) == []
 
+    def test_equal_sigmas_fit_a_flat_line(self, tmp_path, capfd):
+        # q an ulp apart run the same binomial draws, so the three sigmas are
+        # equal and the exponent is 0, with nothing written to stderr
+        out = tmp_path / "s"
+        assert main(["scaling", EXAMPLE_CONFIG, "--q-grid",
+                     "0.5,0.5000000000000001,0.5000000000000002", "--kind", "depolarizing",
+                     "--out", str(out)]) == 0
+        rows = (out / "scaling.csv").read_text().splitlines()[1:]
+        assert len({row.split(",")[1] for row in rows}) == 1
+        fit = json.loads((out / "scaling_fit.json").read_text())["depolarizing"]
+        assert abs(fit["exponent"]) <= 1e-12
+        assert capfd.readouterr().err == ""
+
+    def test_q_spread_below_the_float_range_is_a_usage_error(self, tmp_path, capfd):
+        # log(1 - q) spreads by 1e-300 here, whose square no float holds, so
+        # the fit sees one q; stderr holds the error line and nothing else
+        assert main(["scaling", EXAMPLE_CONFIG, "--q-grid", "0,1e-300,2e-300", "--kind",
+                     "erasure", "--out", str(tmp_path / "s")]) == 2
+        assert capfd.readouterr().err == "error: need at least 2 distinct q values\n"
+
 
 class TestOptimizeCommand:
     def test_closed_form_optima_in_csv(self, tmp_path, capsys):

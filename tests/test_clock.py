@@ -538,7 +538,8 @@ class TestFloorsAndFits:
         with pytest.raises(ValueError, match="at least 3"):
             fit_loglog_exponent([0.0, 0.5], [1.0, 2.0])
         # a noiseless run's sigma is exactly 0, and its log is -inf
-        for sigmas in ([0.0, 1.0, 2.0], [1.0, -1.0, 2.0], [1.0, math.nan, 2.0]):
+        for sigmas in ([0.0, 1.0, 2.0], [1.0, -1.0, 2.0], [1.0, math.nan, 2.0],
+                       [1.0, 2.0, math.inf]):
             with pytest.raises(ValueError, match="positive sigmas"):
                 fit_loglog_exponent([0.0, 0.3, 0.6], sigmas)
             with pytest.raises(ValueError, match="positive sigmas"):

@@ -1,11 +1,11 @@
 """The stacked ellipse solver, the linear-time Allan jackknife, the cycle
 columns, the cycles.csv writer, the closed-form interrogation optimum, the
-Bloch-form quantum Fisher information, the float paths of the state chain,
-the closed-form Fisher information and the count inversion, and the
-validation of outcome distributions and count records against the slow paths
-they replaced (tests/oracles.py), and the numeric Fisher oracle against the
-closed form, on random inputs and on the degenerate windows a batch must
-survive."""
+closed-form scaling fits, the Bloch-form quantum Fisher information, the
+float paths of the state chain, the closed-form Fisher information and the
+count inversion, and the validation of outcome distributions and count
+records against the slow paths they replaced (tests/oracles.py), and the
+numeric Fisher oracle against the closed form, on random inputs and on the
+degenerate windows a batch must survive."""
 
 import dataclasses
 import json
@@ -434,6 +434,32 @@ class TestAgainstOracles:
         t_star, sigma_star = oracles.optimize_interrogation(gamma, t_d, kind)
         assert fast.t_c_star == pytest.approx(t_star, rel=1e-8)
         assert fast.sigma_star <= sigma_star * (1.0 + 1e-12)
+
+    @settings(PROPERTY, max_examples=200)
+    @given(
+        qs=st.lists(st.sampled_from([i / 10 for i in range(10)]), min_size=3, max_size=9,
+                    unique=True),
+        exponent=st.sampled_from([-0.5, -1.0]),
+        scale=st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
+        noise=st.floats(1e-3, 0.03),
+        seed=seeds,
+    )
+    def test_scaling_fits(self, qs, exponent, scale, noise, seed):
+        # The closed-form line on math logs is np.polyfit's line on numpy
+        # logs to rounding, on grids of distinct q as a sweep runs them and
+        # sigmas a few percent off a power law at any scale. That noise
+        # keeps the slope off zero, where polyfit's own error, not the
+        # closed form's, reaches 1e-12 of the slope.
+        qs = np.array(qs)
+        sigmas = scale * (1.0 - qs) ** exponent * np.exp(
+            noise * np.random.default_rng(seed).normal(size=qs.size))
+        slope, stderr, sigma0 = clock.fit_loglog_exponent(qs, sigmas)
+        slow_slope, slow_stderr, slow_sigma0 = oracles.loglog_fit(qs, sigmas)
+        assert slope == pytest.approx(slow_slope, rel=1e-12, abs=0.0)
+        assert stderr == pytest.approx(slow_stderr, rel=1e-9, abs=1e-15)
+        assert sigma0 == pytest.approx(slow_sigma0, rel=1e-12, abs=0.0)
+        assert clock.fit_fixed_form_intercept(qs, sigmas, exponent) == pytest.approx(
+            oracles.fixed_form_intercept(qs, sigmas, exponent), rel=1e-12, abs=0.0)
 
     @PROPERTY
     @given(
